@@ -15,8 +15,9 @@
 # session-handoff reports — scaling/rebalance legs, row CRCs, consumer
 # timelines — plain and under chaos) + the query-cache coherence gate
 # (warm result-cache hit is byte-identical to the cold run with zero scan
-# and strictly fewer GETs, DML invalidates by keying without flushing,
-# and the walkthrough is byte-identical across processes).
+# and strictly fewer GETs and parses no statement and clones no plan, DML
+# invalidates by keying without flushing, and the walkthrough is
+# byte-identical across processes).
 # Usage: scripts/check.sh  (from the repo root)
 set -euo pipefail
 
@@ -48,8 +49,9 @@ fi
 
 echo "== query-cache coherence gate =="
 # The CLI itself exits non-zero if the warm hit's rows differ from the
-# cold run, the hit scans any bytes or fails to save GETs, or DML serves
-# a stale entry / flushes the tier; diffing two runs pins determinism.
+# cold run, the hit scans any bytes, fails to save GETs, parses a
+# statement or clones a plan, or DML serves a stale entry / flushes the
+# tier; diffing two runs pins determinism.
 qc_a="$(mktemp)" qc_b="$(mktemp)"
 trap 'rm -f "$cache_a" "$cache_b" "$qc_a" "$qc_b"' EXIT
 PYTHONPATH=src python -m repro querycache > "$qc_a"

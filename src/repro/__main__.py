@@ -22,9 +22,10 @@ Commands:
   the warm run served no bytes from the cache; the output is
   deterministic, so two invocations must be byte-identical.
 * ``querycache`` — plan + query-result cache walkthrough: the demo query
-  cold then warm with ``use_query_cache=True`` (the warm run must return
-  byte-identical rows, report ``cache_hit``, scan zero bytes, and issue
-  strictly fewer object-store GETs), then a DML leg against a managed
+  cold then warm with ``use_query_cache=True`` (the warm run must parse no
+  statement, clone no plan, return byte-identical rows, report
+  ``cache_hit``, scan zero bytes, and issue strictly fewer object-store
+  GETs), then a DML leg against a managed
   table proving snapshot-keyed coherence — the INSERT makes the next run
   a miss with fresh rows while the old entries stay resident (coherence
   by keying, never flushing). Exits non-zero if any invariant fails; the
@@ -387,11 +388,16 @@ def _cache_stats() -> int:
 
 def _querycache() -> int:
     """Plan + result cache walkthrough: cold/warm identity, zero-scan warm
-    hits, and snapshot-keyed DML coherence. Deterministic output:
-    ``scripts/check.sh`` diffs two invocations."""
+    hits that neither parse nor clone a plan, and snapshot-keyed DML
+    coherence. Deterministic output: ``scripts/check.sh`` diffs two
+    invocations."""
     import zlib
+    from unittest import mock
 
     from repro import DataType, Schema
+    from repro.cache import plan as plan_module
+    from repro.engine import engine as engine_module
+    from repro.serving import jobs as jobs_module
 
     platform, admin = _build_demo_platform()
     engine = platform.home_engine
@@ -414,7 +420,17 @@ def _querycache() -> int:
     cold = engine.execute(sql, admin, use_query_cache=True)
     cold_gets = gets(metering.delta_since(before))
     before = metering.snapshot()
-    warm = engine.execute(sql, admin, use_query_cache=True)
+    # The warm run is watched: a text the cache knows must reach its result
+    # without being parsed (at submit or at execution) or cloning a plan.
+    def watched(module, attr):
+        return mock.patch.object(module, attr, wraps=getattr(module, attr))
+
+    with watched(jobs_module, "parse_statement") as parse_at_submit, \
+            watched(engine_module, "parse_statement") as parse_at_execution, \
+            watched(plan_module, "_clone_plan") as clone_plan:
+        warm = engine.execute(sql, admin, use_query_cache=True)
+    parsed = parse_at_submit.call_count + parse_at_execution.call_count
+    cloned = clone_plan.call_count
     warm_gets = gets(metering.delta_since(before))
     for label, result, n_gets in (("cold", cold, cold_gets), ("warm", warm, warm_gets)):
         print(
@@ -422,7 +438,11 @@ def _querycache() -> int:
             f"crc={crc(result):08x} scanned={result.stats.bytes_scanned:,} B "
             f"gets={n_gets} elapsed={result.stats.elapsed_ms:.2f} ms"
         )
+    print(f"warm: statements parsed={parsed} plans cloned={cloned}")
     failures = 0
+    if parsed or cloned:
+        print("error: the warm hit parsed a statement or cloned a plan", file=sys.stderr)
+        failures += 1
     if warm.rows() != cold.rows():
         print("error: warm run returned different rows than cold run", file=sys.stderr)
         failures += 1

@@ -50,6 +50,17 @@ if TYPE_CHECKING:
     from repro.simtime import SimContext
 
 
+# Help text of the ``repro_cache_*`` metric families. The data cache and the
+# query cache (:mod:`repro.cache.plan`) count into the same families, told
+# apart by the ``tier`` label, and the registry keeps whichever help string
+# registered first — so the text names no one cache.
+HITS_HELP = "cache hits per tier"
+MISSES_HELP = "cache misses per tier"
+HIT_BYTES_HELP = "bytes served from cache per tier"
+EVICTIONS_HELP = "cache evictions per tier and reason"
+RESIDENT_HELP = "bytes currently resident per cache tier"
+
+
 @dataclass
 class CacheConfig:
     """Capacity knobs for the three tiers (bytes of *source* data)."""
@@ -255,22 +266,22 @@ class DataCache:
     def _count(self, tier: CacheTier, hit: bool, nbytes: int = 0) -> None:
         metrics = self.ctx.metrics
         if hit:
-            metrics.counter("repro_cache_hits_total", "data-cache hits").inc(tier=tier.name)
-            metrics.counter(
-                "repro_cache_bytes_total", "source bytes served from the data cache"
-            ).inc(nbytes, tier=tier.name)
+            metrics.counter("repro_cache_hits_total", HITS_HELP).inc(tier=tier.name)
+            metrics.counter("repro_cache_bytes_total", HIT_BYTES_HELP).inc(
+                nbytes, tier=tier.name
+            )
         else:
-            metrics.counter("repro_cache_misses_total", "data-cache misses").inc(tier=tier.name)
-        metrics.gauge(
-            "repro_cache_resident_bytes", "bytes currently resident per cache tier"
-        ).set(tier.resident_bytes, tier=tier.name)
+            metrics.counter("repro_cache_misses_total", MISSES_HELP).inc(tier=tier.name)
+        metrics.gauge("repro_cache_resident_bytes", RESIDENT_HELP).set(
+            tier.resident_bytes, tier=tier.name
+        )
 
     def _on_evict(self, tier: CacheTier, reason: str) -> None:
         """Tier eviction callback: one metric, split by tier and by why the
         entry left (``lru`` pressure vs ``ttl``/``idle`` age bounds)."""
-        self.ctx.metrics.counter(
-            "repro_cache_evictions_total", "data-cache evictions"
-        ).inc(tier=tier.name, reason=reason)
+        self.ctx.metrics.counter("repro_cache_evictions_total", EVICTIONS_HELP).inc(
+            tier=tier.name, reason=reason
+        )
 
     # -- footer tier --------------------------------------------------------
 

@@ -24,8 +24,9 @@ stale entries simply stop being addressed and age out of the LRU. Policy
 changes alter the policy digest the same way, and a dropped-and-recreated
 table re-resolves to a different digest. Entries are never served across
 principals: the result key carries ``str(principal)`` and a per-table IAM
-read check runs on every hit (a denied principal falls through to a real
-execution, which raises the ordinary access error).
+read check runs on every hit, against the tables the key was just built
+from (a denied principal falls through to a real execution, which raises
+the ordinary access error).
 
 Plans containing TVFs are never cached (handlers are registered per
 engine and models may be mutable); plans over ``INFORMATION_SCHEMA`` are
@@ -39,7 +40,14 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
-from repro.cache import CacheTier
+from repro.cache import (
+    EVICTIONS_HELP,
+    HIT_BYTES_HELP,
+    HITS_HELP,
+    MISSES_HELP,
+    RESIDENT_HELP,
+    CacheTier,
+)
 from repro.engine.plan import (
     AggregateNode,
     DistinctNode,
@@ -105,7 +113,7 @@ def table_digest(table: "TableInfo", principal: "Principal") -> tuple:
 # -- plan cloning -------------------------------------------------------------
 
 
-def _clone_plan(node: PlanNode, scans: list[ScanNode]) -> PlanNode | None:
+def _clone_plan(node: PlanNode) -> PlanNode | None:
     """Deep-copy a plan's node shells (ASTs, schemas, and TableInfo refs
     are shared — they are not mutated at execution) while giving every
     ScanNode a fresh :class:`ConstraintSet`, because dynamic partition
@@ -116,29 +124,27 @@ def _clone_plan(node: PlanNode, scans: list[ScanNode]) -> PlanNode | None:
     execution-time state).
     """
     if isinstance(node, ScanNode):
-        clone = replace(
+        return replace(
             node,
             columns=list(node.columns),
             pushed_filters=list(node.pushed_filters),
             runtime_constraints=ConstraintSet(),
             pushed_aggregates=list(node.pushed_aggregates),
         )
-        scans.append(clone)
-        return clone
     if isinstance(node, (SystemTableNode, ValuesNode)):
         return node
     if isinstance(node, TvfNode):
         return None
     if isinstance(node, (FilterNode, SortNode, LimitNode, DistinctNode)):
-        child = _clone_plan(node.child, scans)
+        child = _clone_plan(node.child)
         return None if child is None else replace(node, child=child)
     if isinstance(node, ProjectNode):
-        child = _clone_plan(node.child, scans)
+        child = _clone_plan(node.child)
         if child is None:
             return None
         return replace(node, child=child, items=list(node.items))
     if isinstance(node, AggregateNode):
-        child = _clone_plan(node.child, scans)
+        child = _clone_plan(node.child)
         if child is None:
             return None
         return replace(
@@ -148,13 +154,13 @@ def _clone_plan(node: PlanNode, scans: list[ScanNode]) -> PlanNode | None:
             aggregates=list(node.aggregates),
         )
     if isinstance(node, JoinNode):
-        left = _clone_plan(node.left, scans)
-        right = _clone_plan(node.right, scans)
+        left = _clone_plan(node.left)
+        right = _clone_plan(node.right)
         if left is None or right is None:
             return None
         return replace(node, left=left, right=right, equi_keys=list(node.equi_keys))
     if isinstance(node, UnionAllNode):
-        inputs = [_clone_plan(child, scans) for child in node.inputs]
+        inputs = [_clone_plan(child) for child in node.inputs]
         if any(child is None for child in inputs):
             return None
         return replace(node, inputs=inputs)
@@ -193,14 +199,47 @@ def _plan_refs(plan: PlanNode) -> tuple[list["TableInfo"], bool] | None:
     return tables, has_system
 
 
+@dataclass(frozen=True)
+class Resolution:
+    """What a SQL text's remembered table refs resolve to *now*, for one
+    principal: the tables looked up fresh in the catalog and their snapshot
+    digests. Built once per job (:meth:`QueryCache.resolve`) and shared by
+    both tiers, so a job pays one catalog lookup and one policy digest per
+    referenced table however many tiers it asks."""
+
+    base: tuple
+    tables: "tuple[TableInfo, ...]"
+    digests: tuple
+    # False when the text also reads INFORMATION_SCHEMA: plan-cacheable,
+    # never result-cacheable.
+    result_cacheable: bool
+
+    @property
+    def plan_key(self) -> tuple:
+        return self.base + (self.digests,)
+
+
+@dataclass(frozen=True)
+class ResultKey:
+    """A result-tier address plus the freshly resolved tables whose digests
+    it was built from — what the per-hit IAM recheck reads, so the recheck
+    never depends on a side map still remembering the text."""
+
+    key: tuple
+    tables: "tuple[TableInfo, ...]"
+
+
 class QueryCache:
     """The plan + result cache one platform's engines share.
 
-    Lookups are two-step: a side map remembers which tables each SQL text
-    referenced the last time it was planned, those tables are re-resolved
-    *fresh* from the catalog (never from stored references — a dropped or
-    recreated table must not pin its old metadata), and their current
-    digests complete the key. Any table that no longer resolves is a miss.
+    Lookups go text -> refs -> digests -> tier: a side map remembers which
+    tables each SQL text referenced the last time it was planned, those
+    tables are re-resolved *fresh* from the catalog (never from stored
+    references — a dropped or recreated table must not pin its old
+    metadata), and their current digests complete the key. Any table that
+    no longer resolves is a miss. A text the side map knows is a SELECT by
+    construction, which is what lets the serving layer skip parsing it
+    until a tier misses (:meth:`knows`).
 
     Unlike the data cache, neither tier consults fault hazards or (for the
     plan tier) charges sim time: these caches cannot serve stale data by
@@ -232,9 +271,10 @@ class QueryCache:
             now_fn=now_fn,
             on_evict=self._on_evict,
         )
-        # sql base key -> (dataset, name) refs from the last planning; an
-        # LRU so adversarial unique-SQL streams cannot grow it unbounded.
-        self._refs: "OrderedDict[tuple, tuple]" = OrderedDict()
+        # sql base key -> ((dataset, name) refs, result-cacheable?) from the
+        # last planning; an LRU so adversarial unique-SQL streams cannot
+        # grow it unbounded.
+        self._refs: "OrderedDict[tuple, tuple[tuple, bool]]" = OrderedDict()
         self._refs_capacity = max(16, 4 * self.config.plan_capacity)
 
     # -- metrics ------------------------------------------------------------
@@ -242,25 +282,21 @@ class QueryCache:
     def _count(self, tier: CacheTier, hit: bool, nbytes: int = 0) -> None:
         metrics = self.ctx.metrics
         if hit:
-            metrics.counter("repro_cache_hits_total", "data-cache hits").inc(
-                tier=tier.name
-            )
+            metrics.counter("repro_cache_hits_total", HITS_HELP).inc(tier=tier.name)
             if nbytes:
-                metrics.counter(
-                    "repro_cache_bytes_total", "source bytes served from the data cache"
-                ).inc(nbytes, tier=tier.name)
+                metrics.counter("repro_cache_bytes_total", HIT_BYTES_HELP).inc(
+                    nbytes, tier=tier.name
+                )
         else:
-            metrics.counter("repro_cache_misses_total", "data-cache misses").inc(
-                tier=tier.name
-            )
-        metrics.gauge(
-            "repro_cache_resident_bytes", "bytes currently resident per cache tier"
-        ).set(tier.resident_bytes, tier=tier.name)
+            metrics.counter("repro_cache_misses_total", MISSES_HELP).inc(tier=tier.name)
+        metrics.gauge("repro_cache_resident_bytes", RESIDENT_HELP).set(
+            tier.resident_bytes, tier=tier.name
+        )
 
     def _on_evict(self, tier: CacheTier, reason: str) -> None:
-        self.ctx.metrics.counter(
-            "repro_cache_evictions_total", "data-cache evictions"
-        ).inc(tier=tier.name, reason=reason)
+        self.ctx.metrics.counter("repro_cache_evictions_total", EVICTIONS_HELP).inc(
+            tier=tier.name, reason=reason
+        )
 
     # -- keys ---------------------------------------------------------------
 
@@ -277,48 +313,75 @@ class QueryCache:
             engine.use_row_oriented_reader,
         )
 
-    def _remember_refs(self, base: tuple, tables: list["TableInfo"]) -> None:
-        self._refs[base] = tuple((t.dataset, t.name) for t in tables)
+    def _remember_refs(
+        self, base: tuple, tables: list["TableInfo"], result_cacheable: bool
+    ) -> None:
+        self._refs[base] = (
+            tuple((t.dataset, t.name) for t in tables), result_cacheable
+        )
         self._refs.move_to_end(base)
         while len(self._refs) > self._refs_capacity:
             self._refs.popitem(last=False)
 
-    def _digests(self, base: tuple, principal: "Principal") -> tuple | None:
-        """Current snapshot digests for the tables ``base`` referenced at
-        its last planning — None when unknown or any table is gone."""
-        refs = self._refs.get(base)
-        if refs is None:
+    def knows(self, sql_text: str, engine: Any) -> bool:
+        """True when ``sql_text`` was planned here before as a SELECT over
+        catalog tables only — the texts the result tier can be probed for
+        without parsing. TVF statements are never remembered and
+        INFORMATION_SCHEMA readers never count as known."""
+        remembered = self._refs.get(self._base_key(sql_text, engine))
+        return remembered is not None and remembered[1]
+
+    def _resolve(self, base: tuple, principal: "Principal") -> Resolution | None:
+        remembered = self._refs.get(base)
+        if remembered is None:
             return None
-        digests = []
+        refs, result_cacheable = remembered
+        tables = []
         for dataset, name in refs:
             try:
-                table = self.catalog.get_table(dataset, name)
+                tables.append(self.catalog.get_table(dataset, name))
             except ReproError:
                 return None
-            digests.append(table_digest(table, principal))
-        return tuple(digests)
+        return Resolution(
+            base,
+            tuple(tables),
+            tuple(table_digest(table, principal) for table in tables),
+            result_cacheable,
+        )
+
+    def resolve(
+        self, sql_text: str, engine: Any, principal: "Principal"
+    ) -> Resolution | None:
+        """The current catalog resolution and snapshot digests of the
+        tables ``sql_text`` referenced at its last planning — None when the
+        text is unknown or any table is gone."""
+        return self._resolve(self._base_key(sql_text, engine), principal)
 
     # -- plan tier ----------------------------------------------------------
 
     def lookup_plan(
-        self, sql_text: str, engine: Any, principal: "Principal"
+        self,
+        sql_text: str,
+        engine: Any,
+        principal: "Principal",
+        resolution: Resolution | None = None,
     ) -> PlanNode | None:
-        """A freshly-cloned cached plan for ``sql_text``, or None."""
+        """A freshly-cloned cached plan for ``sql_text``, or None. Pass the
+        job's :meth:`resolve` result to reuse its digests."""
         if not self.config.plan_enabled:
             return None
-        base = self._base_key(sql_text, engine)
-        digests = self._digests(base, principal)
-        if digests is None:
+        if resolution is None:
+            resolution = self.resolve(sql_text, engine, principal)
+        if resolution is None:
             self.plans.stats.misses += 1
             self._count(self.plans, hit=False)
             return None
-        entry = self.plans.get(base + (digests,))
+        entry = self.plans.get(resolution.plan_key)
         if entry is None:
             self._count(self.plans, hit=False)
             return None
         self._count(self.plans, hit=True)
-        scans: list[ScanNode] = []
-        return _clone_plan(entry[0], scans)
+        return _clone_plan(entry[0])
 
     def store_plan(
         self, sql_text: str, engine: Any, principal: "Principal", plan: PlanNode
@@ -327,18 +390,36 @@ class QueryCache:
         is about to be executed and mutated). Returns True on admission."""
         if not self.config.plan_enabled:
             return False
-        scans: list[ScanNode] = []
-        master = _clone_plan(plan, scans)
+        refs = _plan_refs(plan)
+        if refs is None:
+            return False
+        master = _clone_plan(plan)
         if master is None:
             return False
+        tables, has_system = refs
         base = self._base_key(sql_text, engine)
-        self._remember_refs(base, [s.table for s in scans])
-        digests = self._digests(base, principal)
-        if digests is None:
+        self._remember_refs(base, tables, not has_system)
+        resolution = self._resolve(base, principal)
+        if resolution is None:
             return False
-        return self.plans.put(base + (digests,), master, 1)
+        return self.plans.put(resolution.plan_key, master, 1)
 
     # -- result tier --------------------------------------------------------
+
+    def text_result_key(
+        self,
+        resolution: Resolution,
+        principal: "Principal",
+        snapshot_ms: float | None,
+    ) -> ResultKey | None:
+        """The result-cache key built from the SQL text alone (its
+        remembered refs, resolved by :meth:`resolve`), or None when the
+        text is not result-cacheable or the master switch is off."""
+        if not self.config.result_enabled or not resolution.result_cacheable:
+            return None
+        return ResultKey(
+            resolution.plan_key + (str(principal), snapshot_ms), resolution.tables
+        )
 
     def result_key(
         self,
@@ -347,10 +428,10 @@ class QueryCache:
         principal: "Principal",
         snapshot_ms: float | None,
         plan: PlanNode,
-    ) -> tuple | None:
-        """The result-cache key for an about-to-run SELECT, or None when it
-        is not result-cacheable (TVFs, INFORMATION_SCHEMA, master switch
-        off, or an unresolvable table)."""
+    ) -> ResultKey | None:
+        """The result-cache key for an about-to-run SELECT, from the tables
+        its plan scans, or None when it is not result-cacheable (TVFs,
+        INFORMATION_SCHEMA, master switch off, or an unresolvable table)."""
         if not self.config.result_enabled:
             return None
         refs = _plan_refs(plan)
@@ -360,13 +441,15 @@ class QueryCache:
         if has_system:
             return None
         base = self._base_key(sql_text, engine)
-        self._remember_refs(base, tables)
-        digests = self._digests(base, principal)
-        if digests is None:
+        self._remember_refs(base, tables, True)
+        resolution = self._resolve(base, principal)
+        if resolution is None:
             return None
-        return base + (digests, str(principal), snapshot_ms)
+        return self.text_result_key(resolution, principal, snapshot_ms)
 
-    def _tables_readable(self, key: tuple, principal: "Principal") -> bool:
+    def _tables_readable(
+        self, tables: "tuple[TableInfo, ...]", principal: "Principal"
+    ) -> bool:
         """Re-check IAM table read access on a hit: a permission revoked
         after the entry was stored must fall through to real execution
         (which raises the ordinary access error)."""
@@ -374,29 +457,23 @@ class QueryCache:
             return True
         from repro.security.iam import Permission
 
-        refs = self._refs.get(key[:6], ())
-        for dataset, name in refs:
-            try:
-                table = self.catalog.get_table(dataset, name)
-            except ReproError:
-                return False
-            decision = self.iam.is_allowed(
+        return all(
+            self.iam.is_allowed(
                 principal, Permission.TABLES_GET_DATA, table.resource_name
-            )
-            if not decision.allowed:
-                return False
-        return True
+            ).allowed
+            for table in tables
+        )
 
     def lookup_result(
-        self, key: tuple, principal: "Principal"
+        self, key: ResultKey, principal: "Principal"
     ) -> "tuple[Schema, list[RecordBatch], str] | None":
         """``(schema, batches, plan_text)`` for a cached SELECT, or None.
         Hits charge one cheap lookup on the sim clock — no scan, no decode."""
-        if not self._tables_readable(key, principal):
+        if not self._tables_readable(key.tables, principal):
             self.results.stats.misses += 1
             self._count(self.results, hit=False)
             return None
-        entry = self.results.get(key)
+        entry = self.results.get(key.key)
         if entry is None:
             self._count(self.results, hit=False)
             return None
@@ -407,14 +484,14 @@ class QueryCache:
 
     def store_result(
         self,
-        key: tuple,
+        key: ResultKey,
         schema: "Schema",
         batches: "list[RecordBatch]",
         plan_text: str,
     ) -> bool:
         nbytes = sum(b.nbytes() for b in batches)
         return self.results.put(
-            key, (schema, tuple(batches), plan_text), max(1, nbytes)
+            key.key, (schema, tuple(batches), plan_text), max(1, nbytes)
         )
 
     # -- reporting ----------------------------------------------------------

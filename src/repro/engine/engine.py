@@ -430,7 +430,7 @@ class QueryEngine:
 
     def _execute_statement(
         self,
-        statement: ast.Statement,
+        statement: ast.Statement | None,
         principal: Principal,
         kind: str,
         snapshot_ms: float | None = None,
@@ -446,7 +446,9 @@ class QueryEngine:
         ``sql_text`` (the original statement text; None when the caller
         submitted an AST) keys the plan and result caches. Plan-cache use
         is automatic; the result cache additionally requires the caller's
-        ``use_query_cache=True`` opt-in.
+        ``use_query_cache=True`` opt-in. ``statement`` is None for a SELECT
+        whose text the query cache knows: it is parsed only if a tier
+        misses.
         """
         tracer = self.ctx.tracer
         self._last_root = None
@@ -454,7 +456,7 @@ class QueryEngine:
             "query", layer="engine", engine=self.name, kind=kind
         ) as root:
             self._last_root = root
-            if isinstance(statement, ast.Select):
+            if kind == "select":
                 result = self._execute_select(
                     statement, principal, snapshot_ms, sql_text, use_query_cache
                 )
@@ -466,36 +468,54 @@ class QueryEngine:
 
     def _execute_select(
         self,
-        statement: ast.Select,
+        statement: ast.Select | None,
         principal: Principal,
         snapshot_ms: float | None,
         sql_text: str | None,
         use_query_cache: bool,
     ) -> QueryResult:
-        """Plan (through the plan cache) and run one SELECT, serving and
-        populating the query-result cache when the caller opted in."""
+        """Run one SELECT through the query cache: result tier first (when
+        the caller opted in), then the plan tier, then the planner.
+
+        The text's remembered tables are resolved fresh in the catalog and
+        digested once; both tiers are keyed from that one resolution. A
+        result hit re-checks IAM on those tables and returns — it neither
+        parses the text nor touches the plan tier. Only a miss parses (if
+        the statement arrived unparsed), plans, runs and stores.
+        """
         cache = self.query_cache
         if cache is None or sql_text is None:
+            return self._run_plan(
+                self.plan(statement), principal, snapshot_ms=snapshot_ms,
+                finalize=False,
+            )
+        resolution = cache.resolve(sql_text, self, principal)
+        probed = None
+        if use_query_cache and resolution is not None:
+            probed = cache.text_result_key(resolution, principal, snapshot_ms)
+            if probed is not None:
+                served = self._serve_cached(cache, probed, principal)
+                if served is not None:
+                    return served
+        plan = cache.lookup_plan(sql_text, self, principal, resolution)
+        if plan is None:
+            if statement is None:
+                statement = parse_statement(sql_text)
             plan = self.plan(statement)
-        else:
-            plan = cache.lookup_plan(sql_text, self, principal)
-            if plan is None:
-                plan = self.plan(statement)
-                cache.store_plan(sql_text, self, principal, plan)
+            cache.store_plan(sql_text, self, principal, plan)
         result_key = None
-        if use_query_cache and cache is not None and sql_text is not None:
+        if use_query_cache:
             result_key = cache.result_key(
                 sql_text, self, principal, snapshot_ms, plan
             )
-            if result_key is not None:
-                served = cache.lookup_result(result_key, principal)
+            # The text-keyed probe above already missed on this very key
+            # unless the text was unknown (or its refs evicted) until now.
+            if result_key is not None and (
+                probed is None or result_key.key != probed.key
+            ):
+                served = self._serve_cached(cache, result_key, principal)
                 if served is not None:
-                    schema, batches, plan_text = served
-                    stats = QueryStats(cache_hit=True)
-                    return QueryResult(
-                        schema=schema, batches=batches, stats=stats,
-                        plan_text=plan_text,
-                    )
+                    return served
         result = self._run_plan(
             plan, principal, snapshot_ms=snapshot_ms, finalize=False
         )
@@ -504,6 +524,17 @@ class QueryEngine:
                 result_key, result.schema, result.batches, result.plan_text
             )
         return result
+
+    @staticmethod
+    def _serve_cached(cache, key, principal: Principal) -> QueryResult | None:
+        served = cache.lookup_result(key, principal)
+        if served is None:
+            return None
+        schema, batches, plan_text = served
+        return QueryResult(
+            schema=schema, batches=batches, stats=QueryStats(cache_hit=True),
+            plan_text=plan_text,
+        )
 
     def query(
         self,

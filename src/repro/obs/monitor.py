@@ -17,7 +17,9 @@ telemetry into the sim-time TSDB (:mod:`repro.obs.tsdb`):
   construction. The result is ``INFORMATION_SCHEMA.RESERVATION_TIMELINE``.
 * **Per-job SLO events** (serving timeline) — each settled job lands
   event samples (queue wait, retried?, degraded?, cache-bypassed?) the
-  alert rules window over.
+  alert rules window over. The store keeps the newest
+  :data:`~repro.obs.tsdb.RETENTION_SAMPLES` of each series, so these do
+  not accumulate over a platform's life.
 
 The *serving timeline* is the concatenation of batch model timelines:
 when a batch's modeled makespan outruns the real-work clock, the next

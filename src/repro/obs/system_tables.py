@@ -24,7 +24,10 @@ Tables (all under the ``INFORMATION_SCHEMA`` pseudo-dataset):
 * ``METRICS`` — the current metrics-registry snapshot.
 * ``CACHE_STATS`` — one row per cache tier (the data cache's footer /
   chunk / dictionary plus the query cache's plan / result): residency,
-  capacity, hit/miss/eviction counters.
+  capacity, hit/miss/eviction counters. The query cache asks its result
+  tier first, so a statement served from it counts one ``result`` hit and
+  leaves the ``plan`` row alone (no hit, no miss, no recency bump): the
+  ``plan`` counters cover only statements that went on to execute.
 * ``RESERVATION_TIMELINE`` — per-interval, per-principal slot occupancy
   from the fleet monitor (slot-ms split scan/compute, queue depth,
   fair-share attainment). Same visibility rule as ``JOBS``: principals

@@ -2,10 +2,12 @@
 
 ``INFORMATION_SCHEMA.METRICS`` answers "what is the counter *now*"; this
 module answers "what was it *over time*". A :class:`TimeSeriesStore`
-keeps append-only ``(t_ms, value)`` points per ``(name, labels)`` series
-on the simulated clock, with the Prometheus-shaped window functions the
-SLO engine (:mod:`repro.obs.alerts`) evaluates: ``rate()``,
-``avg_over_time()``, ``quantile_over_time()`` and friends.
+keeps the newest ``(t_ms, value)`` points per ``(name, labels)`` series
+on the simulated clock (a fixed per-series retention, so a long-lived
+monitored platform does not grow with the jobs it has served), with the
+Prometheus-shaped window functions the SLO engine
+(:mod:`repro.obs.alerts`) evaluates: ``rate()``, ``avg_over_time()``,
+``quantile_over_time()`` and friends.
 
 A :class:`MetricsScraper` populates the store from the platform's
 :class:`~repro.obs.metrics.MetricsRegistry` on a fixed interval grid:
@@ -43,8 +45,22 @@ def _is_stale(value: float) -> bool:
     return isinstance(value, float) and math.isnan(value)
 
 
+#: Per-series retention, in samples: a series always holds its newest
+#: ``RETENTION_SAMPLES`` and never more than twice that. The longest stock
+#: alert window (1600 ms, :func:`repro.obs.monitor.default_alert_rules`) on
+#: the default 100 ms scrape grid spans 16 samples of a scraped series, and
+#: a per-job event series would need more than 64 jobs settling per 100 ms
+#: of serving timeline, window-long, before a 1600 ms window reaches past
+#: the tail. Not a :class:`~repro.obs.monitor.MonitorConfig` knob: like the
+#: METRICS_HISTORY and RESERVATION_TIMELINE rings, the store is bounded.
+RETENTION_SAMPLES = 1024
+
+
 class _Series:
-    """One append-only series: parallel (sorted) time and value arrays."""
+    """One series: parallel (sorted) time and value arrays holding the
+    newest samples. Trimming is amortised — at ``2 * RETENTION_SAMPLES`` the
+    older half is dropped — so the arrays stay plain lists ``bisect`` can
+    window over and an append stays O(1)."""
 
     __slots__ = ("times", "values")
 
@@ -58,17 +74,25 @@ class _Series:
                 f"time-series samples must be appended in time order "
                 f"(got {t_ms} after {self.times[-1]})"
             )
+        if len(self.times) >= 2 * RETENTION_SAMPLES:
+            del self.times[:RETENTION_SAMPLES]
+            del self.values[:RETENTION_SAMPLES]
         self.times.append(t_ms)
         self.values.append(float(value))
 
 
 class TimeSeriesStore:
-    """Append-only sim-time series keyed by ``(metric name, labels)``.
+    """Sim-time series keyed by ``(metric name, labels)``, appended in time
+    order and bounded per series (:data:`RETENTION_SAMPLES`).
 
     Window queries take an evaluation instant ``at_ms`` and a
     ``window_ms`` and operate over the half-open lookback ``(at_ms -
     window_ms, at_ms]`` — Prometheus range-vector semantics. Staleness
-    markers (NaN samples) are excluded from every aggregate.
+    markers (NaN samples) are excluded from every aggregate. Every read —
+    window functions, :meth:`last`, :meth:`points`, :meth:`sample_count` —
+    sees the retained tail of a series: a window that spans no more than
+    ``RETENTION_SAMPLES`` samples is answered exactly as an unbounded store
+    would, a longer one from the newest samples it still holds.
     """
 
     def __init__(self) -> None:

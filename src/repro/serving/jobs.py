@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import JobCancelledError, QueryError, error_code
+from repro.errors import AnalysisError, JobCancelledError, QueryError, error_code
 from repro.obs.history import (
     CANCELLED,
     DONE_STATES,
@@ -109,6 +109,9 @@ class QueryJob:
         # Multi-table transaction this statement runs inside ("" if none);
         # stamped from the queue's current_transaction_id at submit.
         self.transaction_id = ""
+        # The parsed statement, or None for a SELECT whose text the query
+        # cache already knows: that one is parsed at execution, and only if
+        # a cache tier misses.
         self.statement: ast.Statement | None = None
         self.record: JobRecord | None = None
         self.state = PENDING
@@ -215,7 +218,8 @@ class JobQueue:
     ) -> QueryJob:
         """``jobs.insert``: parse + validate, reserve a job id, record a
         PENDING job. Validation failures record a FAILED job and raise
-        immediately (they never occupy the pool)."""
+        immediately (they never occupy the pool). A text the engine's query
+        cache already knows is not parsed here (see ``QueryJob.statement``)."""
         engine = engine or self.default_engine
         if engine is None:
             raise QueryError("JobQueue has no engine to run statements on")
@@ -232,33 +236,35 @@ class JobQueue:
         )
         job.transaction_id = self.current_transaction_id
         try:
-            statement = (
-                parse_statement(sql_or_select)
-                if isinstance(sql_or_select, str)
-                else sql_or_select
-            )
-            if isinstance(statement, ast.Select):
+            cache = engine.query_cache
+            if job.cache_sql is not None and cache is not None and cache.knows(
+                job.cache_sql, engine
+            ):
+                # A text the query cache has planned before is a SELECT by
+                # construction: leave it unparsed until a cache tier misses.
+                statement = None
                 job.kind = "select"
-            elif use_query_cache:
-                job.kind = type(statement).__name__.lower()
-                from repro.errors import AnalysisError
-
-                raise AnalysisError(
-                    "use_query_cache applies to SELECT statements only"
-                )
-            elif snapshot_ms is not None:
-                job.kind = type(statement).__name__.lower()
-                from repro.errors import AnalysisError
-
-                raise AnalysisError("snapshot_ms applies to SELECT statements only")
-            elif engine.dml_handler is None:
-                job.kind = type(statement).__name__.lower()
-                raise QueryError(
-                    f"{type(statement).__name__} requires a DML handler "
-                    "(wire the engine through a table manager)"
-                )
             else:
+                statement = (
+                    parse_statement(sql_or_select)
+                    if isinstance(sql_or_select, str)
+                    else sql_or_select
+                )
                 job.kind = type(statement).__name__.lower()
+            if job.kind != "select":
+                if use_query_cache:
+                    raise AnalysisError(
+                        "use_query_cache applies to SELECT statements only"
+                    )
+                if snapshot_ms is not None:
+                    raise AnalysisError(
+                        "snapshot_ms applies to SELECT statements only"
+                    )
+                if engine.dml_handler is None:
+                    raise QueryError(
+                        f"{type(statement).__name__} requires a DML handler "
+                        "(wire the engine through a table manager)"
+                    )
         except Exception as exc:
             job.state = FAILED
             job._error = exc

@@ -297,3 +297,28 @@ class TestVarianceAttribution:
                 "execute_ms",
             }
         assert any(v["backoff_ms"] > 0 for v in variance.values())
+
+
+class TestLongLivedPlatformIsBounded:
+    def test_tsdb_stops_growing_with_jobs_served(self, monkeypatch):
+        """The monitor records four SLO event samples per settled job; a
+        platform that keeps serving must not keep them all."""
+        from repro.obs import tsdb
+        from repro.serving.workload import build_serving_platform
+
+        retention = 16
+        monkeypatch.setattr(tsdb, "RETENTION_SAMPLES", retention)
+        platform, _, users = build_serving_platform(
+            scale=0.05, analysts=1, monitor=True
+        )
+        sql = "SELECT COUNT(*) AS n FROM tpch.nation"
+        store = platform.monitor.store
+        for _ in range(6 * retention):
+            platform.submit(sql, users[0], use_query_cache=True)
+            platform.ctx.clock.advance(1.0)
+            platform.drain()
+            assert store.sample_count() <= 2 * retention * len(store)
+        # More jobs settled than a series may hold, and the event series
+        # kept only their tail.
+        assert len(store.points("job_retried")) <= 2 * retention
+        assert store.last("job_retried", 1e12) == 0.0

@@ -9,11 +9,15 @@ of the interval no matter when ``maybe_scrape`` is called).
 """
 
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tsdb import MetricsScraper, TimeSeriesStore
+from repro.obs import tsdb
+from repro.obs.alerts import AlertEngine, AlertRule
+from repro.obs.metrics import MetricsRegistry, _label_key
+from repro.obs.tsdb import MetricsScraper, TimeSeriesStore, _Series
 
 
 class TestTimeSeriesStore:
@@ -174,3 +178,141 @@ class TestGaugeErgonomics:
         assert gauge.remove(principal="a") is False  # already gone
         assert gauge.label_sets() == [(("principal", "b"),)]
         assert 'g{principal="a"}' not in registry.snapshot()["g"]
+
+
+# -- bounded retention --------------------------------------------------------
+
+
+class _UnboundedStore(TimeSeriesStore):
+    """The reference: the same store with the trim taken out."""
+
+    def record(self, name, t_ms, value, **labels):
+        series = self._series.setdefault((name, _label_key(labels)), _Series())
+        series.times.append(t_ms)
+        series.values.append(float(value))
+
+
+#: Shrunk retention for the property tests, so short random series cross
+#: many trims.
+_SMALL_N = 8
+
+
+def _small_retention():
+    return mock.patch.object(tsdb, "RETENTION_SAMPLES", _SMALL_N)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    return a == b
+
+
+def _window_answers(store, name, at_ms, window_ms):
+    return (
+        store.avg_over_time(name, at_ms, window_ms),
+        store.sum_over_time(name, at_ms, window_ms),
+        store.max_over_time(name, at_ms, window_ms),
+        store.min_over_time(name, at_ms, window_ms),
+        store.count_over_time(name, at_ms, window_ms),
+        store.quantile_over_time(name, 0.5, at_ms, window_ms),
+        store.quantile_over_time(name, 0.99, at_ms, window_ms),
+        store.rate(name, at_ms, window_ms),
+        store.last(name, at_ms),
+    )
+
+
+_SAMPLES = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=7),  # gap to the previous sample
+        st.one_of(st.just(math.nan), st.integers(-50, 50).map(float)),
+    ),
+    min_size=1,
+    max_size=120,
+)
+
+
+class TestBoundedRetention:
+    def test_series_holds_between_n_and_2n_samples(self):
+        store = TimeSeriesStore()
+        n = tsdb.RETENTION_SAMPLES
+        for i in range(5 * n + 3):
+            store.record("v", float(i), float(i))
+            assert store.sample_count() <= 2 * n
+        points = store.points("v")
+        assert n <= len(points) <= 2 * n
+        # The retained samples are the newest ones, still in time order.
+        assert points[-1] == (5.0 * n + 2, 5.0 * n + 2)
+        assert [t for t, _ in points] == sorted(t for t, _ in points)
+        assert store.last("v", 1e12) == 5.0 * n + 2
+
+    def test_fifty_thousand_scrapes_stay_bounded(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_ops_total", "ops").inc(kind="a")
+        registry.counter("repro_ops_total", "ops").inc(kind="b")
+        registry.gauge("repro_depth", "depth").set(1.0)
+        store = TimeSeriesStore()
+        scraper = MetricsScraper(registry, store, interval_ms=1.0, history_rows=16)
+        assert scraper.maybe_scrape(49_999.0) == 50_000
+        assert len(store) == 3
+        assert store.sample_count() <= 2 * tsdb.RETENTION_SAMPLES * len(store)
+        # The newest scrape is there, the rate over a recent window exact.
+        assert store.last("repro_depth", 49_999.0) == 1.0
+        assert store.count_over_time("repro_depth", 49_999.0, 500.0) == 500
+
+    @settings(max_examples=150, deadline=None)
+    @given(samples=_SAMPLES, windows=st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    def test_windows_within_retention_equal_the_unbounded_store(self, samples, windows):
+        bounded, reference = TimeSeriesStore(), _UnboundedStore()
+        t = 0.0
+        with _small_retention():
+            for gap, value in samples:
+                t += gap
+                bounded.record("v", t, value)
+                reference.record("v", t, value)
+                assert bounded.sample_count() <= 2 * _SMALL_N
+                for window_ms in windows:
+                    lo = t - window_ms
+                    times = reference._series[("v", ())].times
+                    if sum(1 for when in times if when > lo) > _SMALL_N:
+                        continue  # reaches past the guaranteed tail
+                    got = _window_answers(bounded, "v", t, float(window_ms))
+                    want = _window_answers(reference, "v", t, float(window_ms))
+                    assert all(_same(g, w) for g, w in zip(got, want)), (got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        bad=st.lists(
+            st.one_of(st.just(math.nan), st.sampled_from([0.0, 0.0, 1.0])),
+            min_size=1, max_size=150,
+        ),
+        latency=st.lists(st.integers(0, 100).map(float), min_size=150, max_size=150),
+    )
+    def test_alert_transitions_equal_the_unbounded_store(self, bad, latency):
+        # One sample per 10 ms: the longest window (60 ms) spans 6 <= N.
+        rules = [
+            AlertRule(name="burn", kind="burn_rate", series="bad", window_ms=60.0,
+                      short_window_ms=20.0, error_budget=0.3),
+            AlertRule(name="p99", kind="threshold", series="lat", fn="quantile",
+                      q=0.99, threshold=80.0, window_ms=50.0, for_ms=20.0),
+            AlertRule(name="avg", kind="threshold", series="lat", fn="avg",
+                      threshold=60.0, window_ms=40.0),
+            AlertRule(name="climb", kind="threshold", series="lat", fn="rate",
+                      threshold=500.0, window_ms=30.0),
+        ]
+        bounded, reference = TimeSeriesStore(), _UnboundedStore()
+        engines = [AlertEngine(rules, bounded), AlertEngine(rules, reference)]
+        with _small_retention():
+            for step, value in enumerate(bad):
+                at_ms = 10.0 * step
+                for store in (bounded, reference):
+                    store.record("bad", at_ms, value)
+                    store.record("lat", at_ms, latency[step])
+                for engine in engines:
+                    engine.evaluate(at_ms)
+        assert bounded.sample_count() <= 2 * _SMALL_N * len(bounded)
+        got, want = ([e.to_row()[:4] for e in engine.events] for engine in engines)
+        assert got == want
+        values = [
+            [e.value for e in engine.events] for engine in engines
+        ]
+        assert all(_same(g, w) for g, w in zip(*values))
