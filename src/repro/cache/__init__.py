@@ -208,6 +208,20 @@ class CacheTier:
         return True
 
 
+def eviction_counter(metrics) -> Any:
+    """Tier eviction callback: one metric, split by tier and by why the
+    entry left (``lru`` pressure vs ``ttl``/``idle`` age bounds). Closed over
+    the registry alone — a bound method of the owning cache would make every
+    tier point back at its owner."""
+
+    def on_evict(tier: CacheTier, reason: str) -> None:
+        metrics.counter("repro_cache_evictions_total", EVICTIONS_HELP).inc(
+            tier=tier.name, reason=reason
+        )
+
+    return on_evict
+
+
 class DataCache:
     """The slot-local data cache one platform's engines share.
 
@@ -227,7 +241,7 @@ class DataCache:
             ttl_ms=self.config.ttl_ms,
             idle_ms=self.config.idle_ms,
             now_fn=lambda: ctx.clock.now_ms,
-            on_evict=self._on_evict,
+            on_evict=eviction_counter(ctx.metrics),
         )
         self.footers = CacheTier(
             "footer", self.config.footer_capacity_bytes, fraction, **tier_kwargs
@@ -274,13 +288,6 @@ class DataCache:
             metrics.counter("repro_cache_misses_total", MISSES_HELP).inc(tier=tier.name)
         metrics.gauge("repro_cache_resident_bytes", RESIDENT_HELP).set(
             tier.resident_bytes, tier=tier.name
-        )
-
-    def _on_evict(self, tier: CacheTier, reason: str) -> None:
-        """Tier eviction callback: one metric, split by tier and by why the
-        entry left (``lru`` pressure vs ``ttl``/``idle`` age bounds)."""
-        self.ctx.metrics.counter("repro_cache_evictions_total", EVICTIONS_HELP).inc(
-            tier=tier.name, reason=reason
         )
 
     # -- footer tier --------------------------------------------------------

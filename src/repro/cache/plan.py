@@ -41,12 +41,12 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.cache import (
-    EVICTIONS_HELP,
     HIT_BYTES_HELP,
     HITS_HELP,
     MISSES_HELP,
     RESIDENT_HELP,
     CacheTier,
+    eviction_counter,
 )
 from repro.engine.plan import (
     AggregateNode,
@@ -172,30 +172,24 @@ def _plan_refs(plan: PlanNode) -> tuple[list["TableInfo"], bool] | None:
     None when the plan contains a TVF (uncacheable)."""
     tables: list["TableInfo"] = []
     has_system = False
-
-    def walk(node: PlanNode) -> bool:
-        nonlocal has_system
-        if isinstance(node, TvfNode):
-            return False
+    stack = [plan]
+    while stack:  # pre-order, left to right
+        node = stack.pop()
         if isinstance(node, ScanNode):
             tables.append(node.table)
-            return True
-        if isinstance(node, SystemTableNode):
+        elif isinstance(node, SystemTableNode):
             has_system = True
-            return True
-        if isinstance(node, ValuesNode):
-            return True
-        if isinstance(node, JoinNode):
-            return walk(node.left) and walk(node.right)
-        if isinstance(node, UnionAllNode):
-            return all(walk(child) for child in node.inputs)
-        child = getattr(node, "child", None)
-        if child is not None:
-            return walk(child)
-        return False
-
-    if not walk(plan):
-        return None
+        elif isinstance(node, JoinNode):
+            stack += (node.right, node.left)
+        elif isinstance(node, UnionAllNode):
+            stack.extend(reversed(node.inputs))
+        elif isinstance(node, TvfNode):
+            return None
+        elif not isinstance(node, ValuesNode):
+            child = getattr(node, "child", None)
+            if child is None:
+                return None
+            stack.append(child)
     return tables, has_system
 
 
@@ -260,16 +254,16 @@ class QueryCache:
         self.iam = iam
         now_fn = lambda: ctx.clock.now_ms  # noqa: E731
         # Plan entries all count size 1: the tier bound is an entry count.
+        on_evict = eviction_counter(ctx.metrics)
         self.plans = CacheTier(
-            "plan", self.config.plan_capacity, 1.0, now_fn=now_fn,
-            on_evict=self._on_evict,
+            "plan", self.config.plan_capacity, 1.0, now_fn=now_fn, on_evict=on_evict
         )
         self.results = CacheTier(
             "result",
             self.config.result_capacity_bytes,
             self.config.result_admission_fraction,
             now_fn=now_fn,
-            on_evict=self._on_evict,
+            on_evict=on_evict,
         )
         # sql base key -> ((dataset, name) refs, result-cacheable?) from the
         # last planning; an LRU so adversarial unique-SQL streams cannot
@@ -291,11 +285,6 @@ class QueryCache:
             metrics.counter("repro_cache_misses_total", MISSES_HELP).inc(tier=tier.name)
         metrics.gauge("repro_cache_resident_bytes", RESIDENT_HELP).set(
             tier.resident_bytes, tier=tier.name
-        )
-
-    def _on_evict(self, tier: CacheTier, reason: str) -> None:
-        self.ctx.metrics.counter("repro_cache_evictions_total", EVICTIONS_HELP).inc(
-            tier=tier.name, reason=reason
         )
 
     # -- keys ---------------------------------------------------------------

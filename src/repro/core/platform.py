@@ -134,8 +134,21 @@ class LakehousePlatform:
         from repro.core.tables import TableManager
         from repro.ml.inference import InferenceRuntime
 
-        self.tables = TableManager(self)
-        self.ml = InferenceRuntime(self)
+        self.ml = InferenceRuntime(
+            self.functions, self.ctx, self.stores, self.connections
+        )
+        self.tables = TableManager(
+            project=self.config.project,
+            catalog=self.catalog,
+            managed=self.managed,
+            connections=self.connections,
+            stores=self.stores,
+            iam=self.iam,
+            bigmeta=self.bigmeta,
+            read_api=self.read_api,
+            ctx=self.ctx,
+            ml=self.ml,
+        )
         for engine in self._engines.values():
             self._wire_engine(engine)
 

@@ -34,15 +34,26 @@ from repro.core.blmt import BlmtManager
 
 
 class TableManager:
-    """Creates tables and executes DML for a platform."""
+    """Creates tables and executes DML for a platform.
 
-    def __init__(self, platform) -> None:
-        self.platform = platform
+    Takes the platform's services, never the platform: the platform owns
+    this manager, and a reference back would make the pair cyclic garbage.
+    """
+
+    def __init__(
+        self, project: str, catalog, managed, connections, stores, iam, bigmeta,
+        read_api, ctx, ml,
+    ) -> None:
+        self.project = project
+        self.catalog = catalog
+        self.managed = managed
+        self.connections = connections
+        self.stores = stores
+        self.iam = iam
+        self.bigmeta = bigmeta
+        self.ml = ml
         self.blmt = BlmtManager(
-            bigmeta=platform.bigmeta,
-            stores=platform.stores,
-            read_api=platform.read_api,
-            ctx=platform.ctx,
+            bigmeta=bigmeta, stores=stores, read_api=read_api, ctx=ctx,
         )
 
     # ------------------------------------------------------------------
@@ -53,14 +64,14 @@ class TableManager:
         self, dataset: str, name: str, schema: Schema, replace: bool = False
     ) -> TableInfo:
         table = TableInfo(
-            project=self.platform.config.project,
+            project=self.project,
             dataset=dataset,
             name=name,
             kind=TableKind.MANAGED,
             schema=schema,
         )
-        self.platform.catalog.create_table(table, replace=replace)
-        self.platform.managed.create(table.table_id, schema, replace=replace)
+        self.catalog.create_table(table, replace=replace)
+        self.managed.create(table.table_id, schema, replace=replace)
         return table
 
     def create_biglake_table(
@@ -82,11 +93,11 @@ class TableManager:
         connection's service account — not the user — must hold bucket
         access (delegated access, §3.1).
         """
-        conn = self.platform.connections.get_connection(connection_name)
-        self.platform.connections.authorize_use(principal, conn)
-        location = self.platform.stores.find_bucket(bucket).region.location
+        conn = self.connections.get_connection(connection_name)
+        self.connections.authorize_use(principal, conn)
+        location = self.stores.find_bucket(bucket).region.location
         table = TableInfo(
-            project=self.platform.config.project,
+            project=self.project,
             dataset=dataset,
             name=name,
             kind=TableKind.BIGLAKE,
@@ -98,9 +109,9 @@ class TableManager:
                 mode=cache_mode, max_staleness_ms=max_staleness_ms
             ),
         )
-        self.platform.catalog.create_table(table)
+        self.catalog.create_table(table)
         if cache_mode is not MetadataCacheMode.DISABLED:
-            self.platform.bigmeta.register_table(table.table_id)
+            self.bigmeta.register_table(table.table_id)
         return table
 
     def create_object_table(
@@ -114,11 +125,11 @@ class TableManager:
         max_staleness_ms: float = 3_600_000.0,
     ) -> TableInfo:
         """Create an Object table over unstructured objects (§4.1)."""
-        conn = self.platform.connections.get_connection(connection_name)
-        self.platform.connections.authorize_use(principal, conn)
-        location = self.platform.stores.find_bucket(bucket).region.location
+        conn = self.connections.get_connection(connection_name)
+        self.connections.authorize_use(principal, conn)
+        location = self.stores.find_bucket(bucket).region.location
         table = TableInfo(
-            project=self.platform.config.project,
+            project=self.project,
             dataset=dataset,
             name=name,
             kind=TableKind.OBJECT,
@@ -129,8 +140,8 @@ class TableManager:
                 mode=MetadataCacheMode.AUTOMATIC, max_staleness_ms=max_staleness_ms
             ),
         )
-        self.platform.catalog.create_table(table)
-        self.platform.bigmeta.register_table(table.table_id)
+        self.catalog.create_table(table)
+        self.bigmeta.register_table(table.table_id)
         return table
 
     def create_blmt(
@@ -151,15 +162,15 @@ class TableManager:
         ``auto_iceberg_snapshots=True`` enables the paper's future-work
         behaviour: an Iceberg snapshot is exported as part of every table
         commit instead of on explicit request."""
-        conn = self.platform.connections.get_connection(connection_name)
-        self.platform.connections.authorize_use(principal, conn)
+        conn = self.connections.get_connection(connection_name)
+        self.connections.authorize_use(principal, conn)
         # BLMT writes require a connection with write access to the bucket.
-        self.platform.iam.require(
+        self.iam.require(
             conn.service_account, Permission.STORAGE_OBJECTS_CREATE, f"buckets/{bucket}"
         )
-        location = self.platform.stores.find_bucket(bucket).region.location
+        location = self.stores.find_bucket(bucket).region.location
         table = TableInfo(
-            project=self.platform.config.project,
+            project=self.project,
             dataset=dataset,
             name=name,
             kind=TableKind.BLMT,
@@ -169,8 +180,8 @@ class TableManager:
             clustering_columns=clustering_columns or [],
             options={"auto_iceberg_snapshots": auto_iceberg_snapshots},
         )
-        self.platform.catalog.create_table(table)
-        self.platform.bigmeta.register_table(table.table_id)
+        self.catalog.create_table(table)
+        self.bigmeta.register_table(table.table_id)
         return table
 
     # ------------------------------------------------------------------
@@ -193,7 +204,7 @@ class TableManager:
         if isinstance(statement, ast.Merge):
             return self._merge(statement, engine, principal)
         if isinstance(statement, ast.CreateModel):
-            self.platform.ml.create_model_from_sql(statement)
+            self.ml.create_model_from_sql(statement)
             return self._dml_result(0)
         raise QueryError(f"unsupported statement {type(statement).__name__}")
 
@@ -208,7 +219,7 @@ class TableManager:
         )
 
     def _require_write(self, principal: Principal, table: TableInfo) -> None:
-        self.platform.iam.require(
+        self.iam.require(
             principal, Permission.TABLES_UPDATE_DATA, table.resource_name
         )
 
@@ -221,9 +232,9 @@ class TableManager:
         dataset, name = statement.table[-2], statement.table[-1]
         table = self.create_managed_table(dataset, name, result.schema, replace=statement.replace)
         if statement.replace:
-            self.platform.managed.truncate(table.table_id)
+            self.managed.truncate(table.table_id)
         for batch in result.batches:
-            self.platform.managed.append(table.table_id, batch)
+            self.managed.append(table.table_id, batch)
         out = self._dml_result(result.num_rows)
         out.stats = result.stats
         return out
@@ -231,7 +242,7 @@ class TableManager:
     # -- INSERT ----------------------------------------------------------------
 
     def _insert_values(self, statement: ast.InsertValues, engine, principal: Principal):
-        table = self.platform.catalog.resolve(statement.table)
+        table = self.catalog.resolve(statement.table)
         self._require_write(principal, table)
         binder = Binder(Schema(()), engine.functions)
         one_row = _placeholder_batch()
@@ -251,7 +262,7 @@ class TableManager:
         return self._dml_result(batch.num_rows)
 
     def _insert_select(self, statement: ast.InsertSelect, engine, principal: Principal):
-        table = self.platform.catalog.resolve(statement.table)
+        table = self.catalog.resolve(statement.table)
         self._require_write(principal, table)
         result = engine.execute(statement.query, principal)
         columns = statement.columns or table.schema.names()
@@ -273,7 +284,7 @@ class TableManager:
     def _append(self, table: TableInfo, batch: RecordBatch) -> None:
         if table.kind is TableKind.MANAGED:
             self._reject_in_txn(table)
-            self.platform.managed.append(table.table_id, batch)
+            self.managed.append(table.table_id, batch)
             table.version += 1
         elif table.kind is TableKind.BLMT:
             self.blmt.insert(table, [batch])
@@ -283,7 +294,7 @@ class TableManager:
     # -- UPDATE / DELETE ------------------------------------------------------------
 
     def _update(self, statement: ast.Update, engine, principal: Principal):
-        table = self.platform.catalog.resolve(statement.table)
+        table = self.catalog.resolve(statement.table)
         self._require_write(principal, table)
         binder = Binder(table.schema, engine.functions)
         predicate = binder.bind(statement.where) if statement.where is not None else None
@@ -318,7 +329,7 @@ class TableManager:
         return self._dml_result(self._mutate(table, statement.where, transform))
 
     def _delete(self, statement: ast.Delete, engine, principal: Principal):
-        table = self.platform.catalog.resolve(statement.table)
+        table = self.catalog.resolve(statement.table)
         self._require_write(principal, table)
         binder = Binder(table.schema, engine.functions)
         predicate = binder.bind(statement.where) if statement.where is not None else None
@@ -350,7 +361,7 @@ class TableManager:
     def _mutate(self, table: TableInfo, where: ast.Expr | None, transform) -> int:
         if table.kind is TableKind.MANAGED:
             self._reject_in_txn(table)
-            batches = self.platform.managed.read(table.table_id)
+            batches = self.managed.read(table.table_id)
             affected = 0
             new_batches = []
             for batch in batches:
@@ -358,7 +369,7 @@ class TableManager:
                 affected += n
                 if result is not None and result.num_rows:
                     new_batches.append(result)
-            self.platform.managed.replace_contents(table.table_id, new_batches)
+            self.managed.replace_contents(table.table_id, new_batches)
             table.version += 1
             return affected
         if table.kind is TableKind.BLMT:
@@ -371,7 +382,7 @@ class TableManager:
     def _merge(self, statement: ast.Merge, engine, principal: Principal):
         """MERGE: hash the source on the equi-keys of the ON clause, then
         rewrite matching target rows / insert unmatched source rows."""
-        table = self.platform.catalog.resolve(statement.target)
+        table = self.catalog.resolve(statement.target)
         self._require_write(principal, table)
         target_alias = statement.target_alias or statement.target[-1]
 
@@ -516,7 +527,7 @@ class TableManager:
         """Run a transform over every file/batch of the target (MERGE must
         see all rows to find matches)."""
         if table.kind is TableKind.MANAGED:
-            batches = self.platform.managed.read(table.table_id)
+            batches = self.managed.read(table.table_id)
             affected = 0
             new_batches = []
             for batch in batches:
@@ -524,7 +535,7 @@ class TableManager:
                 affected += n
                 if result is not None and result.num_rows:
                     new_batches.append(result)
-            self.platform.managed.replace_contents(table.table_id, new_batches)
+            self.managed.replace_contents(table.table_id, new_batches)
             table.version += 1
             return affected
         if table.kind is TableKind.BLMT:

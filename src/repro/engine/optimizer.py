@@ -161,18 +161,12 @@ def _refresh_schemas(node: PlanNode) -> None:
 
 def _collect_required_refs(plan: PlanNode) -> set[str]:
     refs: set[str] = set()
-
-    def walk(node: PlanNode) -> None:
+    stack = [plan]
+    while stack:
+        node = stack.pop()
         for expr in _node_exprs(node):
             refs.update(collect_column_refs(expr))
-        if isinstance(node, ScanNode):
-            return
-        for child in node.children():
-            walk(child)
-        if isinstance(node, TvfNode) and node.input_plan is None:
-            return
-
-    walk(plan)
+        stack.extend(node.children())
     return {r.lower() for r in refs}
 
 
@@ -317,19 +311,19 @@ def _collect_join_chain(
     relations: list[PlanNode] = []
     conditions: list[tuple[ast.Expr, ast.Expr]] = []
     residuals: list[ast.Expr] = []
-
-    def walk(n: PlanNode) -> None:
-        if isinstance(n, JoinNode) and n.kind == "INNER":
-            walk(n.left)
-            walk(n.right)
-            conditions.extend(n.equi_keys)
-            if n.residual is not None:
-                residuals.append(n.residual)
-        else:
-            relations.append(n)
-
-    walk(node)
+    _walk_join_chain(node, relations, conditions, residuals)
     return relations, conditions, residuals
+
+
+def _walk_join_chain(n: PlanNode, relations, conditions, residuals) -> None:
+    if isinstance(n, JoinNode) and n.kind == "INNER":
+        _walk_join_chain(n.left, relations, conditions, residuals)
+        _walk_join_chain(n.right, relations, conditions, residuals)
+        conditions.extend(n.equi_keys)
+        if n.residual is not None:
+            residuals.append(n.residual)
+    else:
+        relations.append(n)
 
 
 def estimate_rows(node: PlanNode, stats_provider: StatsProvider) -> float:

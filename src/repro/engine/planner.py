@@ -474,19 +474,9 @@ def _split_join_condition(
     """Separate equi-key conjuncts from the residual condition."""
     if condition is None:
         return [], None
-    conjuncts: list[ast.Expr] = []
-
-    def flatten(e: ast.Expr) -> None:
-        if isinstance(e, ast.BinaryOp) and e.op == "AND":
-            flatten(e.left)
-            flatten(e.right)
-        else:
-            conjuncts.append(e)
-
-    flatten(condition)
     equi: list[tuple[ast.Expr, ast.Expr]] = []
     residual: list[ast.Expr] = []
-    for clause in conjuncts:
+    for clause in _flatten_where(condition):
         if (
             isinstance(clause, ast.BinaryOp)
             and clause.op == "="

@@ -192,8 +192,14 @@ class FaultInjector:
     single attribute test — cheap enough to leave in production paths.
     """
 
-    def __init__(self, ctx: "SimContext") -> None:
-        self.ctx = ctx
+    def __init__(self, clock, metering, metrics, tracer) -> None:
+        # The context's services, not the context: the injector is owned by
+        # it and must not point back (and outlives it in callers that keep
+        # ``SimContext(...).faults``).
+        self.clock = clock
+        self.metering = metering
+        self.metrics = metrics
+        self.tracer = tracer
         self._rng = random.Random(0)
         self._specs: list[FaultSpec] = []
         self._counts: dict[int, int] = {}  # spec index -> remaining count
@@ -236,7 +242,7 @@ class FaultInjector:
         """
         if not self._specs:
             return
-        now = self.ctx.clock.now_ms
+        now = self.clock.now_ms
         for index, spec in enumerate(self._specs):
             if spec.is_slowdown:
                 continue  # consulted by slowdown(), never raises here
@@ -265,7 +271,7 @@ class FaultInjector:
         if not self._specs:
             return 1.0
         factor = 1.0
-        now = self.ctx.clock.now_ms
+        now = self.clock.now_ms
         for index, spec in enumerate(self._specs):
             if not spec.is_slowdown:
                 continue
@@ -299,15 +305,15 @@ class FaultInjector:
         self._fires[index] = self._fires.get(index, 0) + 1
         event = FaultEvent(seq=len(self.events), op=op, error=label, at_ms=now)
         self.events.append(event)
-        self.ctx.metering.count("repro.fault_injected")
+        self.metering.count("repro.fault_injected")
         if op.startswith("objectstore."):
             # Compatibility: the legacy ObjectStore injector metered here.
-            self.ctx.metering.count("object_store.injected_fault")
-        self.ctx.metrics.counter(
+            self.metering.count("object_store.injected_fault")
+        self.metrics.counter(
             "repro_faults_injected_total",
             "Faults fired by the chaos injector.",
         ).inc(op=op, error=label)
-        span = self.ctx.tracer.current
+        span = self.tracer.current
         if span is not None:
             span.set_tag("fault_injected", label)
         return event

@@ -83,13 +83,22 @@ class InferenceRuntime:
 
     def __init__(
         self,
-        platform,
+        functions,
+        sim,
+        stores,
+        connections,
         registry: ModelRegistry | None = None,
         worker_profile: WorkerProfile | None = None,
         split_preprocess: bool = True,
         enforce_memory: bool = True,
     ) -> None:
-        self.platform = platform
+        # The owner's services, never the owner: nothing here points back
+        # at the platform. ``sim`` is its SimContext (``ctx`` in the methods
+        # below is the per-query execution context).
+        self.functions = functions
+        self.sim = sim
+        self.stores = stores
+        self.connections = connections
         self.registry = registry or ModelRegistry()
         self.profile = worker_profile or WorkerProfile()
         self.split_preprocess = split_preprocess
@@ -121,7 +130,7 @@ class InferenceRuntime:
                 out[i] = media.encode_tensor(tensor)
             return Column(DataType.BYTES, out, None if bool(valid.all()) else valid)
 
-        self.platform.functions.register(
+        self.functions.register(
             ScalarFunction(
                 "ML.DECODE_IMAGE", decode,
                 lambda dtypes: DataType.BYTES, min_args=1, max_args=1,
@@ -161,8 +170,8 @@ class InferenceRuntime:
                         "cloud_ai_document models require OPTIONS(document_processor=...)"
                     )
                 processor = DocumentAiProcessor(
-                    processor_name, self.platform.ctx,
-                    self.platform.stores, self.platform.connections,
+                    processor_name, self.sim,
+                    self.stores, self.connections,
                 )
                 return self.create_document_processor_model(
                     name, connection_name, processor
@@ -182,21 +191,21 @@ class InferenceRuntime:
             raise AnalysisError("local models require OPTIONS(model_path='store://...')")
         trimmed = str(model_path).removeprefix("store://")
         bucket, _, key = trimmed.partition("/")
-        store = self.platform.stores.find_bucket(bucket)
+        store = self.stores.find_bucket(bucket)
         return self.import_model(name, store.get_object(bucket, key))
 
     def create_remote_vertex_model(
         self, name: str, connection_name: str, endpoint: VertexEndpoint
     ) -> RemoteModel:
         """``CREATE MODEL ... REMOTE WITH CONNECTION`` — Vertex serving."""
-        self.platform.connections.get_connection(connection_name)
+        self.connections.get_connection(connection_name)
         return self.registry.register_remote(name, connection_name, "vertex", endpoint)
 
     def create_document_processor_model(
         self, name: str, connection_name: str, processor: DocumentAiProcessor
     ) -> RemoteModel:
         """Listing 2's invoice parser: remote_service_type='cloud_ai_document'."""
-        self.platform.connections.get_connection(connection_name)
+        self.connections.get_connection(connection_name)
         return self.registry.register_remote(
             name, connection_name, "cloud_ai_document", processor
         )
@@ -219,7 +228,7 @@ class InferenceRuntime:
         input_schema = input_batches[0].schema
         combined = concat_batches(input_schema, input_batches)
         tensor_column = _find_tensor_column(combined)
-        with self.platform.ctx.tracer.span(
+        with self.sim.tracer.span(
             "ml.predict", layer="ml",
             model=".".join(model_path), rows=combined.num_rows,
             mode="local" if isinstance(entry, LocalModel) else "remote",
@@ -300,7 +309,7 @@ class InferenceRuntime:
                 "inference plan, Fig. 7)"
             )
 
-        sim = self.platform.ctx
+        sim = self.sim
         pixels = model.input_height * model.input_width * model.channels
         preprocess_ms = n * (pixels * 5.0) / self.profile.flops_per_ms
         inference_ms = n * model.flops_per_sample / self.profile.flops_per_ms
@@ -327,7 +336,7 @@ class InferenceRuntime:
         endpoint = entry.endpoint
         if not isinstance(endpoint, VertexEndpoint):
             raise MlError(f"model {entry.name!r} is not a Vertex endpoint")
-        sim = self.platform.ctx
+        sim = self.sim
         labels: list[str] = []
         scores: list[float] = []
         batch_size = self.profile.inference_batch_size
@@ -363,17 +372,17 @@ class InferenceRuntime:
         if not references:
             return []
         # §5.3.1-style scoping: mint a credential for exactly these paths.
-        connection = self.platform.connections.get_connection(entry.connection_name)
+        connection = self.connections.get_connection(entry.connection_name)
         paths = [f"{bucket}/{key}" for bucket, key in references]
-        credential = self.platform.connections.mint_scoped_credential(connection, paths)
+        credential = self.connections.mint_scoped_credential(connection, paths)
         try:
-            with self.platform.ctx.tracer.span(
+            with self.sim.tracer.span(
                 "ml.process_document", layer="ml",
                 model=".".join(model_path), documents=len(references),
             ):
                 results = entry.endpoint.process(references, credential)
         finally:
-            self.platform.connections.revoke(credential)
+            self.connections.revoke(credential)
         self.stats.documents_processed += len(results)
         data = {name: [] for name in PROCESS_DOCUMENT_SCHEMA.names()}
         for row in results:

@@ -219,7 +219,7 @@ class SimContext:
         if self.metrics is None:
             self.metrics = MetricsRegistry()
         if self.faults is None:
-            self.faults = FaultInjector(self)
+            self.faults = FaultInjector(self.clock, self.metering, self.metrics, self.tracer)
         if self.retry is None:
             self.retry = RetryPolicy()
 

@@ -743,38 +743,35 @@ def collect_column_refs(expr: ast.Expr) -> set[str]:
     """All column names referenced by a syntactic expression (for pruning
     and projection pushdown analysis)."""
     refs: set[str] = set()
-
-    def walk(e: ast.Expr) -> None:
-        if isinstance(e, ast.ColumnRef):
-            refs.add(e.name)
-        elif isinstance(e, ast.BinaryOp):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, ast.UnaryOp):
-            walk(e.operand)
-        elif isinstance(e, ast.IsNull):
-            walk(e.operand)
-        elif isinstance(e, ast.InList):
-            walk(e.operand)
-            for item in e.items:
-                walk(item)
-        elif isinstance(e, ast.Between):
-            walk(e.operand)
-            walk(e.low)
-            walk(e.high)
-        elif isinstance(e, ast.Like):
-            walk(e.operand)
-        elif isinstance(e, ast.Case):
-            for c, v in e.whens:
-                walk(c)
-                walk(v)
-            if e.default is not None:
-                walk(e.default)
-        elif isinstance(e, ast.Cast):
-            walk(e.operand)
-        elif isinstance(e, ast.FunctionCall):
-            for a in e.args:
-                walk(a)
-
-    walk(expr)
+    _collect_refs(expr, refs)
     return refs
+
+
+def _collect_refs(e: ast.Expr, refs: set[str]) -> None:
+    # Module-level, not a closure inside collect_column_refs: a recursive
+    # local function is a function <-> cell cycle per call, which pins the
+    # whole AST until a garbage collection.
+    if isinstance(e, ast.ColumnRef):
+        refs.add(e.name)
+    elif isinstance(e, ast.BinaryOp):
+        _collect_refs(e.left, refs)
+        _collect_refs(e.right, refs)
+    elif isinstance(e, (ast.UnaryOp, ast.IsNull, ast.Like, ast.Cast)):
+        _collect_refs(e.operand, refs)
+    elif isinstance(e, ast.InList):
+        _collect_refs(e.operand, refs)
+        for item in e.items:
+            _collect_refs(item, refs)
+    elif isinstance(e, ast.Between):
+        _collect_refs(e.operand, refs)
+        _collect_refs(e.low, refs)
+        _collect_refs(e.high, refs)
+    elif isinstance(e, ast.Case):
+        for c, v in e.whens:
+            _collect_refs(c, refs)
+            _collect_refs(v, refs)
+        if e.default is not None:
+            _collect_refs(e.default, refs)
+    elif isinstance(e, ast.FunctionCall):
+        for a in e.args:
+            _collect_refs(a, refs)

@@ -268,7 +268,13 @@ class TestSimContextWiring:
         ctx = SimContext()
         assert isinstance(ctx.faults, FaultInjector)
         assert isinstance(ctx.retry, RetryPolicy)
-        assert ctx.faults.ctx is ctx
+        # The injector shares the context's services and does not point
+        # back at it: ``SimContext().faults`` outlives a dropped context.
+        assert ctx.faults.clock is ctx.clock
+        assert ctx.faults.metering is ctx.metering
+        assert ctx.faults.metrics is ctx.metrics
+        assert ctx.faults.tracer is ctx.tracer
+        assert not hasattr(ctx.faults, "ctx")
 
     def test_now_ms_reads_under_lock(self):
         # Regression for the unlocked read: hammer now_ms from threads while
