@@ -761,7 +761,9 @@ def _collect_refs(e: ast.Expr, refs: set[str]) -> None:
     elif isinstance(e, ast.InList):
         _collect_refs(e.operand, refs)
         for item in e.items:
-            _collect_refs(item, refs)
+            # Pushed-down pruning lists are thousands of bare literals.
+            if not isinstance(item, ast.Literal):
+                _collect_refs(item, refs)
     elif isinstance(e, ast.Between):
         _collect_refs(e.operand, refs)
         _collect_refs(e.low, refs)

@@ -458,9 +458,9 @@ class _Parser:
                 query = self.parse_select()
                 self.expect_symbol(")")
                 return ast.InSubquery(left, query, negated=negated)
-            items = [self.parse_expr()]
+            items = [self._parse_in_item()]
             while self.accept_symbol(","):
-                items.append(self.parse_expr())
+                items.append(self._parse_in_item())
             self.expect_symbol(")")
             return ast.InList(left, tuple(items), negated=negated)
         if tok.is_keyword("BETWEEN"):
@@ -476,6 +476,20 @@ class _Parser:
                 raise SqlSyntaxError("LIKE expects a string pattern literal")
             return ast.Like(left, pattern.text, negated=negated)
         return left
+
+    def _parse_in_item(self) -> ast.Expr:
+        """One IN-list element. A bare literal followed by ``,`` or ``)`` —
+        every element of a pushed-down dynamic-pruning list, thousands at a
+        time — goes straight to the literal rule instead of descending the
+        ten precedence levels above it; anything else parses as before."""
+        tok = self.peek()
+        if (
+            tok.kind is TokenKind.NUMBER
+            or tok.kind is TokenKind.STRING
+            or tok.is_keyword("TRUE", "FALSE", "NULL")
+        ) and self.peek(1).is_symbol(",", ")"):
+            return self._parse_primary()
+        return self.parse_expr()
 
     def _parse_additive(self) -> ast.Expr:
         left = self._parse_multiplicative()

@@ -38,7 +38,9 @@ from repro.objectstore.registry import StoreRegistry
 from repro.security.audit import AuditLog
 from repro.security.connections import ConnectionManager
 from repro.security.iam import IamService, Permission, Principal
+from repro.security.policies import EffectiveAccess
 from repro.simtime import MIB, SimContext
+from repro.sql import ast_nodes as ast
 from repro.sql.analysis import extract_constraints
 from repro.sql.dates import parse_date_to_days
 from repro.sql.expressions import FunctionRegistry
@@ -163,7 +165,18 @@ class ReadStream:
 
 @dataclass
 class ReadSession:
-    """A consistent point-in-time read of one table."""
+    """A consistent point-in-time read of one table.
+
+    The session owns its compiled scan. ``row_restriction`` is the wire
+    format — the text :meth:`serialize` ships and the resolution cache keys
+    on — and is parsed exactly once, at create: ``restriction`` is that
+    parse, ``constraints`` the pruning bounds extracted from it, and
+    ``pipeline`` the Superluminal enforcement compiled from it against
+    ``access``, the principal's effective access at the time. Every stream
+    reads through a :meth:`~Superluminal.fresh` view of the one pipeline;
+    :meth:`ReadApi.read_rows` re-resolves the access on every call and
+    recompiles when it no longer equals ``access``.
+    """
 
     session_id: str
     table: TableInfo
@@ -171,7 +184,10 @@ class ReadSession:
     output_schema: Schema
     columns: list[str]
     row_restriction: str | None
+    restriction: ast.Expr | None
     constraints: ConstraintSet
+    access: EffectiveAccess
+    pipeline: Superluminal
     streams: list[ReadStream]
     engine_location: str | None
     created_ms: float
@@ -305,18 +321,21 @@ class ReadApi:
 
         table_schema = self._effective_schema(table)
         access = table.policies.resolve(principal)
+        # The one parse of the wire-format restriction; everything below,
+        # and every stream, works from this tree.
+        restriction = parse_expression(row_restriction) if row_restriction else None
+        projected = columns if columns is not None else [
+            f.name for f in table_schema if f.name not in access.denied_columns
+        ]
         # Compile enforcement now so denied columns fail before any IO.
-        Superluminal(
-            table_schema, access, columns=columns,
-            row_restriction=row_restriction, functions=self.functions,
-        )
+        pipeline = self._compile(table, access, projected, restriction)
         self.ctx.metrics.counter(
             "readapi_sessions_total", "read sessions created by table kind"
         ).inc(kind=table.kind.name.lower())
 
         constraints = ConstraintSet()
-        if row_restriction:
-            constraints = extract_constraints(parse_expression(row_restriction))
+        if restriction is not None:
+            constraints = extract_constraints(restriction)
 
         stats = SessionStats()
         streams: list[ReadStream]
@@ -358,9 +377,6 @@ class ReadApi:
                     "resolution-cache entries evicted (LRU, oldest first)",
                 ).inc(evicted)
 
-        projected = columns if columns is not None else [
-            f.name for f in table_schema if f.name not in access.denied_columns
-        ]
         table_stats = None
         if with_table_stats and self.bigmeta.has_table(table.table_id):
             table_stats = self.bigmeta.table_stats(table.table_id)
@@ -373,7 +389,10 @@ class ReadApi:
             output_schema=table_schema.select(projected),
             columns=projected,
             row_restriction=row_restriction,
+            restriction=restriction,
             constraints=constraints,
+            access=access,
+            pipeline=pipeline,
             streams=streams,
             engine_location=engine_location,
             created_ms=now,
@@ -387,6 +406,29 @@ class ReadApi:
         )
         self._register_session(session)
         return session
+
+    def _compile(
+        self,
+        table: TableInfo,
+        access: EffectiveAccess,
+        columns: list[str],
+        restriction: ast.Expr | None,
+    ) -> Superluminal:
+        """Compile a session's enforcement pipeline against ``access``:
+        once at create, and again only when a later ``read_rows`` finds the
+        principal's access changed. Raises :class:`AccessDeniedError` for a
+        denied column."""
+        if table.kind is TableKind.OBJECT and any(c.lower() == "data" for c in columns):
+            # Object contents are fetched after row filtering, by bucket and
+            # key: widen the projection so both survive enforcement; the
+            # read narrows back to the requested columns.
+            lowered = {c.lower() for c in columns}
+            columns = columns + [c for c in ("bucket", "key") if c not in lowered]
+        return Superluminal(
+            self._effective_schema(table), access, columns=columns,
+            row_restriction=restriction, functions=self.functions,
+            tracer=self.ctx.tracer,
+        )
 
     # ------------------------------------------------------------------
     # Session registry + serialized-handle attach (§3.4 handoff)
@@ -796,14 +838,36 @@ class ReadApi:
             raise SessionExpiredError(f"session {session.session_id} expired")
         if not 0 <= stream_index < len(session.streams):
             raise StorageApiError(f"no stream {stream_index} in session")
-        table_schema = self._effective_schema(session.table)
-        access = session.table.policies.resolve(session.principal)
-        enforcement = Superluminal(
-            table_schema, access, columns=session.columns,
-            row_restriction=session.row_restriction, functions=self.functions,
-            tracer=self.ctx.tracer,
+        return self._read_rows_impl(
+            session, stream_index, self._enforcement(session), max_units
         )
-        return self._read_rows_impl(session, stream_index, enforcement, max_units)
+
+    def _enforcement(self, session: ReadSession) -> Superluminal:
+        """This read's view of the session's pipeline, after rechecking the
+        principal's rights as they stand *now*. The recheck is the security
+        property, not overhead: table access revoked or policies changed
+        since create must bind the very next read, exactly as they would a
+        freshly created session. The compile is what is reused — while the
+        resolved access still equals the one it was built against."""
+        table = session.table
+        decision = self.iam.is_allowed(
+            session.principal, Permission.TABLES_GET_DATA, table.resource_name
+        )
+        if not decision.allowed:
+            self.audit.record(
+                session.principal, "read_session.read", table.resource_name,
+                False, decision.reason,
+            )
+            raise AccessDeniedError(
+                f"{session.principal} cannot read {table.table_id}: {decision.reason}"
+            )
+        access = table.policies.resolve(session.principal)
+        if access != session.access:
+            session.pipeline = self._compile(
+                table, access, session.columns, session.restriction
+            )
+            session.access = access
+        return session.pipeline.fresh()
 
     def _read_rows_impl(
         self, session: ReadSession, stream_index: int, enforcement, max_units: int | None
@@ -954,18 +1018,8 @@ class ReadApi:
         """
         needs_data = any(c.lower() == "data" for c in session.columns)
         if needs_data:
-            # Widen the enforcement projection so bucket/key survive for
-            # the fetch, then narrow to the requested columns at the end.
-            wide_columns = list(session.columns)
-            for extra in ("bucket", "key"):
-                if extra not in [c.lower() for c in wide_columns]:
-                    wide_columns.append(extra)
-            access = session.table.policies.resolve(session.principal)
-            enforcement = Superluminal(
-                self._effective_schema(session.table), access,
-                columns=wide_columns, row_restriction=session.row_restriction,
-                functions=self.functions, tracer=self.ctx.tracer,
-            )
+            # The pipeline was compiled with bucket/key kept for the fetch
+            # (see _compile); narrowed to the requested columns at the end.
             store = self.stores.store_for(session.table.storage.location)
             self._require_delegated_access(session.table, store)
         chunk = 4096
@@ -1060,25 +1114,6 @@ class ReadApi:
     # request (standard reader coalescing).
     _COALESCE_GAP_BYTES = 64 * 1024
 
-    def _needed_columns(self, session) -> set[str]:
-        """Lower-cased column names a scan must materialize: the projection
-        plus every column referenced by user or security row filters."""
-        from repro.sql.expressions import collect_column_refs
-
-        needed = {c.lower() for c in session.columns if c.lower() != "data"}
-        if session.row_restriction:
-            needed |= {
-                r.rsplit(".", 1)[-1].lower()
-                for r in collect_column_refs(parse_expression(session.row_restriction))
-            }
-        access = session.table.policies.resolve(session.principal)
-        for filter_sql in access.row_filters:
-            needed |= {
-                r.rsplit(".", 1)[-1].lower()
-                for r in collect_column_refs(parse_expression(filter_sql))
-            }
-        return needed
-
     def _fetch_ranges(
         self, session, store, bucket: str, key: str, chunks
     ) -> dict[str, bytes]:
@@ -1128,7 +1163,7 @@ class ReadApi:
         if not keep:
             return
 
-        needed = self._needed_columns(session)
+        needed = enforcement.needed_columns
         schema = footer.schema
         fetch_columns = [f.name for f in schema if f.name.lower() in needed]
         if not fetch_columns:
@@ -1245,7 +1280,7 @@ class ReadApi:
             return
 
         # Warm footer: chunk-granular serving for the needed columns.
-        needed = self._needed_columns(session)
+        needed = enforcement.needed_columns
         fetch_columns = [f.name for f in schema if f.name.lower() in needed]
         if not fetch_columns:
             fetch_columns = [schema.fields[0].name]

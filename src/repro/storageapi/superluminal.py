@@ -9,6 +9,7 @@ the bound-expression evaluator from :mod:`repro.sql.expressions`.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from repro.sql.expressions import (
     Binder,
     BoundExpr,
     FunctionRegistry,
-    evaluate,
+    collect_column_refs,
     evaluate_predicate,
 )
 from repro.sql.parser import parse_expression
@@ -53,6 +54,12 @@ class Superluminal:
 
     Requesting a denied column fails at compile time — before any data
     moves — so a malicious engine cannot even construct the scan.
+
+    A read session compiles one pipeline per effective access and shares it
+    between its streams (:meth:`fresh`). ``row_restriction`` arrives parsed:
+    the SQL text is the wire format and the session parses it once at the
+    trust boundary; the only text compiled here is the table's own row
+    policies.
     """
 
     def __init__(
@@ -60,7 +67,7 @@ class Superluminal:
         table_schema: Schema,
         access: EffectiveAccess,
         columns: list[str] | None = None,
-        row_restriction: str | None = None,
+        row_restriction: ast.Expr | None = None,
         functions: FunctionRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -84,27 +91,44 @@ class Superluminal:
         self.output_schema = table_schema.select(projected)
 
         binder = Binder(table_schema, functions)
-        self._security_filter = self._compile_security_filter(binder)
+        security = self._security_predicate() if access.row_policies_exist else None
+        self._security_filter: BoundExpr | _DenyAll | None = None
+        if access.sees_no_rows:
+            self._security_filter = _DENY_ALL
+        elif security is not None:
+            self._security_filter = binder.bind(security)
         self._user_filter: BoundExpr | None = None
-        if row_restriction:
-            self._user_filter = binder.bind(parse_expression(row_restriction))
+        if row_restriction is not None:
+            self._user_filter = binder.bind(row_restriction)
+        # Lower-cased names of the columns a scan must materialize for this
+        # pipeline: the projection plus whatever either row filter reads.
+        self.needed_columns = frozenset(c.lower() for c in projected) | {
+            ref.rsplit(".", 1)[-1].lower()
+            for expr in (security, row_restriction) if expr is not None
+            for ref in collect_column_refs(expr)
+        }
         self._masks = {
             name.lower(): kind
             for name, kind in access.masked_columns.items()
             if any(f.name.lower() == name.lower() for f in table_schema)
         }
 
-    def _compile_security_filter(self, binder: Binder) -> BoundExpr | None:
-        """OR together the row policies that apply to the principal."""
-        if not self.access.row_policies_exist:
-            return None
-        if not self.access.row_filters:
-            return _DENY_ALL
+    def _security_predicate(self) -> ast.Expr | None:
+        """OR together the row policies that apply to the principal (each
+        distinct filter text parsed once)."""
         combined: ast.Expr | None = None
-        for filter_sql in self.access.row_filters:
+        for filter_sql in dict.fromkeys(self.access.row_filters):
             clause = parse_expression(filter_sql)
             combined = clause if combined is None else ast.BinaryOp("OR", combined, clause)
-        return binder.bind(combined)
+        return combined
+
+    def fresh(self) -> "Superluminal":
+        """The same compiled pipeline with counters of its own — one per
+        stream read, so :class:`ScanFilterStats` stay per stream while the
+        compile happens once per session."""
+        clone = copy.copy(self)
+        clone.stats = ScanFilterStats()
+        return clone
 
     def process(self, batch: RecordBatch) -> RecordBatch:
         """Apply the full enforcement pipeline to one batch."""
@@ -143,12 +167,6 @@ class Superluminal:
                 Field(field.name, masked.dtype, nullable=True), masked
             )
         return batch
-
-    def evaluate_projection(self, expr_sql: str, batch: RecordBatch) -> Column:
-        """Evaluate one extra scalar expression (used by pushed-down
-        partial aggregates and tests)."""
-        bound = Binder(batch.schema).bind(parse_expression(expr_sql))
-        return evaluate(bound, batch)
 
 
 class _DenyAll:

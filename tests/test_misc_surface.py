@@ -82,16 +82,6 @@ class TestQueryResultHelpers:
         assert "Scan(" in result.plan_text
 
 
-class TestSuperluminalProjectionHelper:
-    def test_evaluate_projection(self, sales_schema, sales_batch):
-        from repro.security.policies import TablePolicySet
-        from repro.storageapi.superluminal import Superluminal
-
-        sl = Superluminal(sales_schema, TablePolicySet().resolve(None))
-        out = sl.evaluate_projection("amount * 2", sales_batch)
-        assert out.to_pylist()[0] == 20.0
-
-
 class TestWireErrors:
     def test_truncated_payload(self):
         from repro.errors import StorageApiError

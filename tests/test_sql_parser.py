@@ -1,6 +1,7 @@
 """Tests for the SQL lexer and parser."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SqlSyntaxError
 from repro.sql import ast, parse_expression, parse_statement
@@ -260,3 +261,71 @@ class TestDmlParsing:
     def test_trailing_tokens_rejected(self):
         with pytest.raises(SqlSyntaxError):
             parse_statement("SELECT 1 SELECT 2")
+
+
+# --------------------------------------------------------------------------
+# IN-list literal fast path
+# --------------------------------------------------------------------------
+
+# Element texts: bare literals (the fast path) next to everything that must
+# keep taking the full expression path — signs, typed literals, arithmetic,
+# parentheses, calls, column references, and literals followed by an operator.
+_quoted = st.text(
+    alphabet=st.sampled_from("ab '%_,()-"), max_size=6
+).map(lambda s: "'" + s.replace("'", "''") + "'")
+_in_item = st.one_of(
+    st.integers(0, 10**12).map(str),
+    st.floats(0, 1e6, allow_nan=False).map(repr),
+    st.sampled_from(["1e3", "2.5E-2", ".5", "NULL", "TRUE", "false", "null"]),
+    _quoted,
+    st.integers(1, 999).map(lambda n: f"-{n}"),
+    st.integers(1, 999).map(lambda n: f"+{n}"),
+    st.dates().map(lambda d: f"DATE '{d.isoformat()}'"),
+    st.just("TIMESTAMP '2024-01-01 00:00:00'"),
+    st.sampled_from([
+        "1 + 2", "(3)", "x", "t.x", "ABS(-4)", "2 * (3 + y)", "'a' || 'b'",
+        "CAST('7' AS INT64)", "CASE WHEN x > 1 THEN 2 ELSE 3 END", "NULL IS NULL",
+        "1 = 1", "NOT TRUE", "5 BETWEEN 1 AND 9",
+    ]),
+)
+
+
+class TestInListLiteralFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(items=st.lists(_in_item, min_size=1, max_size=12), negated=st.booleans())
+    def test_items_parse_as_they_do_on_their_own(self, items, negated):
+        """The oracle is the old path: outside an IN list every element
+        descends the full precedence chain."""
+        keyword = "NOT IN" if negated else "IN"
+        parsed = parse_expression(f"k {keyword} ({', '.join(items)}) AND z = 1")
+        assert isinstance(parsed, ast.BinaryOp) and parsed.op == "AND"
+        in_list = parsed.left
+        assert in_list == ast.InList(
+            ast.ColumnRef(("k",)),
+            tuple(parse_expression(item) for item in items),
+            negated=negated,
+        )
+        assert parsed.right == parse_expression("z = 1")
+
+    def test_bare_literals_skip_the_precedence_chain(self, monkeypatch):
+        from repro.sql import parser as parser_module
+
+        descents = []
+        original = parser_module._Parser._parse_additive
+
+        def counting(self):
+            descents.append(self.peek().text)
+            return original(self)
+
+        monkeypatch.setattr(parser_module._Parser, "_parse_additive", counting)
+        parse_expression("k IN (1, 'two', 3.5, NULL, TRUE, -4, DATE '2024-01-01', 5 + 6)")
+        assert descents == ["k", "-", "DATE", "5"]
+
+    @pytest.mark.parametrize("sql", ["k IN ()", "k IN (1,)", "k IN (1 2)", "k IN (1", "k IN (,1)"])
+    def test_malformed_lists_still_raise(self, sql):
+        with pytest.raises(SqlSyntaxError):
+            parse_expression(sql)
+
+    def test_subquery_form_is_untouched(self):
+        stmt = parse_statement("SELECT a FROM t WHERE a IN (SELECT b FROM u)")
+        assert isinstance(stmt.where, ast.InSubquery)

@@ -13,6 +13,7 @@ from repro.security import (
     TablePolicySet,
     apply_mask_value,
 )
+from repro.sql.parser import parse_expression
 from repro.storageapi.superluminal import Superluminal, mask_column
 from repro.data.column import Column
 
@@ -69,7 +70,7 @@ class TestRowFiltering:
     def test_user_restriction_composes_with_policy(self, batch, policies):
         sl = Superluminal(
             SCHEMA, policies.resolve(BOB), columns=["id"],
-            row_restriction="amount > 15",
+            row_restriction=parse_expression("amount > 15"),
         )
         out = sl.process(batch)
         assert out.column("id").to_pylist() == [3]
