@@ -6,7 +6,8 @@ platform builders for the standard workloads, a sequential "power run"
 runner (the measurement mode Fig. 4 uses), plain-text table printing so
 benchmark output reads like the paper's reported series, and a
 machine-readable report (``record_bench`` / ``write_bench_report``) the
-suite conftest dumps to ``BENCH_PR4.json`` — schema in EXPERIMENTS.md.
+suite conftest dumps to the repo root (``benchmarks/conftest.py`` names
+the file) — schema in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def build_tpch_platform(
 
 
 # --------------------------------------------------------------------------
-# Machine-readable bench report (BENCH_PR4.json)
+# Machine-readable bench report
 # --------------------------------------------------------------------------
 
 #: Accumulates across one pytest session; the benchmarks/ conftest writes

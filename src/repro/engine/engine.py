@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
@@ -535,20 +534,6 @@ class QueryEngine:
             schema=schema, batches=batches, stats=QueryStats(cache_hit=True),
             plan_text=plan_text,
         )
-
-    def query(
-        self,
-        sql: str | ast.Select,
-        principal: Principal,
-        snapshot_ms: float | None = None,
-    ) -> QueryResult:
-        """Deprecated alias for :meth:`execute`."""
-        warnings.warn(
-            "QueryEngine.query() is deprecated; use execute()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute(sql, principal, snapshot_ms=snapshot_ms)
 
     def explain_analyze(
         self,

@@ -102,17 +102,35 @@ class VectorizedReader:
     ) -> list[int]:
         """Row groups that *may* contain values of ``column`` within
         ``[lo, hi]``, using footer min/max stats (block skipping)."""
-        keep = []
-        for i, rg in enumerate(self.footer.row_groups):
-            chunk = rg.column(column)
-            if chunk.min_value is None and chunk.max_value is None:
-                if chunk.null_count == rg.num_rows and (lo is not None or hi is not None):
-                    continue  # all-null group cannot match a range predicate
-                keep.append(i)
-                continue
-            if lo is not None and chunk.max_value is not None and chunk.max_value < lo:
-                continue
-            if hi is not None and chunk.min_value is not None and chunk.min_value > hi:
-                continue
-            keep.append(i)
-        return keep
+        return [
+            i for i, rg in enumerate(self.footer.row_groups)
+            if _may_match(rg, column, lo, hi)
+        ]
+
+
+def _may_match(rg: pqs.RowGroupMeta, column: str, lo: Any, hi: Any) -> bool:
+    chunk = rg.column(column)
+    if chunk.min_value is None and chunk.max_value is None:
+        # An all-null group cannot match a range predicate.
+        return not (chunk.null_count == rg.num_rows and (lo is not None or hi is not None))
+    if lo is not None and chunk.max_value is not None and chunk.max_value < lo:
+        return False
+    if hi is not None and chunk.min_value is not None and chunk.min_value > hi:
+        return False
+    return True
+
+
+def surviving_row_groups(footer: pqs.FileFooter, constraints) -> list[int]:
+    """Indices of the row groups that may hold a row satisfying every
+    ``(column, constraint)`` of ``constraints`` (a
+    :class:`~repro.metastore.constraints.ConstraintSet`), by footer min/max
+    stats. Constraints on columns the file does not have prune nothing."""
+    bounds = [
+        (footer.schema.field(column).name, constraint.lo, constraint.hi)
+        for column, constraint in constraints
+        if footer.schema.has_field(column)
+    ]
+    return [
+        i for i, rg in enumerate(footer.row_groups)
+        if all(_may_match(rg, name, lo, hi) for name, lo, hi in bounds)
+    ]

@@ -20,7 +20,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterator
 
+from repro.cache import DataCache
 from repro.data.batch import RecordBatch, batch_from_pydict
+from repro.data.column import Column
 from repro.data.types import DataType, Schema
 from repro.errors import (
     AccessDeniedError,
@@ -30,7 +32,8 @@ from repro.errors import (
     TransientError,
 )
 from repro.faults import record_degradation
-from repro.formats.readers import RowReader, VectorizedReader
+from repro.formats import pqs
+from repro.formats.readers import RowReader, surviving_row_groups
 from repro.metastore.bigmeta import BigMetadataService, ColumnStats, FileEntry
 from repro.metastore.catalog import MetadataCacheMode, TableInfo, TableKind
 from repro.metastore.constraints import ConstraintSet
@@ -232,8 +235,8 @@ class ReadApi:
         stores: StoreRegistry,
         managed: ManagedStorage,
         ctx: SimContext,
+        data_cache: DataCache,
         functions: FunctionRegistry | None = None,
-        data_cache=None,
     ) -> None:
         self.catalog = catalog
         self.bigmeta = bigmeta
@@ -244,8 +247,8 @@ class ReadApi:
         self.managed = managed
         self.ctx = ctx
         self.functions = functions
-        # Slot-local multi-tier data cache (repro.cache.DataCache); None
-        # or a disabled cache keeps the historical always-cold behavior.
+        # Slot-local multi-tier data cache, the layer under every columnar
+        # scan; disabled, it is inert and every scan is cold.
         self.data_cache = data_cache
         # table_id -> simulated time of last metadata-cache refresh.
         self._cache_refreshed_ms: dict[str, float] = {}
@@ -540,7 +543,6 @@ class ReadApi:
         if session.table.kind in (TableKind.MANAGED, TableKind.OBJECT):
             return None
         costs = self.ctx.costs
-        cache = self.data_cache
         out: list[float] = []
         for stream in session.streams:
             for entry in stream.files:
@@ -549,11 +551,10 @@ class ReadApi:
                     costs.get_first_byte_ms
                     + (size / MIB) * (costs.get_per_mib_ms + costs.scan_per_mib_ms)
                 )
-                warm_bytes = 0
-                generation = getattr(entry, "generation", 0)
-                if cache is not None and cache.enabled and generation > 0 and size > 0:
-                    bucket, _, key = entry.file_path.partition("/")
-                    warm_bytes = min(size, cache.warm_chunk_bytes(bucket, key, generation))
+                bucket, _, key = entry.file_path.partition("/")
+                warm_bytes = min(
+                    size, self.data_cache.warm_chunk_bytes(bucket, key, entry.generation)
+                )
                 warm_fraction = warm_bytes / size if size else 0.0
                 warm = (
                     costs.cache_lookup_ms
@@ -922,7 +923,6 @@ class ReadApi:
     def _aggregate_stream(self, session: ReadSession, batches) -> Iterator[RecordBatch]:
         """Aggregate pushdown (§3.4 future work): compute partial
         MIN/MAX/SUM/COUNT server-side and return one tiny row per stream."""
-        from repro.data.column import Column
         from repro.data.types import Field
 
         counts = {name: 0 for _, _, name in session.aggregates}
@@ -998,13 +998,9 @@ class ReadApi:
             batch = stream.batches[stream.offset]
             stream.offset += 1
             taken += 1
-            session.stats.rows_scanned += batch.num_rows
             session.stats.bytes_scanned += batch.nbytes()
             self._count_scanned(batch.nbytes())
-            out = enforcement.process(batch)
-            session.stats.rows_returned += out.num_rows
-            if out.num_rows:
-                yield out
+            yield from self._emit(session, enforcement, batch)
 
     def _read_object_stream(
         self, session, stream, enforcement, max_units=None
@@ -1042,7 +1038,6 @@ class ReadApi:
 
     def _fetch_object_data(self, session, batch: RecordBatch) -> RecordBatch:
         """Fill the ``data`` column by fetching each surviving object."""
-        from repro.data.column import Column
         from repro.data.types import Field
 
         store = self.stores.store_for(session.table.storage.location)
@@ -1050,15 +1045,7 @@ class ReadApi:
         keys = batch.column("key").to_pylist()
         payloads = []
         for bucket, key in zip(buckets, keys):
-            data = self.ctx.with_retry(
-                "objectstore.get",
-                lambda: store.get_object(
-                    bucket, key, caller_location=session.engine_location
-                ),
-            )
-            session.stats.bytes_scanned += len(data)
-            self._count_scanned(len(data))
-            payloads.append(data)
+            payloads.append(self._get_object(session, store, bucket, key))
         column = Column.from_pylist(DataType.BYTES, payloads)
         return batch.with_column(Field("data", DataType.BYTES), column)
 
@@ -1068,7 +1055,6 @@ class ReadApi:
         table = session.table
         store = self.stores.store_for(table.storage.location)
         self._require_delegated_access(table, store)
-        cache = self.data_cache
         taken = 0
         while stream.offset < len(stream.files) and (max_units is None or taken < max_units):
             # Advance the cursor *before* reading: the file is "started",
@@ -1078,41 +1064,31 @@ class ReadApi:
             stream.offset += 1
             taken += 1
             bucket, _, key = entry.file_path.partition("/")
-            generation = getattr(entry, "generation", 0)
-            if (
-                cache is not None
-                and cache.enabled
-                and generation > 0
-                and not session.use_row_oriented_reader
-            ):
-                # The cached path covers both scan modes: a warm file is
-                # served chunk-by-chunk regardless of ranged_reads, a cold
-                # one falls back to the mode's historical fetch shape.
-                yield from self._cached_scan(
-                    session, store, bucket, key, generation, enforcement
-                )
-                continue
-            if session.ranged_reads and not session.use_row_oriented_reader:
-                yield from self._ranged_scan(session, store, bucket, key, enforcement)
-                continue
-            data = self.ctx.with_retry(
-                "objectstore.get",
-                lambda: store.get_object(
-                    bucket, key, caller_location=session.engine_location
-                ),
-            )
-            session.stats.bytes_scanned += len(data)
-            self._count_scanned(len(data))
             if session.use_row_oriented_reader:
+                data = self._get_object(session, store, bucket, key)
                 yield from self._row_oriented_scan(session, data, enforcement)
             else:
-                yield from self._vectorized_scan(session, data, enforcement)
+                yield from self._columnar_scan(
+                    session, store, bucket, key, entry.generation, enforcement
+                )
 
-    # -- ranged scans -----------------------------------------------------
+    # -- the scan kernel --------------------------------------------------
 
     # Selected chunk ranges closer together than this are fetched as one
     # request (standard reader coalescing).
     _COALESCE_GAP_BYTES = 64 * 1024
+
+    def _get_object(self, session, store, bucket: str, key: str) -> bytes:
+        """One whole-object GET, retried, accounted as scanned bytes."""
+        data = self.ctx.with_retry(
+            "objectstore.get",
+            lambda: store.get_object(
+                bucket, key, caller_location=session.engine_location
+            ),
+        )
+        session.stats.bytes_scanned += len(data)
+        self._count_scanned(len(data))
+        return data
 
     def _fetch_ranges(
         self, session, store, bucket: str, key: str, chunks
@@ -1137,6 +1113,20 @@ class ReadApi:
                 buffers[chunk.name] = blob[lo : lo + chunk.length]
         return buffers
 
+    def _charge_decode(
+        self, session, reader: str, num_bytes: int, cpu_ms: float | None = None
+    ) -> None:
+        """Account one decode of ``num_bytes`` by ``reader``: session CPU, a
+        ``formats.decode`` span and the sim-time charge. ``cpu_ms`` defaults
+        to the vectorized per-MiB cost."""
+        if cpu_ms is None:
+            cpu_ms = (num_bytes / MIB) * self.ctx.costs.scan_per_mib_ms
+        session.stats.cpu_ms += cpu_ms
+        with self.ctx.tracer.span(
+            "formats.decode", layer="formats", reader=reader, bytes=num_bytes
+        ):
+            self.ctx.charge(f"read_api.{reader}_scan", cpu_ms)
+
     def _emit(self, session, enforcement, batch) -> Iterator[RecordBatch]:
         session.stats.rows_scanned += batch.num_rows
         out = enforcement.process(batch)
@@ -1144,198 +1134,99 @@ class ReadApi:
         if out.num_rows:
             yield out
 
-    def _ranged_scan(
-        self, session, store, bucket: str, key: str, enforcement
-    ) -> Iterator[RecordBatch]:
-        """Fetch only the chunks the query needs: footer first, then the
-        surviving row groups x (projected + filter) columns, coalescing
-        adjacent byte ranges."""
-        from repro.formats import pqs as _pqs
-
-        footer, _size = self.ctx.with_retry(
-            "objectstore.get_range",
-            lambda: read_remote_footer(
-                store, bucket, key, caller_location=session.engine_location
-            ),
-        )
-        keep = self._surviving_row_groups(session, footer)
-        session.stats.row_groups_pruned += len(footer.row_groups) - len(keep)
-        if not keep:
-            return
-
-        needed = enforcement.needed_columns
-        schema = footer.schema
-        fetch_columns = [f.name for f in schema if f.name.lower() in needed]
-        if not fetch_columns:
-            fetch_columns = [schema.fields[0].name]
-
-        for rg_index in keep:
-            rg = footer.row_groups[rg_index]
-            buffers = self._fetch_ranges(
-                session, store, bucket, key,
-                [rg.column(name) for name in fetch_columns],
-            )
-            columns = []
-            for field in schema:
-                chunk = rg.column(field.name)
-                if field.name in buffers:
-                    columns.append(
-                        _pqs._decode_chunk(
-                            field.dtype, chunk.encoding, buffers[field.name]
-                        )
-                    )
-                else:
-                    # Unfetched columns ride as null placeholders so the
-                    # batch stays aligned with the table schema; they are
-                    # never projected or filtered on.
-                    from repro.data.column import Column
-
-                    columns.append(Column.nulls(field.dtype, rg.num_rows))
-            batch = RecordBatch(schema, columns)
-            cpu_cost = (
-                sum(len(b) for b in buffers.values()) / MIB
-            ) * self.ctx.costs.scan_per_mib_ms
-            session.stats.cpu_ms += cpu_cost
-            with self.ctx.tracer.span(
-                "formats.decode", layer="formats", reader="ranged",
-                bytes=sum(len(b) for b in buffers.values()),
-            ):
-                self.ctx.charge("read_api.ranged_scan", cpu_cost)
-            yield from self._emit(session, enforcement, batch)
-
-    def _cached_scan(
+    def _columnar_scan(
         self, session, store, bucket: str, key: str, generation: int, enforcement
     ) -> Iterator[RecordBatch]:
-        """Serve a file's surviving row groups through the data cache.
+        """The one columnar scan of a file; the data cache is a layer under
+        each step, not a separate path.
 
-        Footer first: a hit skips the footer round trips, a miss takes the
-        scan mode's historical fetch (whole object, or ranged footer read)
-        and admits it. Then per row group: a cold whole-object fetch
-        decodes and admits every chunk at the historical decode cost; a
-        warm file serves the needed columns from the chunk tier at the
-        cheap hit cost, ranged-fetching only the missing chunks. Columns
-        the query does not need ride as null placeholders exactly like the
-        ranged path, so results are byte-identical cold or warm.
+        1. Footer: cache hit, else the session's cold fetch shape — a
+           ranged footer read (``ranged_reads``) or a whole-object GET —
+           and admit it.
+        2. Prune row groups by footer stats. None survives: done, nothing
+           is decoded and no decode cost is charged.
+        3. Chunks of each surviving row group: with the object in hand,
+           slices of it, every column (the bytes are already here, so later
+           queries hit regardless of projection); otherwise the needed
+           columns only, from the chunk tier, the misses by coalesced
+           ranged GETs.
+        4. Decode and admit what was fetched; enforce. Unfetched columns
+           ride as null placeholders so the batch stays aligned with the
+           file schema; they are never projected or filtered on.
+
+        The cache is consulted unconditionally: a disabled cache or an
+        unknown generation (0) makes every lookup a miss and every admit a
+        no-op before any fault hazard or metric, which leaves exactly the
+        uncached scan.
         """
-        from repro.data.column import Column
-        from repro.formats import pqs as _pqs
-
         cache = self.data_cache
+        # The dictionary tier is keyed by content, not generation, so the
+        # "generation 0 is never cached" rule is applied here.
+        decode = cache.decode_chunk if generation > 0 else pqs._decode_chunk
         data: bytes | None = None
         cached = cache.lookup_footer(bucket, key, generation)
         if cached is not None:
             footer, _size = cached
-        elif session.ranged_reads:
-            footer, size = self.ctx.with_retry(
-                "objectstore.get_range",
-                lambda: read_remote_footer(
-                    store, bucket, key, caller_location=session.engine_location
-                ),
-            )
-            cache.admit_footer(bucket, key, generation, footer, size)
         else:
-            data = self.ctx.with_retry(
-                "objectstore.get",
-                lambda: store.get_object(
-                    bucket, key, caller_location=session.engine_location
-                ),
-            )
-            session.stats.bytes_scanned += len(data)
-            self._count_scanned(len(data))
-            footer = _pqs.read_footer(data)
-            cache.admit_footer(bucket, key, generation, footer, len(data))
+            if session.ranged_reads:
+                footer, size = self.ctx.with_retry(
+                    "objectstore.get_range",
+                    lambda: read_remote_footer(
+                        store, bucket, key, caller_location=session.engine_location
+                    ),
+                )
+            else:
+                data = self._get_object(session, store, bucket, key)
+                footer, size = pqs.read_footer(data), len(data)
+            cache.admit_footer(bucket, key, generation, footer, size)
 
-        keep = self._surviving_row_groups(session, footer)
+        keep = surviving_row_groups(footer, session.constraints)
         session.stats.row_groups_pruned += len(footer.row_groups) - len(keep)
         if not keep:
             return
         schema = footer.schema
-
         if data is not None:
-            # Cold whole-object fetch: decode every column (the bytes are
-            # already here) so later queries hit regardless of projection.
-            cpu_cost = (len(data) / MIB) * self.ctx.costs.scan_per_mib_ms
-            session.stats.cpu_ms += cpu_cost
-            with self.ctx.tracer.span(
-                "formats.decode", layer="formats", reader="vectorized", bytes=len(data)
-            ):
-                self.ctx.charge("read_api.vectorized_scan", cpu_cost)
-            for rg_index in keep:
-                rg = footer.row_groups[rg_index]
-                columns = []
-                for field in schema:
-                    chunk = rg.column(field.name)
-                    decoded = cache.decode_chunk(
-                        field.dtype, chunk.encoding,
-                        data[chunk.offset : chunk.offset + chunk.length],
-                    )
-                    cache.admit_chunk(
-                        bucket, key, generation, rg_index, field.name,
-                        decoded, chunk.length,
-                    )
-                    columns.append(decoded)
-                yield from self._emit(
-                    session, enforcement, RecordBatch(schema, columns)
-                )
-            return
+            self._charge_decode(session, "vectorized", len(data))
+            wanted = schema.names()
+        else:
+            needed = enforcement.needed_columns
+            wanted = [f.name for f in schema if f.name.lower() in needed] or schema.names()[:1]
 
-        # Warm footer: chunk-granular serving for the needed columns.
-        needed = enforcement.needed_columns
-        fetch_columns = [f.name for f in schema if f.name.lower() in needed]
-        if not fetch_columns:
-            fetch_columns = [schema.fields[0].name]
         for rg_index in keep:
             rg = footer.row_groups[rg_index]
             resolved: dict[str, Any] = {}
-            missing = []
-            for name in fetch_columns:
-                hit = cache.lookup_chunk(bucket, key, generation, rg_index, name)
-                if hit is not None:
+            if data is not None:
+                fetch = [rg.column(name) for name in wanted]
+                buffers = {c.name: data[c.offset : c.offset + c.length] for c in fetch}
+            else:
+                fetch = []
+                for name in wanted:
+                    hit = cache.lookup_chunk(bucket, key, generation, rg_index, name)
+                    if hit is None:
+                        fetch.append(rg.column(name))
+                        continue
                     resolved[name], nbytes = hit
                     session.stats.cache_hit_bytes += nbytes
                     self._count_cache_hit(nbytes)
-                else:
-                    missing.append(rg.column(name))
-            if missing:
-                buffers = self._fetch_ranges(session, store, bucket, key, missing)
-                fetched = sum(len(b) for b in buffers.values())
-                cpu_cost = (fetched / MIB) * self.ctx.costs.scan_per_mib_ms
-                session.stats.cpu_ms += cpu_cost
-                with self.ctx.tracer.span(
-                    "formats.decode", layer="formats", reader="ranged", bytes=fetched
-                ):
-                    self.ctx.charge("read_api.ranged_scan", cpu_cost)
-                for chunk in missing:
-                    field = schema.field(chunk.name)
-                    decoded = cache.decode_chunk(
-                        field.dtype, chunk.encoding, buffers[chunk.name]
+                if fetch:
+                    buffers = self._fetch_ranges(session, store, bucket, key, fetch)
+                    self._charge_decode(
+                        session, "ranged", sum(len(b) for b in buffers.values())
                     )
-                    cache.admit_chunk(
-                        bucket, key, generation, rg_index, chunk.name,
-                        decoded, chunk.length,
-                    )
-                    resolved[chunk.name] = decoded
+            for chunk in fetch:
+                decoded = decode(
+                    schema.field(chunk.name).dtype, chunk.encoding, buffers[chunk.name]
+                )
+                cache.admit_chunk(
+                    bucket, key, generation, rg_index, chunk.name, decoded, chunk.length
+                )
+                resolved[chunk.name] = decoded
             columns = [
                 resolved[f.name] if f.name in resolved
                 else Column.nulls(f.dtype, rg.num_rows)
                 for f in schema
             ]
             yield from self._emit(session, enforcement, RecordBatch(schema, columns))
-
-    def _surviving_row_groups(self, session, footer) -> list[int]:
-        keep = set(range(len(footer.row_groups)))
-        reader = VectorizedReader.__new__(VectorizedReader)
-        reader.footer = footer
-        for column, constraint in session.constraints:
-            if not footer.schema.has_field(column):
-                continue
-            keep &= set(
-                reader.prunable_row_groups(
-                    footer.schema.field(column).name,
-                    lo=constraint.lo, hi=constraint.hi,
-                )
-            )
-        return sorted(keep)
 
     def _coalesced_ranges(self, chunks) -> list[tuple[int, int, list]]:
         """Group offset-sorted chunks into fetch ranges, merging neighbors
@@ -1350,58 +1241,17 @@ class ReadApi:
                 ranges.append((chunk.offset, chunk.offset + chunk.length, [chunk]))
         return ranges
 
-    def _vectorized_scan(self, session, data: bytes, enforcement) -> Iterator[RecordBatch]:
-        reader = VectorizedReader(data)
-        keep = set(range(len(reader.footer.row_groups)))
-        # Row-group skipping with footer stats and session constraints.
-        for column, constraint in session.constraints:
-            if not reader.footer.schema.has_field(column):
-                continue
-            survivors = set(
-                reader.prunable_row_groups(
-                    reader.footer.schema.field(column).name,
-                    lo=constraint.lo,
-                    hi=constraint.hi,
-                )
-            )
-            keep &= survivors
-        session.stats.row_groups_pruned += len(reader.footer.row_groups) - len(keep)
-        cpu_cost = (len(data) / MIB) * self.ctx.costs.scan_per_mib_ms
-        session.stats.cpu_ms += cpu_cost
-        with self.ctx.tracer.span(
-            "formats.decode", layer="formats", reader="vectorized", bytes=len(data)
-        ):
-            self.ctx.charge("read_api.vectorized_scan", cpu_cost)
-        for rg_index in sorted(keep):
-            from repro.formats import pqs
-
-            batch = pqs.read_row_group(data, reader.footer, rg_index)
-            session.stats.rows_scanned += batch.num_rows
-            out = enforcement.process(batch)
-            session.stats.rows_returned += out.num_rows
-            if out.num_rows:
-                yield out
-
     def _row_oriented_scan(self, session, data: bytes, enforcement) -> Iterator[RecordBatch]:
         """The legacy prototype path (§3.4): decode rows, re-columnarize,
         then enforce. Slower in CPU and in simulated time."""
         reader = RowReader(data)
-        n_rows = reader.footer.num_rows
-        cpu_cost = (
-            (len(data) / MIB) * self.ctx.costs.scan_per_mib_ms * 4.0
-            + n_rows * self.ctx.costs.row_scan_overhead_per_row_us / 1000.0
+        self._charge_decode(
+            session, "row", len(data),
+            cpu_ms=(len(data) / MIB) * self.ctx.costs.scan_per_mib_ms * 4.0
+            + reader.footer.num_rows * self.ctx.costs.row_scan_overhead_per_row_us / 1000.0,
         )
-        session.stats.cpu_ms += cpu_cost
-        with self.ctx.tracer.span(
-            "formats.decode", layer="formats", reader="row", bytes=len(data)
-        ):
-            self.ctx.charge("read_api.row_scan", cpu_cost)
         for batch in reader.read_all(batch_rows=8192):
-            session.stats.rows_scanned += batch.num_rows
-            out = enforcement.process(batch)
-            session.stats.rows_returned += out.num_rows
-            if out.num_rows:
-                yield out
+            yield from self._emit(session, enforcement, batch)
 
     # ------------------------------------------------------------------
     # Dynamic work rebalancing

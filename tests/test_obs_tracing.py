@@ -188,13 +188,6 @@ class TestExplainAnalyze:
 
 
 class TestUnifiedEntryPoint:
-    def test_query_alias_warns_deprecation(self):
-        platform, admin = make_platform()
-        setup_sales_lake(platform, admin)
-        with pytest.warns(DeprecationWarning, match="use execute"):
-            result = platform.home_engine.query(SALES_SQL, admin)
-        assert result.num_rows > 0
-
     def test_execute_does_not_warn(self):
         platform, admin = make_platform()
         setup_sales_lake(platform, admin)
