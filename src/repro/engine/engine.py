@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
@@ -10,6 +11,9 @@ from repro.data.types import Schema
 from repro.errors import AnalysisError, QueryError
 from repro.metastore.catalog import Catalog, TableKind
 from repro.security.iam import Principal
+# Bound as a module and read at call time: the pool builds on this package's
+# scheduler types, so when it is imported first it is still mid-import here.
+from repro.serving import pool as slot_pool
 from repro.sql import ast_nodes as ast
 from repro.sql.expressions import FunctionRegistry
 from repro.sql.parser import parse_statement
@@ -20,10 +24,10 @@ from repro.engine.optimizer import optimize
 from repro.engine.plan import PlanNode, ScanNode, TvfNode
 from repro.engine.planner import Planner
 from repro.engine.scheduler import (
-    SlotScheduler,
     SpeculationConfig,
     TaskRun,
     normalize_costs,
+    probe_slow_factors,
 )
 
 
@@ -56,17 +60,17 @@ class QueryStats:
     dpp_applied: int = 0
     elapsed_ms: float = 0.0
     slot_ms: float = 0.0
-    shuffle_partitions: int = 0  # set by finalize() from the engine config
-    compute_parallelism: int = 0  # set by finalize(): min(slots, shuffle_partitions)
+    shuffle_partitions: int = 0  # set by pool_execution() from the engine config
+    compute_parallelism: int = 0  # set by pool_execution(): min(slots, shuffle_partitions)
     retry_count: int = 0  # transient-failure retries spent on this query
     degraded: bool = False  # True when any fallback path served the query
     cache_hit_bytes: int = 0  # source bytes served from the data cache
     cache_hit: bool = False  # True when the query-result cache served this query
     # Per-stage scan accounting (one entry per scan operator); stage-less
     # callers (e.g. ML batch scoring) keep bumping scan_work_ms/scan_tasks
-    # directly and are finalized under the legacy wave model.
+    # directly and that work is scheduled as the uniform-wave tail.
     scan_stages: list[StageScan] = field(default_factory=list)
-    # Scheduler outputs (set by finalize): per-task timeline plus skew and
+    # The pool's verdict (set by apply_verdict): per-task timeline plus skew and
     # speculation facts, surfaced on JobRecord / INFORMATION_SCHEMA.JOBS.
     task_skew: float = 1.0
     speculative_count: int = 0
@@ -111,6 +115,57 @@ class QueryStats:
         total = self.cache_hit_bytes + self.bytes_scanned
         return self.cache_hit_bytes / total if total else 0.0
 
+    def pool_execution(
+        self,
+        slots: int,
+        startup_ms: float,
+        shuffle_partitions: int,
+        faults: Any | None,
+        speculation: SpeculationConfig | None,
+    ) -> "slot_pool.PoolExecution":
+        """The job's schedulable shape for the slot pool: metadata/planning
+        work is a serial prelude; each scan stage brings its task costs and
+        straggler factors (stages probed in order, before any is placed);
+        operator compute spreads across shuffle partitions (bounded by
+        slots). Records the slot-count facts the shape was built from.
+        """
+        self.shuffle_partitions = shuffle_partitions
+        self.compute_parallelism = max(1, min(slots, shuffle_partitions))
+        self.slot_ms = self.planning_ms + self.scan_work_ms + self.compute_ms
+        stages = [
+            slot_pool.PoolStage(
+                s.stage, s.task_costs, probe_slow_factors(faults, s.stage, s.tasks)
+            )
+            for s in self.scan_stages
+        ]
+        # Scan work recorded without a stage runs in uniform waves: 3 equal
+        # tasks on 2 slots take 2 waves (2/3 of the total scan work
+        # elapses), not the 1.5 "waves" plain division would claim. For
+        # equal tasks the pool's list schedule gives exactly this makespan.
+        leftover_tasks = self.scan_tasks - sum(s.tasks for s in self.scan_stages)
+        leftover_ms = self.scan_work_ms - sum(s.scan_ms for s in self.scan_stages)
+        tail_ms = 0.0
+        if leftover_ms > 1e-9:  # float residue from the += accumulation is not work
+            tasks = max(1, leftover_tasks)
+            waves = math.ceil(tasks / max(1, slots))
+            tail_ms = leftover_ms * waves / tasks
+        return slot_pool.PoolExecution(
+            prelude_ms=startup_ms + self.planning_ms,
+            stages=stages,
+            tail_ms=tail_ms,
+            compute_ms=self.compute_ms,
+            compute_tasks=self.compute_parallelism,
+            speculation=speculation,
+        )
+
+    def apply_verdict(self, verdict: "slot_pool.JobVerdict") -> None:
+        """Graft the pool's verdict for this job onto the stats."""
+        self.elapsed_ms = verdict.elapsed_ms
+        self.task_timeline = list(verdict.runs)
+        self.task_skew = verdict.task_skew
+        self.speculative_count = verdict.speculative_launched
+        self.speculative_wins = verdict.speculative_wins
+
     def finalize(
         self,
         slots: int,
@@ -119,78 +174,13 @@ class QueryStats:
         faults: Any | None = None,
         speculation: SpeculationConfig | None = None,
     ) -> None:
-        """Slot-limited elapsed-time model: metadata/planning work is
-        serial; each scan stage's tasks run through the skew-aware slot
-        scheduler (LPT + work-stealing, straggler injection, speculative
-        backups) and contribute their makespan; operator compute spreads
-        across shuffle partitions (bounded by slots).
-
-        Stage-less scan work (recorded without per-task estimates, e.g. by
-        ML batch scoring) still uses the legacy uniform-wave formula — for
-        *n* equal tasks the scheduler's makespan reduces to exactly that,
-        so the two models agree where the old one was right.
-        """
-        import math
-
-        self.shuffle_partitions = shuffle_partitions
-        self.compute_parallelism = max(1, min(slots, shuffle_partitions))
-        compute_parallelism = self.compute_parallelism
-        self.slot_ms = self.planning_ms + self.scan_work_ms + self.compute_ms
-        scan_elapsed = 0.0
-        self.task_timeline = []
-        self.speculative_count = 0
-        self.speculative_wins = 0
-        winner_durations: list[float] = []
-        if self.scan_stages:
-            scheduler = SlotScheduler(slots, faults=faults, speculation=speculation)
-            offset = startup_ms + self.planning_ms
-            for stage in self.scan_stages:
-                timeline = scheduler.run_stage(
-                    stage.stage, stage.task_costs, start_ms=offset
-                )
-                offset += timeline.makespan_ms
-                scan_elapsed += timeline.makespan_ms
-                self.speculative_count += timeline.speculative_launched
-                self.speculative_wins += timeline.speculative_wins
-                self.task_timeline.extend(timeline.runs)
-                winner_durations.extend(
-                    r.duration_ms for r in timeline.runs if r.winner
-                )
-        self.task_skew = 1.0
-        if winner_durations:
-            mean = sum(winner_durations) / len(winner_durations)
-            if mean > 0:
-                self.task_skew = max(winner_durations) / mean
-        # Legacy wave model for scan work recorded without a stage: 3 equal
-        # tasks on 2 slots take 2 waves (2/3 of the total scan work
-        # elapses), not the 1.5 "waves" plain division would claim.
-        leftover_tasks = self.scan_tasks - sum(s.tasks for s in self.scan_stages)
-        leftover_ms = self.scan_work_ms - sum(s.scan_ms for s in self.scan_stages)
-        if leftover_ms > 1e-9:  # float residue from the += accumulation is not work
-            tasks = max(1, leftover_tasks)
-            waves = math.ceil(tasks / max(1, slots))
-            scan_elapsed += leftover_ms * waves / tasks
-        # Compute partitions occupy slots too; emit their attempts so the
-        # solo timeline matches the pool's run-for-run (on an idle pool the
-        # free-slot heap hands partitions 0..K-1 the identically numbered
-        # slots, all starting at scan end). Skew stays scan-only.
-        if self.compute_ms > 0:
-            start = startup_ms + self.planning_ms + scan_elapsed
-            per_partition = self.compute_ms / compute_parallelism
-            for p in range(compute_parallelism):
-                self.task_timeline.append(
-                    TaskRun(
-                        stage="compute", task=p, slot=p, start_ms=start,
-                        end_ms=start + per_partition, cost_ms=per_partition,
-                        winner=True,
-                    )
-                )
-        self.elapsed_ms = (
-            startup_ms
-            + self.planning_ms
-            + scan_elapsed
-            + self.compute_ms / compute_parallelism
+        """Slot-limited elapsed-time verdict for a statement that runs
+        alone (nested inside another job, or a regional subquery): its
+        shape as a one-job batch on a private pool of ``slots``."""
+        work = self.pool_execution(
+            slots, startup_ms, shuffle_partitions, faults, speculation
         )
+        self.apply_verdict(slot_pool.run_solo(slots, work))
 
 
 @dataclass
@@ -206,8 +196,7 @@ class QueryResult:
     # The query's span tree (repro.obs.Span) when tracing was enabled.
     trace: Any | None = None
     # The zero-duration ``scheduler.simulate`` marker span, stashed when
-    # the pool (not finalize) will produce the verdict — the job queue
-    # tags it once the shared-pool simulation settles.
+    # the job queue will settle the verdict and tag it.
     sched_span: Any | None = None
 
     @property
@@ -563,11 +552,10 @@ class QueryEngine:
         finalize: bool = True,
     ) -> QueryResult:
         """Execute a physical plan. With ``finalize=True`` (direct callers:
-        the cross-cloud planner's regional subqueries) the single-query
-        scheduler settles the elapsed-time verdict here, as it always has.
-        The job queue passes ``finalize=False``: the real work still runs,
-        but the schedulable shape is handed to the shared slot pool, which
-        produces the verdict under multi-query contention."""
+        the cross-cloud planner's regional subqueries) the statement runs
+        alone and its verdict is settled here. The job queue passes
+        ``finalize=False``: it settles the verdict itself, on the shared
+        slot pool for a queued job, alone for a nested one."""
         stats = QueryStats()
         ctx = ExecContext(
             engine=self,
@@ -577,20 +565,11 @@ class QueryEngine:
             snapshot_ms=snapshot_ms,
         )
         batches = execute_plan(plan, ctx)
-        # The scheduler runs on model time only — the span below is
-        # zero-duration on the sim clock, a marker carrying the verdict.
+        # The verdict is model time only — the span below is zero-duration
+        # on the sim clock, a marker carrying the verdict's tags.
         with self.ctx.tracer.span("scheduler.simulate", layer="scheduler") as span:
             if finalize:
-                stats.finalize(
-                    self.slots, self.ctx.costs.slot_startup_ms, self.shuffle_partitions,
-                    faults=self.ctx.faults, speculation=self.speculation,
-                )
-                if stats.task_timeline:
-                    span.set_tag("tasks", sum(s.tasks for s in stats.scan_stages))
-                    span.set_tag("task_skew", round(stats.task_skew, 4))
-                    span.set_tag("speculative", stats.speculative_count)
-        if finalize:
-            self._record_scheduler_metrics(stats)
+                self._settle_solo(stats, span)
         result = QueryResult(
             schema=plan.schema, batches=batches, stats=stats, plan_text=plan.describe()
         )
@@ -598,13 +577,28 @@ class QueryEngine:
             result.sched_span = span
         return result
 
-    def _record_scheduler_metrics(self, stats: QueryStats) -> None:
+    def _settle_solo(self, stats: QueryStats, span: Any | None) -> None:
+        """The verdict of a statement that runs alone on this engine's slots."""
+        stats.finalize(
+            self.slots, self.ctx.costs.slot_startup_ms, self.shuffle_partitions,
+            faults=self.ctx.faults, speculation=self.speculation,
+        )
+        self._record_verdict(stats, span)
+
+    def _record_verdict(self, stats: QueryStats, span: Any | None) -> None:
+        """Tag the ``scheduler.simulate`` marker (None when a cache served
+        the statement) with the verdict and bump the scheduler metrics."""
         if not stats.task_timeline:
             return
+        tasks = sum(s.tasks for s in stats.scan_stages)
+        if span is not None:
+            span.set_tag("tasks", tasks)
+            span.set_tag("task_skew", round(stats.task_skew, 4))
+            span.set_tag("speculative", stats.speculative_count)
         metrics = self.ctx.metrics
         metrics.counter(
             "repro_scheduler_tasks_total", "scan tasks placed on the simulated slot pool"
-        ).inc(sum(s.tasks for s in stats.scan_stages), engine=self.name)
+        ).inc(tasks, engine=self.name)
         if stats.speculative_count:
             metrics.counter(
                 "repro_scheduler_speculative_launched_total",

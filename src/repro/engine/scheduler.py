@@ -1,43 +1,23 @@
-"""Skew-aware slot-pool scheduler: per-task makespan on simulated time.
+"""Scheduler value types, shared by the engine and the serving layer.
 
-The scalar wave model (``elapsed = scan_work * waves / tasks``) assumed
-perfectly even task sizes — the explicitly-flagged ROADMAP gap. This module
-replaces it with a small discrete-event simulation of a Dremel-style slot
-pool, run entirely on *model* time (no sim-clock advancement, no RNG of its
-own, no wall clock), so the result is a pure, replayable function of its
-inputs:
+What a scan stage hands the slot pool and what it gets back:
+:class:`SpeculationConfig` (the backup-task policy), :class:`TaskRun` (one
+attempt on one slot — the rows of ``INFORMATION_SCHEMA.JOBS_TIMELINE``),
+:class:`StageTimeline` (one stage's makespan, skew ratio = max/mean winner
+duration, speculation counts), :func:`normalize_costs` (estimates set the
+shape, measurement the scale) and :func:`probe_slow_factors` (the
+``task.slow`` straggler draw). Everything here is model time: no sim-clock
+advance, no wall clock, and no randomness beyond the fault injector's
+seeded stream.
 
-* **Per-stage scheduling** — each scan stage brings its own per-task cost
-  estimates (per-file bytes, decode cost, cache-hit discounts from
-  :meth:`~repro.storageapi.read_api.ReadApi.estimate_task_costs`). Tasks
-  are placed LPT (longest processing time first); a slot that frees up
-  steals the next pending task, so the schedule is the classic greedy
-  list schedule. For *n* equal tasks on *s* slots the makespan reduces
-  exactly to the old wave formula ``ceil(n/s) * per_task_cost``.
-* **Stragglers** — the ``task.slow`` hazard point (see
-  :meth:`~repro.faults.FaultInjector.slowdown`) multiplies a task's cost
-  by the spec's ``factor``. Probes happen once per primary task in index
-  order, so the fault stream is independent of slot count and of whether
-  speculation is enabled.
-* **Speculative execution** — once at least ``min_completed`` tasks have
-  finished and no work is pending, any task running longer than
-  ``quantile(completed durations) * threshold_multiplier`` gets a backup
-  copy on a free slot. The backup runs at the task's healthy (un-slowed)
-  cost and does *not* re-probe the fault injector; whichever copy finishes
-  first wins and the loser is cancelled, freeing its slot. Backups only
-  ever use otherwise-idle slots, so speculation can never increase the
-  makespan.
-
-The output is a :class:`StageTimeline` per stage — makespan, skew ratio
-(max/mean winner duration), speculative launch/win counts, and the full
-:class:`TaskRun` list that feeds ``INFORMATION_SCHEMA.JOBS_TIMELINE``.
+The event loop that places tasks on slots is
+:class:`repro.serving.pool.SlotPool`; :class:`SlotScheduler` is its
+one-stage entry point.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -125,17 +105,22 @@ def duration_quantile(values: list[float], q: float) -> float:
     return ordered[min(rank, len(ordered)) - 1]
 
 
+def probe_slow_factors(faults: "FaultInjector | None", stage: str, tasks: int) -> list[float]:
+    """``task.slow`` factor per task (1.0 = healthy). One probe per task, in
+    task-index order, so the fault stream depends on neither the slot
+    count, the pool's state nor whether speculation is enabled."""
+    if faults is None:
+        return [1.0] * tasks
+    return [faults.slowdown("task.slow", stage=stage, task=i) for i in range(tasks)]
+
+
 class SlotScheduler:
-    """Deterministic greedy-LPT slot pool with stragglers and speculation.
+    """One scan stage, alone on ``slots`` slots: a one-stage, one-job batch
+    on the slot pool.
 
     ``faults`` supplies ``task.slow`` slowdown factors (None = healthy);
     ``speculation`` configures backup tasks (None = defaults, enabled).
-    The scheduler never draws randomness itself and never touches the sim
-    clock — every number is model time derived from the task costs.
     """
-
-    _FINISH = 0  # event kinds; FINISH sorts before CHECK at equal times
-    _CHECK = 1
 
     def __init__(
         self,
@@ -151,123 +136,26 @@ class SlotScheduler:
         self, stage: str, costs: list[float], start_ms: float = 0.0
     ) -> StageTimeline:
         """Schedule one stage's tasks; ``costs`` are healthy per-task costs."""
+        # Imported here: the pool builds on this module's value types.
+        from repro.serving.pool import PoolExecution, PoolStage, run_solo
+
         n = len(costs)
         if n == 0:
             return StageTimeline(stage=stage, slots=self.slots, task_count=0, makespan_ms=0.0)
-
-        # Straggler probes: once per task, in index order, independent of
-        # slot count / speculation so the fault RNG stream is stable.
-        slow = [1.0] * n
-        if self.faults is not None:
-            for i in range(n):
-                slow[i] = self.faults.slowdown("task.slow", stage=stage, task=i)
-
-        spec = self.speculation
-        # LPT on the *estimated* (healthy) cost: the scheduler does not
-        # know which tasks a fault slowed until they fail to come back.
-        pending = deque(sorted(range(n), key=lambda i: (-costs[i], i)))
-        free: list[int] = list(range(self.slots))
-        heapq.heapify(free)
-        events: list[tuple[float, int, int, object]] = []
-        seq = 0
-        runs: list[TaskRun] = []
-        primary: dict[int, TaskRun] = {}
-        backup: dict[int, TaskRun] = {}
-        done: set[int] = set()
-        completed: list[float] = []  # winner durations
-        launched = 0
-        wins = 0
-
-        def push(at_ms: float, kind: int, payload: object) -> None:
-            nonlocal seq
-            seq += 1
-            heapq.heappush(events, (at_ms, kind, seq, payload))
-
-        def launch(task: int, now: float, speculative: bool) -> None:
-            nonlocal launched
-            slot = heapq.heappop(free)
-            factor = 1.0 if speculative else slow[task]
-            cost = costs[task] * factor
-            run = TaskRun(
-                stage=stage, task=task, slot=slot, start_ms=now,
-                end_ms=now + cost, cost_ms=cost, slow_factor=factor,
-                speculative=speculative,
-            )
-            runs.append(run)
-            if speculative:
-                backup[task] = run
-                launched += 1
-            else:
-                primary[task] = run
-            push(run.end_ms, self._FINISH, run)
-
-        def assign(now: float) -> None:
-            while pending and free:
-                launch(pending.popleft(), now, speculative=False)
-
-        def threshold_ms() -> float:
-            return duration_quantile(completed, spec.quantile) * spec.threshold_multiplier
-
-        def maybe_speculate(now: float) -> None:
-            """Launch (or schedule checks for) backups of running stragglers."""
-            if not spec.enabled or pending or len(completed) < spec.min_completed:
-                return
-            limit = threshold_ms()
-            for task in sorted(primary):
-                if not free:
-                    return
-                if task in done or task in backup:
-                    continue
-                trigger = primary[task].start_ms + limit
-                if trigger <= now:
-                    launch(task, now, speculative=True)
-                else:
-                    # Re-evaluated when it fires; duplicates are no-ops.
-                    push(trigger, self._CHECK, task)
-
-        assign(start_ms)
-        while events:
-            now, kind, _, payload = heapq.heappop(events)
-            if kind == self._CHECK:
-                task = payload  # type: ignore[assignment]
-                if (
-                    spec.enabled and not pending and free
-                    and task not in done and task not in backup
-                    and len(completed) >= spec.min_completed
-                ):
-                    trigger = primary[task].start_ms + threshold_ms()
-                    if trigger <= now:
-                        launch(task, now, speculative=True)
-                    else:
-                        push(trigger, self._CHECK, task)
-                continue
-            run = payload  # type: ignore[assignment]
-            if run.cancelled or run.task in done:
-                continue  # stale finish event of a cancelled loser
-            done.add(run.task)
-            run.winner = True
-            completed.append(run.duration_ms)
-            heapq.heappush(free, run.slot)
-            if run.speculative:
-                wins += 1
-            twin = primary.get(run.task) if run.speculative else backup.get(run.task)
-            if twin is not None and twin is not run and not twin.cancelled:
-                twin.cancelled = True
-                twin.end_ms = now
-                twin.cost_ms = twin.duration_ms
-                heapq.heappush(free, twin.slot)
-            assign(now)
-            maybe_speculate(now)
-
-        makespan = max((r.end_ms for r in runs), default=start_ms) - start_ms
-        skew = 1.0
-        if completed:
-            mean = sum(completed) / len(completed)
-            skew = (max(completed) / mean) if mean > 0 else 1.0
+        slow = probe_slow_factors(self.faults, stage, n)
+        verdict = run_solo(
+            self.slots,
+            PoolExecution(
+                prelude_ms=start_ms, stages=[PoolStage(stage, costs, slow)],
+                speculation=self.speculation,
+            ),
+        )
         return StageTimeline(
-            stage=stage, slots=self.slots, task_count=n, makespan_ms=makespan,
-            skew_ratio=skew, speculative_launched=launched,
-            speculative_wins=wins, runs=runs,
+            stage=stage, slots=self.slots, task_count=n,
+            makespan_ms=max(r.end_ms for r in verdict.runs) - start_ms,
+            skew_ratio=verdict.task_skew,
+            speculative_launched=verdict.speculative_launched,
+            speculative_wins=verdict.speculative_wins, runs=verdict.runs,
         )
 
 

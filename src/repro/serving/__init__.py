@@ -1,11 +1,11 @@
-"""Concurrent multi-query serving: shared slot pool + async jobs API.
+"""Concurrent multi-query serving: the slot pool + the async jobs API.
 
-:mod:`repro.serving.pool` is the platform-level resource — one
-deterministic discrete-event :class:`SlotPool` that N in-flight queries
-draw slots from, with admission control, fair-share (or weighted
-reservation) allocation across principals, optional inter-stage overlap,
-and the same straggler/speculation semantics as the single-query
-scheduler. :mod:`repro.serving.jobs` is the BigQuery-shaped surface over
+:mod:`repro.serving.pool` is the scheduler — one deterministic
+discrete-event :class:`SlotPool` that every query's tasks are placed on:
+LPT placement with work stealing, stragglers and speculative backups, and,
+when N jobs share it, admission control, fair-share (or weighted
+reservation) allocation across principals and optional inter-stage
+overlap. :mod:`repro.serving.jobs` is the BigQuery-shaped surface over
 it: ``submit() -> QueryJob`` with ``state``/``wait()``/``cancel()``, a
 ``jobs.*`` REST facade, and the PENDING → RUNNING → terminal lifecycle
 recorded into ``INFORMATION_SCHEMA.JOBS``. :mod:`repro.serving.workload`

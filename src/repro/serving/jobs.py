@@ -1,8 +1,7 @@
 """BigQuery-style async jobs API over the shared slot pool.
 
-The query entry point of PRs 1–5 was ``QueryEngine.execute()`` — strictly
-one statement at a time, scheduler private to the query. This module
-redesigns it the way BigQuery's control plane works:
+The query entry point is asynchronous, the way BigQuery's control plane
+works, and every queued statement is scheduled on one shared pool:
 
 * :meth:`JobQueue.submit` (``jobs.insert``-shaped) parses + validates the
   statement, reserves a job id, stamps ``creation_time``, and records a
@@ -24,15 +23,14 @@ in admission order, and the pool interleaves only *model* time — so a
 seeded many-principal run replays byte-identically, chaos plans included.
 
 Statements submitted while a drain (or an inline nested execution) is in
-progress — e.g. the SELECT inside a CTAS — execute inline through the
-classic single-query path: their stats are finalized by
-:meth:`~repro.engine.engine.QueryStats.finalize` exactly as before, and
-the enclosing job passes through the pool as opaque seat occupancy.
+progress — e.g. the SELECT inside a CTAS — execute inline: each runs alone,
+as a one-job batch on a private pool
+(:meth:`~repro.engine.engine.QueryStats.finalize`), and the enclosing job
+passes through the shared pool as opaque seat occupancy.
 """
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -53,7 +51,6 @@ from repro.serving.pool import (
     PoolArrival,
     PoolExecution,
     PoolOpaque,
-    PoolStage,
     SlotPool,
 )
 from repro.sql import ast_nodes as ast
@@ -71,8 +68,9 @@ class ServingConfig:
     # Admission control: jobs concurrently drawing from the slot pool.
     max_concurrent_jobs: int = 8
     # Inter-stage overlap: a stage's tasks become runnable as soon as
-    # their input partitions land. Off by default so solo queries keep the
-    # exact single-query scheduler verdict; the serve driver turns it on.
+    # their input partitions land. Off by default, so a queued job alone on
+    # the pool gets the verdict it would get inline; the serve driver turns
+    # it on.
     inter_stage_overlap: bool = False
     # Reservation weights per principal ("user:alice" form); a principal
     # with weight 2 gets twice the slot share of weight 1 under contention.
@@ -224,7 +222,7 @@ class JobQueue:
         self._pending: list[QueryJob] = []
         self._jobs_by_id: dict[str, QueryJob] = {}
         self._depth = 0  # >0 while executing (drain or inline): nested
-        # submits run inline through the classic single-query path.
+        # submits run inline, alone.
         self._active_pool: SlotPool | None = None
         self._active_keys: dict[int, QueryJob] = {}
         self._on_admit_hooks: list[Any] = []
@@ -429,6 +427,49 @@ class JobQueue:
             return 0.0
         return metrics.get("repro_cache_bypass_total").total()
 
+    def _run_statement(self, job: QueryJob, start_ms: float) -> dict[str, Any]:
+        """Mark the job RUNNING from ``start_ms`` and run its *real* work on
+        the sim clock, under its audit job id. The outcome holds ``result``
+        (or ``error`` and its ``trace``) plus what the statement cost:
+        retries, degradation, cache bypasses, the metering baseline."""
+        engine = job.engine
+        ctx = engine.ctx
+        job.state = RUNNING
+        job.start_ms = start_ms
+        job.queue_wait_ms = start_ms - job.creation_ms
+        if job.record is not None:
+            job.record.state = RUNNING
+            job.record.start_ms = job.start_ms
+            job.record.queue_wait_ms = job.queue_wait_ms
+        counts = ctx.metering.op_counts
+        outcome: dict[str, Any] = {
+            "metering_before": (
+                ctx.metering.snapshot() if self.history is not None else None
+            ),
+        }
+        retries_before = counts.get("repro.retry", 0)
+        degraded_before = counts.get("repro.degraded", 0)
+        bypass_before = self._cache_bypass_total(ctx)
+        audit = getattr(engine.read_api, "audit", None)
+        prev_job_id = audit.current_job_id if audit is not None else ""
+        if audit is not None:
+            audit.current_job_id = job.job_id
+        try:
+            outcome["result"] = engine._execute_statement(
+                job.statement, job.principal, job.kind, job.snapshot_ms,
+                sql_text=job.cache_sql, use_query_cache=job.use_query_cache,
+            )
+        except Exception as exc:
+            outcome["error"] = exc
+            outcome["trace"] = engine._last_root if ctx.tracer.enabled else None
+        finally:
+            if audit is not None:
+                audit.current_job_id = prev_job_id
+        outcome["retry_count"] = counts.get("repro.retry", 0) - retries_before
+        outcome["degraded"] = counts.get("repro.degraded", 0) > degraded_before
+        outcome["cache_bypass"] = self._cache_bypass_total(ctx) - bypass_before
+        return outcome
+
     def _execute_for_pool(
         self,
         job: QueryJob,
@@ -441,83 +482,18 @@ class JobQueue:
         sim clock, report its schedulable shape back in model time."""
         engine = job.engine
         ctx = engine.ctx
-        job.state = RUNNING
-        job.start_ms = anchor + admitted_ms
-        job.queue_wait_ms = job.start_ms - job.creation_ms
-        if job.record is not None:
-            job.record.state = RUNNING
-            job.record.start_ms = job.start_ms
-            job.record.queue_wait_ms = job.queue_wait_ms
-        metering_before = ctx.metering.snapshot() if self.history is not None else None
-        retries_before = ctx.metering.op_counts.get("repro.retry", 0)
-        degraded_before = ctx.metering.op_counts.get("repro.degraded", 0)
-        bypass_before = self._cache_bypass_total(ctx)
-        audit = getattr(engine.read_api, "audit", None)
-        prev_job_id = audit.current_job_id if audit is not None else ""
-        if audit is not None:
-            audit.current_job_id = job.job_id
         clock_before = ctx.clock.now_ms
-        try:
-            result = engine._execute_statement(
-                job.statement, job.principal, job.kind, job.snapshot_ms,
-                sql_text=job.cache_sql, use_query_cache=job.use_query_cache,
-            )
-        except Exception as exc:
-            outcomes[key] = {
-                "error": exc,
-                "trace": engine._last_root if ctx.tracer.enabled else None,
-                "metering_before": metering_before,
-                "retry_count": ctx.metering.op_counts.get("repro.retry", 0)
-                - retries_before,
-                "degraded": ctx.metering.op_counts.get("repro.degraded", 0)
-                > degraded_before,
-                "cache_bypass": self._cache_bypass_total(ctx) - bypass_before,
-            }
+        outcome = outcomes[key] = self._run_statement(job, anchor + admitted_ms)
+        if "error" in outcome:
             return PoolOpaque(ctx.clock.now_ms - clock_before, failed=True)
-        finally:
-            if audit is not None:
-                audit.current_job_id = prev_job_id
-        outcomes[key] = {
-            "result": result,
-            "metering_before": metering_before,
-            "retry_count": ctx.metering.op_counts.get("repro.retry", 0)
-            - retries_before,
-            "degraded": ctx.metering.op_counts.get("repro.degraded", 0)
-            > degraded_before,
-            "cache_bypass": self._cache_bypass_total(ctx) - bypass_before,
-        }
         if job.kind != "select":
             # DML shells: inner statements already ran as inline jobs (and
-            # CTAS reuses the inner stats); model them as seat occupancy,
-            # exactly the serial path's timing.
+            # CTAS reuses the inner stats); model them as seat occupancy
+            # for as long as their real work took.
             return PoolOpaque(ctx.clock.now_ms - clock_before)
-        stats = result.stats
-        faults = ctx.faults
-        stages = []
-        for stage in stats.scan_stages:
-            slow = [1.0] * stage.tasks
-            if faults is not None:
-                # Same hazard point, same order as the single-query
-                # scheduler: once per task, index order — the fault RNG
-                # stream is independent of pool state.
-                for i in range(stage.tasks):
-                    slow[i] = faults.slowdown("task.slow", stage=stage.stage, task=i)
-            stages.append(PoolStage(stage.stage, list(stage.task_costs), slow))
-        # Legacy wave model for stage-less scan work (ML batch scoring).
-        leftover_tasks = stats.scan_tasks - sum(s.tasks for s in stats.scan_stages)
-        leftover_ms = stats.scan_work_ms - sum(s.scan_ms for s in stats.scan_stages)
-        tail_ms = 0.0
-        if leftover_ms > 1e-9:
-            tasks = max(1, leftover_tasks)
-            waves = math.ceil(tasks / max(1, engine.slots))
-            tail_ms = leftover_ms * waves / tasks
-        return PoolExecution(
-            prelude_ms=ctx.costs.slot_startup_ms + stats.planning_ms,
-            stages=stages,
-            tail_ms=tail_ms,
-            compute_ms=stats.compute_ms,
-            compute_tasks=max(1, min(engine.slots, engine.shuffle_partitions)),
-            speculation=engine.speculation,
+        return outcome["result"].stats.pool_execution(
+            engine.slots, ctx.costs.slot_startup_ms, engine.shuffle_partitions,
+            ctx.faults, engine.speculation,
         )
 
     # -- terminal transitions -----------------------------------------------
@@ -540,57 +516,34 @@ class JobQueue:
                 job.queue_wait_ms = verdict.queue_wait_ms
             self._finish_cancelled(job, end_abs=end_abs)
             return
-        if verdict.state == "failed":
+        if verdict.state == "done" and job.kind == "select":
+            result = outcome["result"]
+            result.stats.apply_verdict(verdict)
+            job.engine._record_verdict(result.stats, result.sched_span)
+        self._finish(job, outcome, end_abs)
+
+    def _finish(self, job: QueryJob, outcome: dict[str, Any], end_ms: float) -> None:
+        """Terminal transition of a job whose statement ran: FAILED with its
+        error, or SUCCEEDED with the (already settled) result."""
+        job.end_ms = end_ms
+        costs = {
+            key: outcome[key] for key in ("metering_before", "retry_count", "degraded")
+        }
+        if "error" in outcome:
             exc = outcome["error"]
             job.state = FAILED
             job._error = exc
-            job.end_ms = end_abs
             self._record_terminal(
-                job,
-                error=str(exc),
-                exc=exc,
-                trace=outcome.get("trace"),
-                metering_before=outcome.get("metering_before"),
-                retry_count=outcome.get("retry_count", 0),
-                degraded=outcome.get("degraded", False),
+                job, error=str(exc), exc=exc, trace=outcome["trace"], **costs
             )
             return
-        # Success: graft the pool verdict onto the query stats (the moral
-        # equivalent of QueryStats.finalize, with pool-level contention).
         result = outcome["result"]
-        engine = job.engine
-        stats = result.stats
-        if job.kind == "select":
-            stats.shuffle_partitions = engine.shuffle_partitions
-            stats.compute_parallelism = max(
-                1, min(engine.slots, engine.shuffle_partitions)
-            )
-            stats.slot_ms = stats.planning_ms + stats.scan_work_ms + stats.compute_ms
-            stats.elapsed_ms = verdict.elapsed_ms
-            stats.task_timeline = list(verdict.runs)
-            stats.task_skew = verdict.task_skew
-            stats.speculative_count = verdict.speculative_launched
-            stats.speculative_wins = verdict.speculative_wins
-            span = getattr(result, "sched_span", None)
-            if span is not None and stats.task_timeline:
-                span.set_tag("tasks", sum(s.tasks for s in stats.scan_stages))
-                span.set_tag("task_skew", round(stats.task_skew, 4))
-                span.set_tag("speculative", stats.speculative_count)
-            engine._record_scheduler_metrics(stats)
-        stats.retry_count = outcome.get("retry_count", 0)
-        stats.degraded = outcome.get("degraded", False)
+        result.stats.retry_count = outcome["retry_count"]
+        result.stats.degraded = outcome["degraded"]
         job.state = SUCCEEDED
-        job.end_ms = end_abs
         job._result = result
         self._observe_query_metrics(job, result)
-        self._record_terminal(
-            job,
-            result=result,
-            trace=result.trace,
-            metering_before=outcome.get("metering_before"),
-            retry_count=stats.retry_count,
-            degraded=stats.degraded,
-        )
+        self._record_terminal(job, result=result, trace=result.trace, **costs)
 
     def _finish_cancelled(self, job: QueryJob, end_abs: float) -> None:
         job._error = None
@@ -628,79 +581,17 @@ class JobQueue:
     # -- inline (nested / blocking) execution --------------------------------
 
     def _run_inline(self, job: QueryJob) -> None:
-        """Execute one job through the classic single-query path — used for
-        statements submitted while a drain or another execution is already
-        on the stack (CTAS/INSERT..SELECT inner queries). The stats are
-        finalized by ``QueryStats.finalize`` exactly as pre-redesign."""
+        """Execute one job alone, now — used for statements submitted while
+        a drain or another execution is already on the stack (CTAS /
+        INSERT..SELECT inner queries). Sequential by construction: no
+        queue wait, and the job ends where the sim clock stands."""
         engine = job.engine
-        ctx = engine.ctx
-        start_ms = ctx.clock.now_ms
-        job.state = RUNNING
-        job.start_ms = start_ms
-        if job.record is not None:
-            job.record.state = RUNNING
-            job.record.start_ms = start_ms
-        metering_before = ctx.metering.snapshot() if self.history is not None else None
-        retries_before = ctx.metering.op_counts.get("repro.retry", 0)
-        degraded_before = ctx.metering.op_counts.get("repro.degraded", 0)
-        audit = getattr(engine.read_api, "audit", None)
-        prev_job_id = audit.current_job_id if audit is not None else ""
-        if audit is not None:
-            audit.current_job_id = job.job_id
-        try:
-            result = engine._execute_statement(
-                job.statement, job.principal, job.kind, job.snapshot_ms,
-                sql_text=job.cache_sql, use_query_cache=job.use_query_cache,
-            )
-        except Exception as exc:
-            job.state = FAILED
-            job._error = exc
-            job.end_ms = ctx.clock.now_ms
-            self._record_terminal(
-                job,
-                error=str(exc),
-                exc=exc,
-                trace=engine._last_root if ctx.tracer.enabled else None,
-                metering_before=metering_before,
-                retry_count=ctx.metering.op_counts.get("repro.retry", 0)
-                - retries_before,
-                degraded=ctx.metering.op_counts.get("repro.degraded", 0)
-                > degraded_before,
-            )
-            return
-        finally:
-            if audit is not None:
-                audit.current_job_id = prev_job_id
-        if job.kind == "select":
-            stats = result.stats
-            span = getattr(result, "sched_span", None)
-            stats.finalize(
-                engine.slots, ctx.costs.slot_startup_ms, engine.shuffle_partitions,
-                faults=ctx.faults, speculation=engine.speculation,
-            )
-            if span is not None and stats.task_timeline:
-                span.set_tag("tasks", sum(s.tasks for s in stats.scan_stages))
-                span.set_tag("task_skew", round(stats.task_skew, 4))
-                span.set_tag("speculative", stats.speculative_count)
-            engine._record_scheduler_metrics(stats)
-        result.stats.retry_count = (
-            ctx.metering.op_counts.get("repro.retry", 0) - retries_before
-        )
-        result.stats.degraded = (
-            ctx.metering.op_counts.get("repro.degraded", 0) > degraded_before
-        )
-        job.state = SUCCEEDED
-        job.end_ms = ctx.clock.now_ms
-        job._result = result
-        self._observe_query_metrics(job, result)
-        self._record_terminal(
-            job,
-            result=result,
-            trace=result.trace,
-            metering_before=metering_before,
-            retry_count=result.stats.retry_count,
-            degraded=result.stats.degraded,
-        )
+        clock = engine.ctx.clock
+        outcome = self._run_statement(job, clock.now_ms)
+        if job.kind == "select" and "result" in outcome:
+            result = outcome["result"]
+            engine._settle_solo(result.stats, result.sched_span)
+        self._finish(job, outcome, clock.now_ms)
 
     # -- history ------------------------------------------------------------
 

@@ -1,15 +1,13 @@
-"""Shared slot pool: a multi-job discrete-event scheduler on model time.
+"""The slot pool: the one discrete-event scheduler, on model time.
 
-PR 5's :class:`~repro.engine.scheduler.SlotScheduler` simulates one query's
-scan stages over a private pool. This module promotes that simulation to a
-*platform* resource: N in-flight jobs draw tasks from one pool of ``slots``
-execution slots behind an admission-control gate, the way BigQuery serves
-many principals' queries against one reservation.
+N in-flight jobs draw tasks from one pool of ``slots`` execution slots
+behind an admission-control gate, the way BigQuery serves many principals'
+queries against one reservation; a query that runs alone is a one-job
+batch (:func:`run_solo`).
 
-The pool is a pure model: like the per-query scheduler it never touches
-the sim clock, never draws randomness (straggler factors are probed by the
-caller and passed in), and is a replayable function of its inputs. The
-building blocks:
+The pool is a pure model: it never touches the sim clock, never draws
+randomness (straggler factors are probed by the caller and passed in), and
+is a replayable function of its inputs. The building blocks:
 
 * **Arrivals + admission control** — jobs arrive at submit-time offsets;
   at most ``max_concurrent_jobs`` occupy the pool at once. When a seat
@@ -21,23 +19,22 @@ building blocks:
   weighted slot-time consumed so far (``ServingConfig.weights`` expresses
   reservations: weight 2 ≈ twice the slot share under contention).
 * **Per-job structure** — each admitted job contributes a serial *prelude*
-  (slot startup + planning), its scan stages (LPT task lists with
-  pre-probed straggler factors), an optional stage-less *tail* (legacy
-  wave-model work), and a *compute* phase split over
+  (slot startup + planning), its scan stages, an optional stage-less
+  *tail* (uniform-wave work), and a *compute* phase split over
   ``min(slots, shuffle_partitions)`` partitions.
-* **Inter-stage overlap** — off (default) a job's stages run in sequence,
-  exactly reproducing the single-query scheduler; on, every scan stage's
-  tasks become runnable at prelude end and compute partition ``p`` starts
-  as soon as the scan tasks feeding it (task index ≡ p mod K, per stage)
-  have landed, not when the whole prior stage drains.
-* **Speculation** — identical policy to the single-query scheduler, with
-  the "no pending work" condition widened to the whole pool: backups only
-  ever use slots no job has runnable work for, so they still never hurt.
-
-A solo job on an otherwise-empty pool reproduces the single-query
-scheduler verdict exactly — task for task, slot for slot — which is what
-keeps every pre-existing single-query result unchanged by the redesign
-(and is pinned by a test).
+* **Task placement** — a stage's tasks are placed LPT (longest healthy
+  estimate first) and a freed slot steals the next pending one: the greedy
+  list schedule, ``ceil(n/s) * cost`` for *n* equal tasks on *s* slots. A
+  straggler's pre-probed slow factor stretches its primary attempt only.
+* **Inter-stage overlap** — off (default) a job's stages run in sequence;
+  on, every scan stage's tasks become runnable at prelude end and compute
+  partition ``p`` starts as soon as the scan tasks feeding it (task index
+  ≡ p mod K, per stage) have landed, not when the whole prior stage drains.
+* **Speculation** — once ``min_completed`` of a stage's tasks have finished
+  and no job has runnable work, a task running longer than
+  ``quantile(completed durations) * threshold_multiplier`` gets a backup at
+  its healthy cost on a free slot; the first copy to finish wins, the
+  loser is cancelled. Backups only use idle slots, so they never hurt.
 """
 
 from __future__ import annotations
@@ -133,7 +130,8 @@ class _StageState:
         self.costs = stage.costs
         self.slow = stage.slow
         self.n = len(stage.costs)
-        # LPT on the healthy estimate, same order as SlotScheduler.
+        # LPT on the healthy estimate: a slow task is only known to be slow
+        # once it fails to come back.
         self.pending: deque[int] = deque(
             sorted(range(self.n), key=lambda i: (-stage.costs[i], i))
         )
@@ -660,3 +658,10 @@ class SlotPool:
             self._launch_scan(job, stage, task, now, True)
         else:
             self._push(trigger, _CHECK, (job, stage, task))
+
+
+def run_solo(slots: int, work: PoolExecution) -> JobVerdict:
+    """The verdict of a job that has the pool to itself: one arrival at
+    t = 0, so its times are at once pool offsets and job-relative."""
+    pool = SlotPool(slots, max_concurrent_jobs=1)
+    return pool.run([PoolArrival(0, "", 0.0)], lambda key, admitted_ms: work)[0]

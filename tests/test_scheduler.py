@@ -22,6 +22,7 @@ from repro.engine.scheduler import (
 )
 from repro.faults import FaultPlan, FaultSpec
 from repro.simtime import SimContext
+from tests.reference_scheduler import attempt_facts
 
 NO_SPEC = SpeculationConfig(enabled=False)
 
@@ -259,3 +260,143 @@ class TestPerStageFinalize:
         # Stage b starts after stage a's makespan, offset by startup.
         stage_b = [r for r in stats.task_timeline if r.stage == "b"]
         assert stage_b[0].start_ms == pytest.approx(5.0 + 20.0)
+
+
+def _pin_stats(planning, stages, compute, extra_ms=0.0, extra_tasks=0):
+    stats = QueryStats()
+    stats.planning_ms = planning
+    stats.compute_ms = compute
+    stats.scan_stages = [StageScan(name, sum(costs), list(costs)) for name, costs in stages]
+    stats.scan_work_ms = sum(sum(costs) for _, costs in stages) + extra_ms
+    stats.scan_tasks = sum(len(costs) for _, costs in stages) + extra_tasks
+    return stats
+
+
+_PIN_STAGES = [
+    ("orders", [12.3, 4.1, 9.7, 2.2, 7.9, 1.3]),
+    ("lineitem", [4.4, 4.4, 9.1]),
+]
+# Whole-job verdicts of ``QueryStats.finalize`` as the per-stage scheduler
+# produced them (captured at 9c8522e, before a solo query became a one-job
+# batch on the slot pool). Timeline rows are ``attempt_facts`` tuples:
+# (stage, task, slot, speculative, winner, cancelled, start_ms, end_ms,
+# cost_ms, slow_factor).
+_PINS = {
+    'two_stages_and_compute': dict(
+        elapsed_ms=79.43333333333332, slot_ms=72.1, task_skew=1.998194945848375,
+        speculative_count=3, speculative_wins=0,
+        compute_parallelism=3,
+        timeline=[
+            ('orders', 0, 0, False, True, False, 53.7, 66.0, 12.3, 1.0),
+            ('orders', 2, 1, False, True, False, 53.7, 63.400000000000006, 9.7, 1.0),
+            ('orders', 4, 2, False, True, False, 53.7, 61.6, 7.9, 1.0),
+            ('orders', 1, 3, False, True, False, 53.7, 57.800000000000004, 4.1, 1.0),
+            ('orders', 3, 3, False, True, False, 57.800000000000004, 60.00000000000001, 2.2, 1.0),
+            ('orders', 5, 3, False, True, False, 60.00000000000001, 61.300000000000004, 1.3, 1.0),
+            ('orders', 0, 3, True, False, True, 61.300000000000004, 66.0, 4.699999999999996, 1.0),
+            ('orders', 2, 2, True, False, True, 61.6, 63.400000000000006, 1.8000000000000043, 1.0),
+            ('lineitem', 2, 0, False, True, False, 66.0, 75.1, 9.1, 1.0),
+            ('lineitem', 0, 1, False, True, False, 66.0, 70.4, 4.4, 1.0),
+            ('lineitem', 1, 2, False, True, False, 66.0, 70.4, 4.4, 1.0),
+            ('lineitem', 2, 1, True, False, True, 72.60000000000001, 75.1, 2.499999999999986, 1.0),
+            ('compute', 0, 0, False, True, False, 75.1, 79.43333333333332, 4.333333333333333, 1.0),
+            ('compute', 1, 1, False, True, False, 75.1, 79.43333333333332, 4.333333333333333, 1.0),
+            ('compute', 2, 2, False, True, False, 75.1, 79.43333333333332, 4.333333333333333, 1.0),
+        ],
+    ),
+    'stage_less_tail': dict(
+        elapsed_ms=27.450000000000003, slot_ms=32.900000000000006, task_skew=1.0,
+        speculative_count=0, speculative_wins=0,
+        compute_parallelism=2,
+        timeline=[
+            ('compute', 0, 0, False, True, False, 27.1, 27.450000000000003, 0.35, 1.0),
+            ('compute', 1, 1, False, True, False, 27.1, 27.450000000000003, 0.35, 1.0),
+        ],
+    ),
+    'no_compute': dict(
+        elapsed_ms=22.9, slot_ms=55.99999999999999, task_skew=1.9981949458483754,
+        speculative_count=2, speculative_wins=0,
+        compute_parallelism=3,
+        timeline=[
+            ('orders', 0, 0, False, True, False, 0.6, 12.9, 12.3, 1.0),
+            ('orders', 2, 1, False, True, False, 0.6, 10.299999999999999, 9.7, 1.0),
+            ('orders', 4, 2, False, True, False, 0.6, 8.5, 7.9, 1.0),
+            ('orders', 1, 2, False, True, False, 8.5, 12.6, 4.1, 1.0),
+            ('orders', 3, 1, False, True, False, 10.299999999999999, 12.5, 2.2, 1.0),
+            ('orders', 5, 1, False, True, False, 12.5, 13.8, 1.3, 1.0),
+            ('orders', 0, 2, True, False, True, 12.6, 12.9, 0.3000000000000007, 1.0),
+            ('lineitem', 2, 0, False, True, False, 13.8, 22.9, 9.1, 1.0),
+            ('lineitem', 0, 1, False, True, False, 13.8, 18.200000000000003, 4.4, 1.0),
+            ('lineitem', 1, 2, False, True, False, 13.8, 18.200000000000003, 4.4, 1.0),
+            ('lineitem', 2, 1, True, False, True, 20.400000000000006, 22.9, 2.499999999999993, 1.0),
+        ],
+    ),
+    'stragglers': dict(
+        elapsed_ms=129.8, slot_ms=72.1, task_skew=2.8319427890345654,
+        speculative_count=3, speculative_wins=3,
+        compute_parallelism=4,
+        timeline=[
+            ('orders', 0, 0, False, False, True, 53.7, 77.85, 24.14999999999999, 6.0),
+            ('orders', 2, 1, False, False, True, 53.7, 77.50000000000001, 23.80000000000001, 6.0),
+            ('orders', 4, 2, False, True, False, 53.7, 61.6, 7.9, 1.0),
+            ('orders', 1, 3, False, True, False, 53.7, 57.800000000000004, 4.1, 1.0),
+            ('orders', 3, 3, False, True, False, 57.800000000000004, 60.00000000000001, 2.2, 1.0),
+            ('orders', 5, 3, False, True, False, 60.00000000000001, 67.80000000000001, 7.800000000000001, 6.0),
+            ('orders', 0, 2, True, True, False, 65.55, 77.85, 12.3, 1.0),
+            ('orders', 2, 3, True, True, False, 67.80000000000001, 77.50000000000001, 9.7, 1.0),
+            ('lineitem', 2, 0, False, False, True, 77.85, 126.55, 48.7, 6.0),
+            ('lineitem', 0, 1, False, True, False, 77.85, 104.25, 26.400000000000002, 6.0),
+            ('lineitem', 1, 2, False, True, False, 77.85, 82.25, 4.4, 1.0),
+            ('lineitem', 2, 1, True, True, False, 117.45, 126.55, 9.1, 1.0),
+            ('compute', 0, 0, False, True, False, 126.55, 129.8, 3.25, 1.0),
+            ('compute', 1, 1, False, True, False, 126.55, 129.8, 3.25, 1.0),
+            ('compute', 2, 2, False, True, False, 126.55, 129.8, 3.25, 1.0),
+            ('compute', 3, 3, False, True, False, 126.55, 129.8, 3.25, 1.0),
+        ],
+    ),
+}
+
+
+class TestFinalizePins:
+    """``QueryStats.finalize`` reproduces the pinned verdicts bit for bit."""
+
+    def check(self, name, stats, **kwargs):
+        stats.finalize(**kwargs)
+        pin = _PINS[name]
+        assert stats.elapsed_ms == pin["elapsed_ms"]
+        assert stats.slot_ms == pin["slot_ms"]
+        assert stats.task_skew == pin["task_skew"]
+        assert stats.speculative_count == pin["speculative_count"]
+        assert stats.speculative_wins == pin["speculative_wins"]
+        assert stats.compute_parallelism == pin["compute_parallelism"]
+        assert [attempt_facts(r) for r in stats.task_timeline] == pin["timeline"]
+
+    def test_two_stages_and_compute(self):
+        self.check(
+            "two_stages_and_compute", _pin_stats(3.7, _PIN_STAGES, 13.0),
+            slots=4, startup_ms=50.0, shuffle_partitions=3,
+        )
+
+    def test_stage_less_wave_tail(self):
+        # 3 stage-less tasks on 2 slots: two waves, 2/3 of 30.3 ms elapse.
+        self.check(
+            "stage_less_tail",
+            _pin_stats(1.9, [], 0.7, extra_ms=30.3, extra_tasks=3),
+            slots=2, startup_ms=5.0,
+        )
+
+    def test_no_compute(self):
+        self.check(
+            "no_compute", _pin_stats(0.6, _PIN_STAGES, 0.0), slots=3, startup_ms=0.0
+        )
+
+    def test_stragglers_with_winning_backups(self):
+        assert _PINS["stragglers"]["speculative_wins"] >= 1
+        self.check(
+            "stragglers", _pin_stats(3.7, _PIN_STAGES, 13.0),
+            slots=4, startup_ms=50.0, shuffle_partitions=8,
+            faults=injector(
+                FaultSpec(op="task.slow", rate=0.4, factor=6.0), seed=3
+            ),
+            speculation=SpeculationConfig(),
+        )

@@ -16,13 +16,18 @@ import json
 
 import pytest
 
+from repro import Cloud, DataType, MetadataCacheMode, Region, Schema, batch_from_pydict
 from repro.core.platform import LakehousePlatform, PlatformConfig
 from repro.errors import AnalysisError, JobCancelledError, NotFoundError
+from repro.faults import FaultPlan
 from repro.security.iam import Role
 from repro.serving.jobs import ServingConfig
 from repro.serving.workload import run_serve
+from repro.sql.parser import parse_statement
+from repro.storageapi.fileutil import write_data_file
 
 from tests.helpers import make_platform, setup_sales_lake
+from tests.reference_scheduler import attempt_facts
 
 SALES_SQL = (
     "SELECT region, SUM(amount) AS total FROM ds.sales "
@@ -287,3 +292,111 @@ class TestSeededReplay:
         assert [j["creation_ms"] for j in a["jobs"]] != [
             j["creation_ms"] for j in b["jobs"]
         ]
+
+
+STRAGGLERS = ["task.slow:rate=0.4:factor=6"]
+AWS = Region(Cloud.AWS, "us-east-1")
+ORDERS = Schema.of(
+    ("order_id", DataType.INT64),
+    ("customer_id", DataType.INT64),
+    ("order_total", DataType.FLOAT64),
+)
+ORDERS_SQL = (
+    "SELECT customer_id, SUM(order_total) AS total "
+    "FROM aws_dataset.customer_orders WHERE order_total > 150 GROUP BY customer_id"
+)
+
+
+def verdict_facts(timeline, *rest):
+    return (
+        [attempt_facts(r) for r in timeline],
+        sum(r.speculative and r.winner for r in timeline),
+        *rest,
+    )
+
+
+def next_probes(platform):
+    """What the fault stream hands out next: equal lists mean the two
+    platforms have consumed their (same-seed) RNGs identically."""
+    return [
+        platform.ctx.faults.slowdown("task.slow", stage="probe", task=i)
+        for i in range(8)
+    ]
+
+
+class TestInlineMatchesPooled:
+    """A statement that runs inline — nested in another job, or a regional
+    subquery — gets the verdict the same statement gets as a queued job
+    alone on the shared pool, and draws the same straggler factors."""
+
+    def sales_platform(self):
+        platform, admin = make_platform()
+        setup_sales_lake(platform, admin, files=12)
+        platform.ctx.faults.install(FaultPlan.parse(STRAGGLERS, seed=3))
+        return platform, admin
+
+    def test_ctas_inner_select_matches_top_level_select(self):
+        nested, admin = self.sales_platform()
+        nested.home_engine.execute(f"CREATE TABLE ds.copy AS {SALES_SQL}", admin)
+        inner = [r for r in nested.history.jobs() if r.kind == "select"][-1]
+        queued, admin = self.sales_platform()
+        queued.home_engine.execute(SALES_SQL, admin)
+        top = queued.history.last
+        assert inner.job_id != top.job_id  # the inner SELECT is its own job
+        assert inner.speculative_count >= 1  # a backup launched
+        for record in (inner, top):
+            assert record.state == "SUCCEEDED" and record.queue_wait_ms == 0.0
+        assert verdict_facts(
+            inner.task_timeline, inner.total_ms, inner.speculative_count,
+            inner.task_skew,
+        ) == verdict_facts(
+            top.task_timeline, top.total_ms, top.speculative_count, top.task_skew
+        )
+        assert next_probes(nested) == next_probes(queued)
+
+    def orders_platform(self):
+        platform, admin = make_platform()
+        platform.omni.deploy_region(AWS)
+        s3 = platform.stores.store_for(AWS.location)
+        s3.create_bucket("orders-s3")
+        conn = platform.connections.create_connection("aws.orders")
+        platform.connections.grant_lake_access(conn, "orders-s3")
+        platform.iam.grant("connections/aws.orders", Role.CONNECTION_USER, admin)
+        for f in range(10):
+            rows = {
+                "order_id": list(range(f * 60, (f + 1) * 60)),
+                "customer_id": [i % 25 for i in range(60)],
+                "order_total": [float(i) * 2 * (f + 1) for i in range(60)],
+            }
+            write_data_file(
+                s3, "orders-s3", f"orders/part-{f}.pqs", ORDERS,
+                [batch_from_pydict(ORDERS, rows)],
+            )
+        platform.catalog.create_dataset("aws_dataset")
+        platform.tables.create_biglake_table(
+            admin, "aws_dataset", "customer_orders", ORDERS,
+            "orders-s3", "orders", "aws.orders",
+            cache_mode=MetadataCacheMode.AUTOMATIC,
+        )
+        platform.ctx.faults.install(FaultPlan.parse(STRAGGLERS, seed=3))
+        return platform, admin, platform.engine_in(AWS.location)
+
+    def test_regional_subquery_matches_queued_select(self):
+        # The cross-cloud planner runs each regional subquery through
+        # ``_run_plan`` on the remote engine, which settles the verdict alone.
+        direct, admin, engine = self.orders_platform()
+        subquery = engine._run_plan(engine.plan(parse_statement(ORDERS_SQL)), admin)
+        queued, admin, engine = self.orders_platform()
+        select = engine.execute(ORDERS_SQL, admin)
+        assert subquery.rows() == select.rows()
+        assert subquery.stats.speculative_count >= 1  # a backup launched
+        assert verdict_facts(
+            subquery.stats.task_timeline, subquery.stats.elapsed_ms,
+            subquery.stats.speculative_count, subquery.stats.speculative_wins,
+            subquery.stats.task_skew,
+        ) == verdict_facts(
+            select.stats.task_timeline, select.stats.elapsed_ms,
+            select.stats.speculative_count, select.stats.speculative_wins,
+            select.stats.task_skew,
+        )
+        assert next_probes(direct) == next_probes(queued)

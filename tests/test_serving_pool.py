@@ -2,17 +2,21 @@
 
 The pool is a pure model — a replayable function of its arrival batch —
 so these tests drive it directly with synthetic job shapes: the solo-job
-equivalence against :class:`~repro.engine.scheduler.SlotScheduler`
-(the invariant that keeps every pre-existing single-query result
-unchanged), admission control and fair-share ordering, weighted slot
-sharing, inter-stage overlap gating, and cancellation of queued vs
-running jobs at the pool level.
+equivalence against the single-stage reference loop in
+``tests/reference_scheduler.py`` (a job alone on the pool gets that
+loop's verdict, attempt for attempt and bit for bit), admission control
+and fair-share ordering, weighted slot sharing, inter-stage overlap
+gating, and cancellation of queued vs running jobs at the pool level.
 """
 
 from __future__ import annotations
 
-import pytest
+from dataclasses import dataclass, field
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.engine.engine import QueryStats, StageScan
 from repro.engine.scheduler import SlotScheduler, SpeculationConfig
 from repro.faults import FaultPlan
 from repro.serving.pool import (
@@ -23,6 +27,11 @@ from repro.serving.pool import (
     SlotPool,
 )
 from repro.simtime import SimContext
+from tests.reference_scheduler import (
+    ReferenceScheduler,
+    attempt_facts,
+    reference_job,
+)
 
 SLOTS = 4
 STAGE1 = [5.0, 3.0, 8.0, 2.0, 7.0, 1.0]
@@ -31,8 +40,8 @@ STRAGGLERS = ["task.slow:rate=0.4:factor=6"]
 
 
 def probe_factors(plan, seed, shapes):
-    """Replay the straggler probes the jobs-API layer performs: one per
-    task, stage order, index order, on a fresh same-seed injector."""
+    """Replay the straggler probes the engine performs: one per task,
+    stage order, index order, on a fresh same-seed injector."""
     ctx = SimContext()
     ctx.faults.install(FaultPlan.parse(plan, seed=seed))
     return [
@@ -52,92 +61,225 @@ def run_solo(pool: SlotPool, work, arrival_ms: float = 0.0):
     return verdicts[0]
 
 
+class ScriptedFaults:
+    """Stands in for the fault injector: hands back pre-drawn ``task.slow``
+    factors and counts the probes."""
+
+    def __init__(self, slow: dict[str, list[float]]) -> None:
+        self.slow = slow
+        self.probes: list[tuple[str, int]] = []
+
+    def slowdown(self, op: str, *, stage: str, task: int) -> float:
+        assert op == "task.slow"
+        self.probes.append((stage, task))
+        return self.slow[stage][task]
+
+
+@dataclass
+class SoloJob:
+    """One job shape, in the terms both the pool and the reference take."""
+
+    slots: int
+    prelude_ms: float = 0.0
+    stages: list[tuple[str, list[float]]] = field(default_factory=list)
+    slow: dict[str, list[float]] = field(default_factory=dict)
+    tail_ms: float = 0.0
+    compute_ms: float = 0.0
+    compute_tasks: int = 1
+    speculation: SpeculationConfig = field(default_factory=SpeculationConfig)
+
+    def execution(self) -> PoolExecution:
+        return PoolExecution(
+            prelude_ms=self.prelude_ms,
+            stages=[
+                PoolStage(name, costs, self.slow[name]) for name, costs in self.stages
+            ],
+            tail_ms=self.tail_ms,
+            compute_ms=self.compute_ms,
+            compute_tasks=self.compute_tasks,
+            speculation=self.speculation,
+        )
+
+    def reference(self) -> dict:
+        return reference_job(
+            self.slots, self.prelude_ms, self.stages, self.tail_ms,
+            self.compute_ms, self.compute_tasks,
+            faults=ScriptedFaults(self.slow), speculation=self.speculation,
+        )
+
+
+# Quarter-millisecond grid: every sum, product and difference the two
+# schedulers form is then exact in binary floating point, so ``==`` compares
+# the algorithms and not the order in which they happen to add.
+quarters = st.integers(0, 400).map(lambda q: q / 4)
+
+
+@st.composite
+def solo_jobs(draw, stragglers: bool, offset_safe: bool = False):
+    """``offset_safe`` keeps ``compute_ms / compute_tasks`` on the grid too
+    (a power-of-two split), for jobs admitted at a non-zero pool offset:
+    the verdict subtracts that offset back out of every time."""
+    slots = draw(st.integers(1, 8))
+    factors = st.sampled_from([1.0, 2.0, 6.0]) if stragglers else st.just(1.0)
+    stages, slow = [], {}
+    for k in range(draw(st.integers(0, 3))):
+        costs = draw(st.lists(quarters, max_size=12))
+        if not costs:
+            continue  # the engine never records a stage without a task
+        stages.append((f"s{k}", costs))
+        slow[f"s{k}"] = draw(
+            st.lists(factors, min_size=len(costs), max_size=len(costs))
+        )
+    speculation = SpeculationConfig(
+        enabled=draw(st.booleans()),
+        quantile=draw(st.sampled_from([0.0, 0.5, 0.75, 1.0])),
+        threshold_multiplier=draw(st.sampled_from([1.0, 1.5, 2.0])),
+        min_completed=draw(st.integers(1, 4)),
+    )
+    partitions = min(slots, draw(st.integers(1, 8)))
+    if offset_safe:
+        partitions = 1 << (partitions.bit_length() - 1)
+    return SoloJob(
+        slots=slots,
+        prelude_ms=draw(quarters),
+        stages=stages,
+        slow=slow,
+        tail_ms=draw(st.one_of(st.just(0.0), quarters)),
+        compute_ms=draw(st.one_of(st.just(0.0), quarters)),
+        compute_tasks=partitions,
+        speculation=speculation,
+    )
+
+
+def assert_solo_matches_reference(job: SoloJob, arrival_ms: float = 0.0):
+    """The pool's verdict for ``job`` alone == the reference's, exactly."""
+    verdict = run_solo(SlotPool(slots=job.slots), job.execution(), arrival_ms)
+    expected = job.reference()
+    assert verdict.state == "done"
+    assert verdict.admitted_ms == arrival_ms and verdict.queue_wait_ms == 0.0
+    assert verdict.elapsed_ms == expected["elapsed_ms"]
+    assert [attempt_facts(r) for r in verdict.runs] == [
+        attempt_facts(r) for r in expected["runs"]
+    ]
+    assert verdict.speculative_launched == expected["speculative_launched"]
+    assert verdict.speculative_wins == expected["speculative_wins"]
+    assert verdict.task_skew == expected["task_skew"]
+    return verdict
+
+
+HEALTHY = SoloJob(
+    slots=SLOTS, prelude_ms=10.0, stages=[("s1", STAGE1), ("s2", STAGE2)],
+    slow={"s1": [1.0] * len(STAGE1), "s2": [1.0] * len(STAGE2)},
+    compute_ms=12.0, compute_tasks=3,
+)
+SEEDED = SoloJob(
+    slots=SLOTS, prelude_ms=10.0, stages=[("s1", STAGE1), ("s2", STAGE2)],
+    slow=dict(
+        zip(
+            ("s1", "s2"),
+            probe_factors(STRAGGLERS, 3, [("s1", STAGE1), ("s2", STAGE2)]),
+        )
+    ),
+)
+TAIL_ONLY = SoloJob(
+    slots=SLOTS, prelude_ms=5.0, tail_ms=20.0, compute_ms=8.0, compute_tasks=2
+)
+
+
 class TestSoloEquivalence:
-    """A solo job on an empty pool == the single-query scheduler verdict."""
+    """A solo job on an empty pool == the reference scheduler's verdict."""
 
-    def test_healthy_solo_job_matches_scheduler(self):
-        sched = SlotScheduler(SLOTS, speculation=SpeculationConfig())
-        t1 = sched.run_stage("s1", STAGE1)
-        t2 = sched.run_stage("s2", STAGE2)
-        verdict = run_solo(
-            SlotPool(slots=SLOTS),
-            PoolExecution(
-                prelude_ms=10.0,
-                stages=[
-                    PoolStage("s1", STAGE1, [1.0] * len(STAGE1)),
-                    PoolStage("s2", STAGE2, [1.0] * len(STAGE2)),
-                ],
-                compute_ms=12.0,
-                compute_tasks=3,
-            ),
-        )
-        assert verdict.state == "done"
-        assert verdict.elapsed_ms == pytest.approx(
-            10.0 + t1.makespan_ms + t2.makespan_ms + 12.0 / 3
-        )
+    @settings(max_examples=150, deadline=None)
+    @given(job=solo_jobs(stragglers=False))
+    @example(job=HEALTHY)
+    def test_healthy_solo_job_matches_scheduler(self, job):
+        verdict = assert_solo_matches_reference(job)
+        if job is HEALTHY:
+            assert verdict.elapsed_ms == 10.0 + 8.0 + 9.0 + 12.0 / 3
 
-    def test_straggler_and_speculation_timeline_matches_scheduler(self):
-        spec = SpeculationConfig()
-        shapes = [("s1", STAGE1), ("s2", STAGE2)]
-        # Scheduler probes its own injector; give the pool the identical
-        # factor stream from a fresh injector with the same seed.
-        ctx = SimContext()
-        ctx.faults.install(FaultPlan.parse(STRAGGLERS, seed=3))
-        sched = SlotScheduler(SLOTS, faults=ctx.faults, speculation=spec)
-        timelines = [sched.run_stage(name, costs) for name, costs in shapes]
-        assert any(t.speculative_launched for t in timelines)  # non-trivial
+    @settings(max_examples=300, deadline=None)
+    @given(job=solo_jobs(stragglers=True))
+    @example(job=SEEDED)
+    def test_straggler_and_speculation_timeline_matches_scheduler(self, job):
+        verdict = assert_solo_matches_reference(job)
+        if job is SEEDED:
+            assert verdict.speculative_wins  # the seeded example is non-trivial
 
-        slow = probe_factors(STRAGGLERS, 3, shapes)
-        verdict = run_solo(
-            SlotPool(slots=SLOTS),
-            PoolExecution(
-                prelude_ms=10.0,
-                stages=[
-                    PoolStage(name, costs, slow[i])
-                    for i, (name, costs) in enumerate(shapes)
-                ],
-                speculation=spec,
-            ),
-        )
-        assert verdict.elapsed_ms == pytest.approx(
-            10.0 + sum(t.makespan_ms for t in timelines)
-        )
-        assert verdict.speculative_launched == sum(
-            t.speculative_launched for t in timelines
-        )
-        assert verdict.speculative_wins == sum(
-            t.speculative_wins for t in timelines
-        )
-        # Task for task, slot for slot: each stage's attempts reproduce the
-        # single-query schedule, shifted by the stage's start offset.
-        offset = 10.0
-        for timeline in timelines:
-            pool_runs = sorted(
-                (r for r in verdict.runs if r.stage == timeline.stage),
-                key=lambda r: (r.start_ms, r.task, r.speculative),
+    @settings(max_examples=100, deadline=None)
+    @given(job=solo_jobs(stragglers=True, offset_safe=True), arrival_ms=quarters)
+    @example(job=TAIL_ONLY, arrival_ms=100.0)
+    def test_tail_and_arrival_offset(self, job, arrival_ms):
+        verdict = assert_solo_matches_reference(job, arrival_ms)
+        if job is TAIL_ONLY:
+            assert verdict.elapsed_ms == 5.0 + 20.0 + 8.0 / 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        slots=st.integers(1, 8),
+        costs=st.lists(quarters, max_size=12),
+        start_ms=quarters,
+        data=st.data(),
+    )
+    def test_one_stage_entry_point_matches_reference(
+        self, slots, costs, start_ms, data
+    ):
+        slow = data.draw(
+            st.lists(
+                st.sampled_from([1.0, 2.0, 6.0]),
+                min_size=len(costs), max_size=len(costs),
             )
-            sched_runs = sorted(
-                timeline.runs, key=lambda r: (r.start_ms, r.task, r.speculative)
-            )
-            assert len(pool_runs) == len(sched_runs)
-            for mine, theirs in zip(pool_runs, sched_runs):
-                assert (mine.task, mine.slot, mine.speculative, mine.winner) == (
-                    theirs.task, theirs.slot, theirs.speculative, theirs.winner
-                )
-                assert mine.start_ms == pytest.approx(theirs.start_ms + offset)
-                assert mine.end_ms == pytest.approx(theirs.end_ms + offset)
-            offset += timeline.makespan_ms
-
-    def test_tail_and_arrival_offset(self):
-        verdict = run_solo(
-            SlotPool(slots=SLOTS),
-            PoolExecution(prelude_ms=5.0, tail_ms=20.0, compute_ms=8.0,
-                          compute_tasks=2),
-            arrival_ms=100.0,
         )
-        assert verdict.admitted_ms == 100.0
-        assert verdict.queue_wait_ms == 0.0
-        assert verdict.elapsed_ms == pytest.approx(5.0 + 20.0 + 8.0 / 2)
+        spec = SpeculationConfig(min_completed=data.draw(st.integers(1, 4)))
+        mine_faults, ref_faults = ScriptedFaults({"t": slow}), ScriptedFaults({"t": slow})
+        mine = SlotScheduler(slots, faults=mine_faults, speculation=spec).run_stage(
+            "t", costs, start_ms=start_ms
+        )
+        ref = ReferenceScheduler(slots, faults=ref_faults, speculation=spec).run_stage(
+            "t", costs, start_ms=start_ms
+        )
+        assert mine_faults.probes == ref_faults.probes == [
+            ("t", i) for i in range(len(costs))
+        ]
+        assert [attempt_facts(r) for r in mine.runs] == [attempt_facts(r) for r in ref.runs]
+        assert (
+            mine.slots, mine.task_count, mine.makespan_ms, mine.skew_ratio,
+            mine.speculative_launched, mine.speculative_wins,
+        ) == (
+            ref.slots, ref.task_count, ref.makespan_ms, ref.skew_ratio,
+            ref.speculative_launched, ref.speculative_wins,
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(job=solo_jobs(stragglers=True))
+    def test_query_stats_finalize_matches_reference(self, job):
+        stats = QueryStats()
+        stats.planning_ms = job.prelude_ms
+        stats.compute_ms = job.compute_ms
+        stats.scan_stages = [
+            StageScan(name, sum(costs), costs) for name, costs in job.stages
+        ]
+        # A stage-less tail of ``slots`` equal tasks is one wave: tail_ms.
+        stats.scan_work_ms = sum(s.scan_ms for s in stats.scan_stages) + job.tail_ms * job.slots
+        stats.scan_tasks = sum(s.tasks for s in stats.scan_stages) + job.slots
+        faults = ScriptedFaults(job.slow)
+        stats.finalize(
+            job.slots, 0.0, shuffle_partitions=job.compute_tasks,
+            faults=faults, speculation=job.speculation,
+        )
+        expected = job.reference()
+        assert faults.probes == [
+            (name, i) for name, costs in job.stages for i in range(len(costs))
+        ]
+        assert stats.elapsed_ms == expected["elapsed_ms"]
+        assert [attempt_facts(r) for r in stats.task_timeline] == [
+            attempt_facts(r) for r in expected["runs"]
+        ]
+        assert (
+            stats.speculative_count, stats.speculative_wins, stats.task_skew
+        ) == (
+            expected["speculative_launched"], expected["speculative_wins"],
+            expected["task_skew"],
+        )
 
 
 class TestAdmission:
