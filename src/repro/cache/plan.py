@@ -17,12 +17,16 @@ Two tiers, both bounded LRUs reusing :class:`~repro.cache.CacheTier`:
 
 Coherence is by *keying*, never flushing, exactly like the data cache:
 each referenced table contributes ``(table_id, version, schema
-fingerprint, policy digest)`` to the key. Every data commit — DML,
-transaction commit, BLMT compaction, Iceberg pointer swap, Write API
-flush — bumps :attr:`~repro.metastore.catalog.TableInfo.version`, so
-stale entries simply stop being addressed and age out of the LRU. Policy
-changes alter the policy digest the same way, and a dropped-and-recreated
-table re-resolves to a different digest. Entries are never served across
+fingerprint, policy digest)`` to the key, and
+:attr:`~repro.metastore.catalog.TableInfo.version` has one writer per
+storage, at the point that storage's change becomes visible: the managed
+seam (``TableManager.append`` / ``._mutate``), the BLMT commit epilogue
+(``BlmtManager.committed``), the metadata-cache refresh commit
+(``ReadApi.record_refresh``) and the catalog's replace. Stale entries stop
+being addressed and age out of the LRU; policy changes alter the policy
+digest the same way. Not covered (ROADMAP, "Smaller known gaps"): a result
+hit never consults ``max_staleness_ms``, and a table read by listing has no
+commit point at all. Entries are never served across
 principals: the result key carries ``str(principal)`` and a per-table IAM
 read check runs on every hit, against the tables the key was just built
 from (a denied principal falls through to a real execution, which raises

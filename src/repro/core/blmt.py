@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.data.batch import RecordBatch, concat_batches
 from repro.errors import CatalogError
+from repro.formats import pqs
 from repro.metastore.bigmeta import BigMetadataService, FileEntry, MetaTransaction
 from repro.metastore.catalog import TableInfo, TableKind
 from repro.metastore.constraints import ConstraintSet
@@ -63,16 +64,15 @@ class BlmtTransaction:
     txn: MetaTransaction
     staged_tables: dict[str, TableInfo] = field(default_factory=dict)
 
-    def insert(self, table: TableInfo, batch: RecordBatch) -> None:
-        entry = self.manager._write_file(table, [batch])
+    def insert(self, table: TableInfo, *batches: RecordBatch) -> None:
+        entry = self.manager._write_file(table, list(batches))
         self.txn.stage(table.table_id, added=[entry])
         self.staged_tables[table.table_id] = table
 
     def commit(self) -> int:
         commit_id = self.txn.commit()
         for table in self.staged_tables.values():
-            self.manager.read_api.mark_cache_refreshed(table.table_id)
-            self.manager._maybe_auto_export(table)
+            self.manager.committed(table)
         return commit_id
 
     def abort(self) -> None:
@@ -90,21 +90,20 @@ class BlmtManager:
         self,
         bigmeta: BigMetadataService,
         stores: StoreRegistry,
-        read_api,
         ctx: SimContext,
         retention_ms: float | None = None,
     ) -> None:
         self.bigmeta = bigmeta
         self.stores = stores
-        self.read_api = read_api
         self.ctx = ctx
         self.retention_ms = (
             retention_ms if retention_ms is not None else self.DEFAULT_RETENTION_MS
         )
         self._file_counter = 0
-        # TransactionCoordinator (repro.txn), wired when the platform's txn
-        # coordinator is created. While it has an active transaction, DML
-        # buffers into the transaction instead of committing.
+        # TransactionCoordinator (repro.txn), wired — as a weak proxy, the
+        # coordinator holds this manager — when the platform's coordinator
+        # is created. While it has an active transaction, DML buffers into
+        # the transaction instead of committing.
         self.coordinator = None
 
     def _active_txn(self):
@@ -116,19 +115,35 @@ class BlmtManager:
     def insert(self, table: TableInfo, batches: list[RecordBatch]) -> int:
         """Append rows; returns the commit id (0 when buffered into an open
         multi-table transaction — commit ids are assigned at publish)."""
+        return self.publish(table, added=[self._write_file(table, batches)])
+
+    def publish(
+        self, table: TableInfo, added: list[FileEntry], deleted: list[str] | None = None
+    ) -> int:
+        """The one place written files become a BLMT commit. Inside an open
+        multi-table transaction the change set is *buffered* — nothing
+        publishes until the transaction's marker lands — and 0 is returned;
+        otherwise it commits to Big Metadata (retried: a failed commit
+        leaves the log untouched) and pays the commit epilogue."""
         txn = self._active_txn()
-        entry = self._write_file(table, batches)
         if txn is not None:
-            txn.stage_blmt(table, added=[entry])
+            txn.stage_blmt(table, added=added, deleted=deleted)
             return 0
         commit_id = self.ctx.with_retry(
             "bigmeta.commit",
-            lambda: self.bigmeta.commit(table.table_id, added=[entry]),
+            lambda: self.bigmeta.commit(table.table_id, added=added, deleted=deleted),
         )
-        table.version += 1
-        self.read_api.mark_cache_refreshed(table.table_id)
-        self._maybe_auto_export(table)
+        self.committed(table)
         return commit_id
+
+    def committed(self, table: TableInfo) -> None:
+        """The one epilogue every visible BLMT commit owes, whichever log
+        write published it (:meth:`publish`, a :class:`BlmtTransaction`, a
+        multi-table transaction's finalize): the version bump that keeps
+        the plan / result / session caches coherent by keying, then the
+        Iceberg auto-export."""
+        table.version += 1
+        self._maybe_auto_export(table)
 
     def begin_transaction(self) -> BlmtTransaction:
         return BlmtTransaction(manager=self, txn=self.bigmeta.begin())
@@ -161,16 +176,7 @@ class BlmtManager:
         removed: list[str] = []
         added: list[FileEntry] = []
         for entry in candidates:
-            bucket, _, key = entry.file_path.partition("/")
-            data = store.get_object(bucket, key)
-            from repro.formats import pqs
-
-            footer = pqs.read_footer(data)
-            batches = [
-                pqs.read_row_group(data, footer, i, keep_dictionary=False)
-                for i in range(len(footer.row_groups))
-            ]
-            original = concat_batches(table.schema, batches)
+            original = concat_batches(table.schema, self._read_file(store, entry))
             result, file_affected = transform(original)
             if result is original or file_affected == 0:
                 continue  # untouched file
@@ -178,18 +184,20 @@ class BlmtManager:
             removed.append(entry.file_path)
             if result is not None and result.num_rows:
                 added.append(self._write_file(table, [result], partition=entry.partition()))
-        if not removed and not added:
-            return 0
-        if mt_txn is not None:
-            mt_txn.stage_blmt(table, added=added, deleted=removed)
-            return affected
-        txn = self.bigmeta.begin()
-        txn.stage(table.table_id, added=added, deleted=removed)
-        txn.commit()
-        table.version += 1
-        self.read_api.mark_cache_refreshed(table.table_id)
-        self._maybe_auto_export(table)
+        if removed or added:
+            self.publish(table, added, removed)
         return affected
+
+    @staticmethod
+    def _read_file(store, entry: FileEntry) -> list[RecordBatch]:
+        """GET one live data file and decode every row group."""
+        bucket, _, key = entry.file_path.partition("/")
+        data = store.get_object(bucket, key)
+        footer = pqs.read_footer(data)
+        return [
+            pqs.read_row_group(data, footer, i, keep_dictionary=False)
+            for i in range(len(footer.row_groups))
+        ]
 
     def _write_file(
         self,
@@ -231,15 +239,7 @@ class BlmtManager:
         small = [e for e in entries if e.size_bytes < target // 2]
         if len(small) >= 2:
             store = self.stores.store_for(table.storage.location)
-            from repro.formats import pqs
-
-            batches = []
-            for entry in small:
-                bucket, _, key = entry.file_path.partition("/")
-                data = store.get_object(bucket, key)
-                footer = pqs.read_footer(data)
-                for i in range(len(footer.row_groups)):
-                    batches.append(pqs.read_row_group(data, footer, i, keep_dictionary=False))
+            batches = [b for entry in small for b in self._read_file(store, entry)]
             combined = concat_batches(table.schema, batches)
             if table.clustering_columns:
                 combined = _sort_by(combined, table.clustering_columns)
@@ -252,19 +252,10 @@ class BlmtManager:
                 for start in range(0, combined.num_rows, rows_per_file):
                     chunk = combined.slice(start, min(start + rows_per_file, combined.num_rows))
                     new_entries.append(self._write_file(table, [chunk]))
-            txn = self.bigmeta.begin()
-            txn.stage(
-                table.table_id,
-                added=new_entries,
-                deleted=[e.file_path for e in small],
-            )
-            txn.commit()
-            table.version += 1
+            self.publish(table, new_entries, [e.file_path for e in small])
             report.files_compacted = len(small)
             report.files_written = len(new_entries)
         report.garbage_collected = self.garbage_collect(table)
-        self.read_api.mark_cache_refreshed(table.table_id)
-        self._maybe_auto_export(table)
         return report
 
     def garbage_collect(self, table: TableInfo) -> int:

@@ -112,14 +112,6 @@ class LakehousePlatform:
             functions=self.functions,
             data_cache=self.data_cache,
         )
-        self.write_api = WriteApi(
-            bigmeta=self.bigmeta,
-            managed=self.managed,
-            stores=self.stores,
-            iam=self.iam,
-            audit=self.audit,
-            ctx=self.ctx,
-        )
         self._engines: dict[str, QueryEngine] = {}
         self.tables = None  # TableManager, set below
         self.ml = None  # InferenceRuntime, set below
@@ -145,9 +137,11 @@ class LakehousePlatform:
             stores=self.stores,
             iam=self.iam,
             bigmeta=self.bigmeta,
-            read_api=self.read_api,
             ctx=self.ctx,
             ml=self.ml,
+        )
+        self.write_api = WriteApi(
+            tables=self.tables, iam=self.iam, audit=self.audit, ctx=self.ctx
         )
         for engine in self._engines.values():
             self._wire_engine(engine)
@@ -239,7 +233,17 @@ class LakehousePlatform:
         if self._txn is None:
             from repro.txn.coordinator import TransactionCoordinator
 
-            self._txn = TransactionCoordinator(self)
+            self._txn = TransactionCoordinator(
+                bigmeta=self.bigmeta,
+                stores=self.stores,
+                catalog=self.catalog,
+                blmt=self.tables.blmt,
+                job_queue=self.job_queue,
+                engine=self.home_engine,
+                home_location=self.config.home_region.location,
+                ctx=self.ctx,
+            )
+            self.system_tables.txn_log = self._txn.log
         return self._txn
 
     def begin(self, principal: Principal):

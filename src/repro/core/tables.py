@@ -23,7 +23,6 @@ from repro.metastore.catalog import (
     TableInfo,
     TableKind,
 )
-from repro.metastore.constraints import ConstraintSet
 from repro.security.iam import Permission, Principal
 from repro.sql import ast_nodes as ast
 from repro.sql.analysis import extract_constraints
@@ -42,7 +41,7 @@ class TableManager:
 
     def __init__(
         self, project: str, catalog, managed, connections, stores, iam, bigmeta,
-        read_api, ctx, ml,
+        ctx, ml,
     ) -> None:
         self.project = project
         self.catalog = catalog
@@ -52,9 +51,7 @@ class TableManager:
         self.iam = iam
         self.bigmeta = bigmeta
         self.ml = ml
-        self.blmt = BlmtManager(
-            bigmeta=bigmeta, stores=stores, read_api=read_api, ctx=ctx,
-        )
+        self.blmt = BlmtManager(bigmeta=bigmeta, stores=stores, ctx=ctx)
 
     # ------------------------------------------------------------------
     # Creation
@@ -189,8 +186,6 @@ class TableManager:
     # ------------------------------------------------------------------
 
     def execute_dml(self, statement: ast.Statement, engine, principal: Principal):
-        from repro.engine.engine import QueryResult, QueryStats
-
         if isinstance(statement, ast.CreateTableAsSelect):
             return self._ctas(statement, engine, principal)
         if isinstance(statement, ast.InsertValues):
@@ -226,15 +221,15 @@ class TableManager:
     # -- CTAS -----------------------------------------------------------------
 
     def _ctas(self, statement: ast.CreateTableAsSelect, engine, principal: Principal):
-        result = engine.execute(statement.query, principal)
         if len(statement.table) < 2:
             raise AnalysisError("CTAS target must be dataset.table")
         dataset, name = statement.table[-2], statement.table[-1]
+        # Before the catalog entry or storage is created or replaced: an
+        # abort could not bring the replaced table back.
+        self._reject_in_txn(".".join(statement.table))
+        result = engine.execute(statement.query, principal)
         table = self.create_managed_table(dataset, name, result.schema, replace=statement.replace)
-        if statement.replace:
-            self.managed.truncate(table.table_id)
-        for batch in result.batches:
-            self.managed.append(table.table_id, batch)
+        self.append(table, result.batches)
         out = self._dml_result(result.num_rows)
         out.stats = result.stats
         return out
@@ -258,7 +253,7 @@ class TableManager:
             for name in data:
                 data[name].append(values.get(name))
         batch = batch_from_pydict(table.schema, data)
-        self._append(table, batch)
+        self.append(table, [batch])
         return self._dml_result(batch.num_rows)
 
     def _insert_select(self, statement: ast.InsertSelect, engine, principal: Principal):
@@ -278,16 +273,19 @@ class TableManager:
             else:
                 data[name] = [None] * combined.num_rows
         batch = batch_from_pydict(table.schema, data)
-        self._append(table, batch)
+        self.append(table, [batch])
         return self._dml_result(batch.num_rows)
 
-    def _append(self, table: TableInfo, batch: RecordBatch) -> None:
+    def append(self, table: TableInfo, batches: list[RecordBatch]) -> None:
+        """Land rows in ``table``'s storage as one commit: the one kind-dispatch
+        every append (INSERT, CTAS, MERGE's inserts, the Write API) goes through."""
         if table.kind is TableKind.MANAGED:
-            self._reject_in_txn(table)
-            self.managed.append(table.table_id, batch)
+            self._reject_in_txn(table.table_id)
+            for batch in batches:
+                self.managed.append(table.table_id, batch)
             table.version += 1
         elif table.kind is TableKind.BLMT:
-            self.blmt.insert(table, [batch])
+            self.blmt.insert(table, batches)
         else:
             raise QueryError(f"cannot INSERT into {table.kind.value} table")
 
@@ -348,23 +346,25 @@ class TableManager:
 
         return self._dml_result(self._mutate(table, statement.where, transform))
 
-    def _reject_in_txn(self, table: TableInfo) -> None:
+    def _reject_in_txn(self, table_id: str) -> None:
         """Managed tables apply DML in place (no buffered commit protocol),
         so letting one slip inside a multi-table transaction would silently
         break atomicity — fail loudly instead."""
         if self.blmt._active_txn() is not None:
             raise QueryError(
-                f"cannot write {table.kind.value} table {table.table_id} inside "
+                f"cannot write managed table {table_id} inside "
                 "a multi-table transaction (BLMT tables only)"
             )
 
     def _mutate(self, table: TableInfo, where: ast.Expr | None, transform) -> int:
+        """Rewrite ``table``'s rows through ``transform`` as one commit — the
+        one kind-dispatch every UPDATE / DELETE / MERGE goes through.
+        ``where`` only prunes BLMT candidate files (None: every file)."""
         if table.kind is TableKind.MANAGED:
-            self._reject_in_txn(table)
-            batches = self.managed.read(table.table_id)
+            self._reject_in_txn(table.table_id)
             affected = 0
             new_batches = []
-            for batch in batches:
+            for batch in self.managed.read(table.table_id):
                 result, n = transform(batch)
                 affected += n
                 if result is not None and result.num_rows:
@@ -373,8 +373,7 @@ class TableManager:
             table.version += 1
             return affected
         if table.kind is TableKind.BLMT:
-            constraints = extract_constraints(where)
-            return self.blmt.rewrite_rows(table, constraints, transform)
+            return self.blmt.rewrite_rows(table, extract_constraints(where), transform)
         raise QueryError(f"cannot mutate {table.kind.value} table")
 
     # -- MERGE ----------------------------------------------------------------------
@@ -492,7 +491,8 @@ class TableManager:
                 return None, affected
             return result, affected
 
-        affected = self._mutate_all_files(table, transform)
+        # MERGE must see every row to find matches: no pruning predicate.
+        affected = self._mutate(table, None, transform)
 
         # WHEN NOT MATCHED: insert source rows no target row matched.
         insert_whens = [w for w in statement.whens if not w.matched and w.action == "INSERT"]
@@ -519,28 +519,9 @@ class TableManager:
                         else:
                             data[name] = [None] * rows_batch.num_rows
                     batch = batch_from_pydict(table.schema, data)
-                    self._append(table, batch)
+                    self.append(table, [batch])
                     inserted = batch.num_rows
         return self._dml_result(affected + inserted)
-
-    def _mutate_all_files(self, table: TableInfo, transform) -> int:
-        """Run a transform over every file/batch of the target (MERGE must
-        see all rows to find matches)."""
-        if table.kind is TableKind.MANAGED:
-            batches = self.managed.read(table.table_id)
-            affected = 0
-            new_batches = []
-            for batch in batches:
-                result, n = transform(batch)
-                affected += n
-                if result is not None and result.num_rows:
-                    new_batches.append(result)
-            self.managed.replace_contents(table.table_id, new_batches)
-            table.version += 1
-            return affected
-        if table.kind is TableKind.BLMT:
-            return self.blmt.rewrite_rows(table, ConstraintSet(), transform)
-        raise QueryError(f"cannot MERGE into {table.kind.value} table")
 
 
 def _binds_in(binder: Binder, expr: ast.Expr) -> bool:

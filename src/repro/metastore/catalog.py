@@ -143,6 +143,11 @@ class Catalog:
                 )
             if table.storage is None:
                 raise CatalogError(f"{table.kind.value} table requires a storage descriptor")
+        replaced = ds.tables.get(table.name)
+        if replaced is not None:
+            # Same table_id, different contents: continue the replaced
+            # entry's version line so nothing cached against it is addressed.
+            table.version = replaced.version + 1
         ds.tables[table.name] = table
         return table
 

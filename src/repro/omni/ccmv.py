@@ -125,7 +125,6 @@ class CrossCloudMaterializedView:
         report.partitions_total = len(partitions)
 
         source_location = self.source_engine.location
-        home_location = self.platform.config.home_region.location
         added_entries = []
         deleted_paths = []
         for value, batch in partitions.items():
@@ -169,14 +168,9 @@ class CrossCloudMaterializedView:
                 self._home_store.delete_object(self.replica_bucket, known.replica_key)
                 report.partitions_removed += 1
 
-        if added_entries or deleted_paths:
-            self.platform.bigmeta.commit(
-                self.replica_table.table_id,
-                added=added_entries,
-                deleted=deleted_paths,
-            )
-        self.platform.read_api.mark_cache_refreshed(self.replica_table.table_id)
-        del home_location
+        self.platform.read_api.record_refresh(
+            self.replica_table, added=added_entries, deleted=deleted_paths
+        )
         return report
 
     def full_copy_bytes(self) -> int:

@@ -793,23 +793,31 @@ class ReadApi:
             e for p, e in observed.items() if p in current and current[p] != e
         ]
         removed = [p for p in current if p not in observed]
-        if added or removed or changed:
-            self.bigmeta.commit(
-                table.table_id,
-                added=added + changed,
-                deleted=removed + [e.file_path for e in changed],
-            )
-        self._cache_refreshed_ms[table.table_id] = self.ctx.clock.now_ms
+        self.record_refresh(
+            table,
+            added=added + changed,
+            deleted=removed + [e.file_path for e in changed],
+        )
         return {
             "added": len(added),
             "removed": len(removed),
             "unchanged": len(observed) - len(added) - len(changed),
         }
 
-    def mark_cache_refreshed(self, table_id: str) -> None:
-        """Writers that update Big Metadata inline (BLMT, Write API) keep
-        the cache authoritative without a bucket re-scan."""
-        self._cache_refreshed_ms[table_id] = self.ctx.clock.now_ms
+    def record_refresh(
+        self, table: TableInfo, added: list[FileEntry], deleted: list[str]
+    ) -> None:
+        """The one place a metadata-cache refresh becomes visible: commit the
+        change to Big Metadata, stamp the refresh time, and bump the version so
+        entries keyed on the old file set stop being addressed. Not on the
+        first population — it runs inside the first job that can cache
+        anything about the table, after that job's keys were digested, so a
+        bump there would orphan only that job's own entry."""
+        if added or deleted:
+            self.bigmeta.commit(table.table_id, added=added, deleted=deleted)
+            if table.table_id in self._cache_refreshed_ms:
+                table.version += 1
+        self._cache_refreshed_ms[table.table_id] = self.ctx.clock.now_ms
 
     # ------------------------------------------------------------------
     # ReadRows

@@ -11,8 +11,10 @@ Supports the paper's two modes:
 Exactly-once delivery uses per-stream row offsets: a retried append with an
 already-applied offset is acknowledged as a duplicate and not re-applied.
 
-Destinations: BigQuery managed tables (append to managed storage) and BLMTs
-(write pqs files to the customer bucket, commit them to Big Metadata).
+Destinations: BigQuery managed tables and BLMTs. Rows land through the
+table manager's append seam — the same one DML uses — so a flush is an
+ordinary commit of its storage (file layout, retries, version bump, Iceberg
+auto-export), not a second implementation of one.
 """
 
 from __future__ import annotations
@@ -21,23 +23,18 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from repro.data.batch import RecordBatch, concat_batches
+from repro.data.batch import RecordBatch
 from repro.errors import (
     AccessDeniedError,
     StorageApiError,
     StreamOffsetError,
 )
-from repro.metastore.bigmeta import BigMetadataService
 from repro.metastore.catalog import TableInfo, TableKind
-from repro.objectstore.registry import StoreRegistry
 from repro.security.audit import AuditLog
 from repro.security.iam import IamService, Permission, Principal
 from repro.simtime import SimContext
-from repro.storageapi.fileutil import write_data_file
-from repro.storageapi.managed import ManagedStorage
 
 _stream_ids = itertools.count(1)
-_file_ids = itertools.count(1)
 
 
 class WriteStreamKind(enum.Enum):
@@ -74,17 +71,16 @@ class WriteApi:
 
     def __init__(
         self,
-        bigmeta: BigMetadataService,
-        managed: ManagedStorage,
-        stores: StoreRegistry,
+        tables,
         iam: IamService,
         audit: AuditLog,
         ctx: SimContext,
         committed_flush_rows: int = 10_000,
     ) -> None:
-        self.bigmeta = bigmeta
-        self.managed = managed
-        self.stores = stores
+        # The write seam (repro.core's TableManager): ``append`` lands rows
+        # in either storage, ``blmt.begin_transaction`` opens the atomic
+        # multi-table BLMT commit batch_commit needs.
+        self.tables = tables
         self.iam = iam
         self.audit = audit
         self.ctx = ctx
@@ -159,7 +155,7 @@ class WriteApi:
         rows = stream.buffered_rows
         if rows == 0:
             return 0
-        self._apply(stream.table, stream.buffered, txn=None)
+        self.tables.append(stream.table, stream.buffered)
         stream.buffered = []
         stream.buffered_rows = 0
         return rows
@@ -184,15 +180,17 @@ class WriteApi:
                 raise StorageApiError(f"stream {stream.stream_id} not finalized")
             if stream.committed:
                 raise StorageApiError(f"stream {stream.stream_id} already committed")
-        txn = self.bigmeta.begin()
-        needs_txn = False
+        txn = self.tables.blmt.begin_transaction()
         total_rows = 0
         for stream in streams:
+            if not stream.buffered_rows:
+                continue
             total_rows += stream.buffered_rows
             if stream.table.kind is TableKind.BLMT:
-                needs_txn = True
-            self._apply(stream.table, stream.buffered, txn=txn)
-        if needs_txn:
+                txn.insert(stream.table, *stream.buffered)
+            else:
+                self.tables.append(stream.table, stream.buffered)
+        if txn.staged_tables:
             txn.commit()
         else:
             txn.abort()
@@ -201,39 +199,3 @@ class WriteApi:
             stream.buffered = []
             stream.buffered_rows = 0
         return total_rows
-
-    # ------------------------------------------------------------------
-
-    def _apply(self, table: TableInfo, batches: list[RecordBatch], txn) -> None:
-        """Write buffered batches to the table's backend."""
-        batches = [b for b in batches if b.num_rows]
-        if not batches:
-            return
-        if table.kind is TableKind.MANAGED:
-            if not self.managed.exists(table.table_id):
-                self.managed.create(table.table_id, table.schema)
-            for batch in batches:
-                self.managed.append(table.table_id, batch)
-            table.version += 1
-            return
-        # BLMT: write one pqs file and commit it to Big Metadata.
-        store = self.stores.store_for(table.storage.location)
-        key = f"{table.storage.prefix.rstrip('/')}/data/stream-{next(_file_ids):08d}.pqs"
-        combined = concat_batches(table.schema, batches)
-        # Retried ops are idempotent: the PUT rewrites the same key, and a
-        # failed commit leaves Big Metadata untouched.
-        entry = self.ctx.with_retry(
-            "objectstore.put",
-            lambda: write_data_file(
-                store, table.storage.bucket, key, table.schema, [combined]
-            ),
-        )
-        self.bigmeta.register_table(table.table_id)
-        if txn is not None:
-            txn.stage(table.table_id, added=[entry])
-        else:
-            self.ctx.with_retry(
-                "bigmeta.commit",
-                lambda: self.bigmeta.commit(table.table_id, added=[entry]),
-            )
-        table.version += 1

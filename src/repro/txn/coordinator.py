@@ -13,8 +13,8 @@ publish protocol::
               tagged commits stay invisible to every reader
     marker    CAS the record INTENT -> COMMITTED (the atomic flip: all
               tables become visible at the marker's commit time)
-    finalize  roll-forward side effects (catalog version bumps, metadata
-              cache refresh) and stamp the record finalized
+    finalize  roll-forward side effects (each BLMT table's commit epilogue:
+              version bump, Iceberg auto-export) and stamp the record finalized
 
 ``ctx.faults.check("txn.crash", txn=..., step=...)`` runs before every step,
 so a chaos plan can kill the writer at any point. A crash leaves state
@@ -36,6 +36,7 @@ until the marker lands.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from repro.errors import (
@@ -132,8 +133,8 @@ class Transaction:
         committing; everything publishes together at :meth:`commit`.
         """
         self._require_open()
-        platform = self._coord.platform
-        queue = platform.job_queue
+        engine = self._coord.engine
+        queue = self._coord.job_queue
         head = sql.lstrip().upper()
         is_select = head.startswith("SELECT") or head.startswith("WITH")
         prev_active = self._coord.active
@@ -142,10 +143,8 @@ class Transaction:
         queue.current_transaction_id = self.txn_id
         try:
             if is_select:
-                return platform.home_engine.execute(
-                    sql, self.principal, snapshot_ms=self.begin_ms
-                )
-            return platform.home_engine.execute(sql, self.principal)
+                return engine.execute(sql, self.principal, snapshot_ms=self.begin_ms)
+            return engine.execute(sql, self.principal)
         finally:
             self._coord.active = prev_active
             queue.current_transaction_id = prev_txn_id
@@ -173,7 +172,7 @@ class Transaction:
         self._require_open()
         write = self._blmt.get(table.table_id)
         if write is None:
-            meta = self._coord.platform.bigmeta.table(table.table_id)
+            meta = self._coord.bigmeta.table(table.table_id)
             write = _BlmtWrite(table=table, base_version=meta.version)
             self._blmt[table.table_id] = write
         write.added.extend(added or [])
@@ -226,7 +225,7 @@ class Transaction:
         # anything durable exists.
         conflicts: list[str] = []
         for table_id, write in sorted(self._blmt.items()):
-            meta = coord.platform.bigmeta.table(table_id)
+            meta = coord.bigmeta.table(table_id)
             if meta.version != write.base_version:
                 conflicts.append(
                     f"{table_id} v{write.base_version} -> v{meta.version}"
@@ -282,7 +281,7 @@ class Transaction:
             for table_id, write in sorted(self._blmt.items()):
                 ctx.with_retry(
                     "bigmeta.commit",
-                    lambda w=write: coord.platform.bigmeta.commit(
+                    lambda w=write: coord.bigmeta.commit(
                         w.table.table_id,
                         added=w.added,
                         deleted=w.deleted,
@@ -355,11 +354,18 @@ class Transaction:
 class TransactionCoordinator:
     """Owns the transaction log, hands out transactions, runs recovery."""
 
-    def __init__(self, platform, bucket: str = "repro-txn-log") -> None:
-        self.platform = platform
-        self.ctx = platform.ctx
-        store = platform.stores.store_for(platform.config.home_region.location)
-        self.log = TransactionLog(store, bucket=bucket)
+    def __init__(
+        self, bigmeta, stores, catalog, blmt, job_queue, engine, home_location: str,
+        ctx, bucket: str = "repro-txn-log",
+    ) -> None:
+        self.bigmeta = bigmeta
+        self.stores = stores
+        self.catalog = catalog
+        self.blmt = blmt  # BlmtManager: stages into / is finalized by this
+        self.job_queue = job_queue
+        self.engine = engine  # statements inside a transaction run here
+        self.ctx = ctx
+        self.log = TransactionLog(stores.store_for(home_location), bucket=bucket)
         # Terminal states never change, so cache them: resolution happens on
         # every snapshot read of a tagged record and would otherwise turn
         # each scan into O(tagged records) store GETs.
@@ -376,10 +382,16 @@ class TransactionCoordinator:
                 self._seq = max(self._seq, int(tail))
         # Wire marker resolution into every reader path: Big Metadata
         # (BLMT log records) and the object stores (Iceberg snapshots).
-        platform.bigmeta.set_txn_resolver(self.status)
-        platform.stores.set_txn_resolver(self.status)
-        platform.tables.blmt.coordinator = self
-        platform.system_tables.txn_log = self.log
+        # Those services are held from here, so their way back is weak —
+        # a strong hook would make the dropped platform cyclic garbage.
+        me = weakref.proxy(self)
+
+        def resolver(txn_id: str) -> tuple[str, float]:
+            return me.status(txn_id)
+
+        bigmeta.set_txn_resolver(resolver)
+        stores.set_txn_resolver(resolver)
+        blmt.coordinator = me
         # Crash-safe start: finish whatever a dead writer left behind.
         self.recover()
 
@@ -429,14 +441,13 @@ class TransactionCoordinator:
     def finalize(self, record: TxnRecord) -> None:
         """Roll-forward side effects for a COMMITTED record, then stamp it
         finalized. Safe to re-run: the stamp is idempotent and the side
-        effects (version bump, cache refresh) are monotone hints."""
+        effects (version bump, snapshot re-export) are monotone."""
         for commit in record.tables:
             if commit.format != "blmt":
                 continue
             table = self._table_info(commit.table_id)
             if table is not None:
-                table.version += 1
-                self.platform.read_api.mark_cache_refreshed(commit.table_id)
+                self.blmt.committed(table)
         self.ctx.with_retry(
             "txn.finalize", lambda: self.log.mark_finalized(record.txn_id)
         )
@@ -461,7 +472,7 @@ class TransactionCoordinator:
                 continue
             bucket, _, prefix = commit.table_id.partition("/")
             try:
-                store = self.platform.stores.find_bucket(bucket)
+                store = self.stores.find_bucket(bucket)
             except NotFoundError:
                 continue
             IcebergTable(store, bucket, prefix).rollback_txn(
@@ -471,10 +482,7 @@ class TransactionCoordinator:
     # -- helpers ----------------------------------------------------------------
 
     def _table_info(self, table_id: str):
-        parts = table_id.split(".")
-        if len(parts) != 3:
-            return None
         try:
-            return self.platform.catalog.get_table(parts[1], parts[2])
+            return self.catalog.resolve(tuple(table_id.split(".")))
         except ReproError:
             return None

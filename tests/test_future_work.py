@@ -221,6 +221,26 @@ class TestAutoIcebergExport:
         platform.home_engine.execute("DELETE FROM ds.t WHERE k = 1", admin)
         files = reader.scan()
         assert sum(f.record_count for f in files) == 1
+        # Every commit means every publisher: the export rides the one BLMT
+        # commit epilogue, so the Write API, a BlmtTransaction, a
+        # multi-table transaction and compaction all owe it too.
+        stream = platform.write_api.create_write_stream(admin, table)
+        platform.write_api.append_rows(stream, batch_from_pydict(schema, {"k": [3, 4]}))
+        platform.write_api.flush(stream)
+        assert sum(f.record_count for f in reader.scan()) == 3
+        blmt_txn = platform.tables.blmt.begin_transaction()
+        blmt_txn.insert(table, batch_from_pydict(schema, {"k": [5]}))
+        blmt_txn.commit()
+        assert sum(f.record_count for f in reader.scan()) == 4
+        txn = platform.begin(admin)
+        txn.execute("INSERT INTO ds.t (k) VALUES (6)")
+        assert sum(f.record_count for f in reader.scan()) == 4  # not before the marker
+        txn.commit()
+        assert sum(f.record_count for f in reader.scan()) == 5
+        assert platform.tables.blmt.optimize_storage(table).files_compacted == 4
+        assert {f.path for f in reader.scan()} == {
+            e.file_path for e in platform.bigmeta.snapshot(table.table_id)
+        }
 
     def test_disabled_by_default(self):
         platform, admin = make_platform()

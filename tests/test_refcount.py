@@ -7,7 +7,9 @@ gen-2 collection, so ``peak_rss_mib`` would follow the collector's cadence
 rather than live memory. Pinned here with the collector off:
 
 * each public builder's platform dies the moment its last name is dropped,
-  after a suite statement through ``submit``/``drain`` and a Read API drain;
+  after a suite statement through ``submit``/``drain`` and a Read API drain
+  — for the transaction lake also a committed transaction, a conflict loser
+  and one ``optimize_storage``;
 * one ``adhoc_cold``-shaped pass (the 17 statements on fresh platforms)
   leaves no ``repro.*`` instance — and no ``repro`` function — for
   ``gc.collect()`` to find.
@@ -23,8 +25,10 @@ from types import FunctionType
 import pytest
 
 from repro.bench import build_tpcds_platform, build_tpch_platform
+from repro.errors import TransactionConflictError
 from repro.serving.workload import build_serving_platform, mixed_queries
 from repro.storageapi import streams
+from repro.txn.workload import build_txn_platform
 from repro.workloads import tpcds_lite, tpch_lite
 
 SCALE = 0.1
@@ -71,7 +75,26 @@ def _serving():
     return weakref.ref(platform)
 
 
-@pytest.mark.parametrize("build", [_tpch, _tpcds, _serving], ids=lambda f: f.__name__.strip("_"))
+def _txn():
+    """``txn_ingest``'s per-pass lake: the coordinator takes services and
+    its hooks on Big Metadata, the stores and the BLMT manager are weak."""
+    platform, admin = build_txn_platform(orders=2)
+    winner, loser = platform.begin(admin), platform.begin(admin)
+    for txn in (winner, loser):
+        txn.execute("INSERT INTO txn.lineitems (order_id, item_id, amount) VALUES (1, 901, 1.0)")
+        txn.execute("UPDATE txn.orders SET total = total + 1.0 WHERE order_id = 1")
+    assert winner.commit() > 0
+    with pytest.raises(TransactionConflictError):
+        loser.commit()
+    lineitems = platform.catalog.get_table("txn", "lineitems")
+    assert platform.tables.blmt.optimize_storage(lineitems).files_compacted == 2
+    _exercise(platform, admin, "SELECT SUM(amount) FROM txn.lineitems", lineitems)
+    return weakref.ref(platform)
+
+
+@pytest.mark.parametrize(
+    "build", [_tpch, _tpcds, _serving, _txn], ids=lambda f: f.__name__.strip("_")
+)
 def test_dropped_platform_is_freed_without_a_collection(build):
     with collector_off():
         ref = build()

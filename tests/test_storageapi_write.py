@@ -3,6 +3,7 @@
 import pytest
 
 from repro import DataType, Principal, Schema, batch_from_pydict
+from repro.core.blmt import BlmtManager
 from repro.errors import AccessDeniedError, StorageApiError, StreamOffsetError
 from repro.storageapi.write_api import WriteStreamKind
 
@@ -163,3 +164,33 @@ class TestAuthorizationAndTargets:
         store = platform.stores.store_for("gcp/us-central1")
         bucket, _, key = entries[0].file_path.partition("/")
         assert store.object_exists(bucket, key)
+
+    @pytest.mark.parametrize("kind", list(WriteStreamKind), ids=lambda k: k.value)
+    def test_clustered_blmt_files_are_laid_out_like_a_dml_insert(self, blmt_env, kind):
+        """One writer for BLMT data files: a streamed file is sorted by the
+        clustering key exactly as the same rows INSERTed would be."""
+        platform, admin, _ = blmt_env
+        clustered = platform.tables.create_blmt(
+            admin, "ds", "c", SCHEMA, "cust", "tables/c", "us.cust",
+            clustering_columns=["k"],
+        )
+        stream = platform.write_api.create_write_stream(admin, clustered, kind=kind)
+        platform.write_api.append_rows(stream, rows(9, 0))
+        platform.write_api.append_rows(stream, rows(5, 1))
+        platform.write_api.finalize(stream)
+        if kind is WriteStreamKind.PENDING:
+            platform.write_api.batch_commit([stream])
+        platform.tables.blmt.insert(clustered, [rows(9, 0), rows(5, 1)])
+        store = platform.stores.store_for("gcp/us-central1")
+        streamed, inserted = [
+            stored_keys(store, entry) for entry in platform.bigmeta.snapshot(clustered.table_id)
+        ]
+        assert streamed == inserted == [0, 1, 5, 9]
+
+
+def stored_keys(store, entry) -> list[int]:
+    """Column ``k`` of one data file, in stored order."""
+    return [
+        k for batch in BlmtManager._read_file(store, entry)
+        for k in batch.column("k").to_pylist()
+    ]

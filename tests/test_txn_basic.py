@@ -122,6 +122,52 @@ class TestAtomicVisibility:
         with pytest.raises(QueryError, match="managed"):
             txn.execute("INSERT INTO txn.m (x) VALUES (1)")
 
+    @pytest.mark.parametrize("statement", [
+        "UPDATE txn.m SET x = x + 10",
+        "DELETE FROM txn.m WHERE x = 1",
+        # MERGE rewrites through the same seam, so the guard covers it: without
+        # it the matched arms apply in place and survive abort().
+        "MERGE INTO txn.m AS t USING txn.src AS s ON t.x = s.x "
+        "WHEN MATCHED THEN DELETE WHEN NOT MATCHED THEN INSERT (x) VALUES (s.x)",
+    ], ids=["update", "delete", "merge"])
+    def test_managed_rewrites_rejected_alike_and_abort_leaves_no_trace(self, env, statement):
+        platform, admin = env
+        for name, values in (("m", "(1), (2)"), ("src", "(2), (3)")):
+            platform.tables.create_managed_table("txn", name, Schema.of(("x", DataType.INT64)))
+            platform.home_engine.execute(f"INSERT INTO txn.{name} (x) VALUES {values}", admin)
+        table = platform.catalog.get_table("txn", "m")
+        version = table.version
+        txn = platform.begin(admin)
+        with pytest.raises(QueryError, match="cannot write managed table .*txn.m inside"):
+            txn.execute(statement)
+        txn.abort()
+        rows = platform.home_engine.execute("SELECT x FROM txn.m ORDER BY x", admin).rows()
+        assert rows == [(1,), (2,)]
+        assert table.version == version
+
+    @pytest.mark.parametrize("replace", [False, True], ids=["create", "create_or_replace"])
+    def test_ctas_rejected_before_anything_is_created_or_replaced(self, env, replace):
+        platform, admin = env
+        if replace:
+            platform.home_engine.execute("CREATE TABLE txn.made AS SELECT 1 AS x", admin)
+            entry = platform.catalog.get_table("txn", "made")
+        jobs = len(platform.jobs())
+        txn = platform.begin(admin)
+        with pytest.raises(QueryError, match="managed"):
+            txn.execute(
+                f"CREATE {'OR REPLACE ' if replace else ''}TABLE txn.made AS "
+                "SELECT order_id AS x FROM txn.orders"
+            )
+        txn.abort()
+        assert len(platform.jobs()) == jobs + 1  # rejected before the inner SELECT ran
+        if replace:
+            assert platform.catalog.get_table("txn", "made") is entry
+            rows = platform.home_engine.execute("SELECT x FROM txn.made", admin).rows()
+            assert rows == [(1,)]
+        else:
+            assert [t.name for t in platform.catalog.list_tables("txn")] == ["orders", "lineitems"]
+            assert not platform.managed.exists(f"{platform.config.project}.txn.made")
+
 
 class TestErrorCodes:
     def test_stable_codes(self):

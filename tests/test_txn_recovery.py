@@ -9,7 +9,7 @@ from repro.data import DataType, Schema
 from repro.errors import WriterCrashError
 from repro.faults import FaultSpec
 from repro.tableformats import DataFileInfo, IcebergTable
-from repro.txn import ABORTED, COMMITTED, TransactionCoordinator
+from repro.txn import ABORTED, COMMITTED
 from repro.txn.workload import build_txn_platform, check_invariant
 
 ORDERS = "repro-project.txn.orders"
@@ -120,7 +120,8 @@ class TestCrashAtEveryStep:
         txn_id = run_doomed_txn(platform, admin, "marker")
         assert platform.txn.log.dangling_intents() != []
 
-        restarted = TransactionCoordinator(platform)
+        platform._txn = None  # drop the coordinator; the log survives
+        restarted = platform.txn
         assert restarted.log.dangling_intents() == []
         state, _ = restarted.status(txn_id)
         assert state == ABORTED
