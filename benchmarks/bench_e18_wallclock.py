@@ -14,9 +14,11 @@ the thing PR 10's vectorization and caches actually buy. Three parts:
 * **CRC identity under chaos** — first-pass CRCs with the cache on must
   equal cache-off CRCs under seeded fault injection too (the plan cache
   is on by default in both, so this also pins its byte-invisibility).
-* **Decode/join microbench** — the vectorized PLAIN decoder and
-  hash-join match enumeration against their retained ``*_naive``
-  reference oracles on identical inputs: the cache-off speedup number.
+* **Decode/join/row-boundary microbench** — the vectorized PLAIN decoder
+  and hash-join match enumeration against their retained ``*_naive``
+  reference oracles, and the row view + drain digest (``iter_rows``,
+  ``rows_crc``) against the per-element ``Column.__getitem__`` walk they
+  replaced, on identical inputs: the cache-off speedup numbers.
 
 Recorded in ``BENCH_PR10.json`` under ``e18_wc``. Also runnable directly
 (``python benchmarks/bench_e18_wallclock.py --smoke --json OUT``) as the
@@ -41,7 +43,7 @@ from repro.bench import (
     format_table,
     record_bench,
 )
-from repro.data import Column, DataType
+from repro.data import Column, DataType, DictionaryColumn, RecordBatch, Schema
 from repro.engine.operators import (
     _hash_join_indices,
     _hash_join_indices_naive,
@@ -50,6 +52,7 @@ from repro.engine.operators import (
 from repro.errors import ReproError
 from repro.faults import FaultPlan
 from repro.formats import encodings
+from repro.storageapi.streams import rows_crc
 
 CHAOS_SEEDS = (7, 1234)
 CHAOS_RATE = 0.05
@@ -95,8 +98,71 @@ def _time_best(fn, repeats=3):
     return best * 1000.0
 
 
+def _mixed_batch(n_rows):
+    """Sixteen columns of every dtype, a null every few rows, two of them
+    dictionary-encoded — what a wide governed scan hands its consumer."""
+    makers = {
+        DataType.INT64: lambda i: i * 7919 - n_rows,
+        DataType.FLOAT64: lambda i: round(i * 1.37, 2),  # money-like: two decimals
+        DataType.BOOL: lambda i: i % 3 == 0,
+        DataType.STRING: lambda i: f"key-{i % 4096:04d}",
+        DataType.BYTES: lambda i: b"blob-%d" % (i % 512),
+        DataType.TIMESTAMP: lambda i: 1_600_000_000_000_000 + i * 1_000_003,
+        DataType.DATE: lambda i: 9000 + i % 3650,
+    }
+    dtypes = (list(makers) * 3)[:16]
+    columns = []
+    for j, dtype in enumerate(dtypes):
+        make, gap = makers[dtype], 5 + j
+        columns.append(Column.from_pylist(
+            dtype, [None if i % gap == 0 else make(i) for i in range(n_rows)]))
+    for j in (3, 6):  # STRING (4096 distinct) and DATE (3650 distinct)
+        columns[j] = DictionaryColumn.encode(columns[j])
+    schema = Schema.of(*[(f"c{j:02d}", dtype) for j, dtype in enumerate(dtypes)])
+    return RecordBatch(schema, columns)
+
+
+def _row_boundary(n_rows):
+    """Row view + drain digest: the ``to_pylist`` kernel vs one
+    ``Column.__getitem__`` per value (wall ms, identical output first)."""
+    batch = _mixed_batch(n_rows)
+    width = len(batch.schema)
+
+    def vectorized():
+        return list(batch.iter_rows()), rows_crc([batch])
+
+    def values_per_element():
+        return [
+            [col[i] for i in range(n_rows)]
+            for col in (batch.column_at(j) for j in range(width))
+        ]
+
+    def per_element():
+        # The two calls as they were: each walks every column by index.
+        lists = values_per_element()
+        rows = [tuple(values[i] for values in lists) for i in range(n_rows)]
+        digest = 0
+        for row in sorted(repr(values) for values in zip(*values_per_element())):
+            digest = zlib.crc32(row.encode("utf-8"), digest)
+        return rows, digest
+
+    got, want = vectorized(), per_element()
+    identical = got == want and all(
+        type(a) is type(b) for g, w in zip(got[0], want[0]) for a, b in zip(g, w))
+    vec_ms = _time_best(vectorized)
+    naive_ms = _time_best(per_element)
+    return {
+        "row_boundary_columns": width,
+        "row_boundary_identical": identical,
+        "row_boundary_vectorized_ms": round(vec_ms, 3),
+        "row_boundary_naive_ms": round(naive_ms, 3),
+        "row_boundary_speedup": round(naive_ms / max(vec_ms, 1e-9), 3),
+    }
+
+
 def _microbench(n_rows):
-    """Vectorized decode/join vs the retained naive oracles (wall ms)."""
+    """Vectorized decode/join/row view vs their per-element references
+    (wall ms)."""
     ints = Column.from_pylist(
         DataType.INT64, [(i * 37) % 9973 for i in range(n_rows)]
     )
@@ -152,6 +218,7 @@ def _microbench(n_rows):
         "join_vectorized_ms": round(join_vec_ms, 3),
         "join_naive_ms": round(join_naive_ms, 3),
         "join_speedup": round(join_naive_ms / max(join_vec_ms, 1e-9), 3),
+        **_row_boundary(n_rows),
     }
 
 
@@ -248,7 +315,7 @@ def _print_report(report, table_rows):
     micro = report["micro"]
     print(
         format_table(
-            f"E18-WC — decode/join microbench ({micro['rows']:,} rows, wall ms)",
+            f"E18-WC — decode/join/row-boundary microbench ({micro['rows']:,} rows, wall ms)",
             ["hot path", "naive", "vectorized", "speedup"],
             [
                 (
@@ -262,6 +329,12 @@ def _print_report(report, table_rows):
                     micro["join_naive_ms"],
                     micro["join_vectorized_ms"],
                     f"{micro['join_speedup']:.1f}x",
+                ),
+                (
+                    f"row boundary (iter_rows + rows_crc, {micro['row_boundary_columns']} cols)",
+                    micro["row_boundary_naive_ms"],
+                    micro["row_boundary_vectorized_ms"],
+                    f"{micro['row_boundary_speedup']:.1f}x",
                 ),
             ],
         )
@@ -291,6 +364,12 @@ def _assert_acceptance(report):
     micro = report["micro"]
     assert micro["decode_speedup"] > 1.0, micro
     assert micro["join_speedup"] > 1.0, micro
+    assert micro["row_boundary_identical"], "row boundary: rows or digest differ"
+    # Measured 3.6-4.2x at 20k and 120k rows: repr + sort + CRC, which the
+    # digest still owes on both sides, is over half of the vectorized side.
+    assert micro["row_boundary_speedup"] >= 3.0, (
+        f"row boundary speedup {micro['row_boundary_speedup']:.2f}x below 3x"
+    )
 
 
 def test_e18_wc_wallclock(benchmark):

@@ -125,15 +125,11 @@ class RecordBatch:
         return tuple(self.column_at(j)[i] for j in range(len(self.schema)))
 
     def iter_rows(self) -> Iterator[tuple]:
-        decoded = self.decoded()
-        pylists = [c.to_pylist() for c in decoded.columns]
-        for i in range(self.num_rows):
-            yield tuple(col[i] for col in pylists)
+        return zip(*[c.to_pylist() for c in self.columns])
 
     def to_pydict(self) -> dict[str, list[Any]]:
         return {
-            f.name: self.column_at(i).to_pylist()
-            for i, f in enumerate(self.schema.fields)
+            f.name: c.to_pylist() for f, c in zip(self.schema.fields, self.columns)
         }
 
 

@@ -29,10 +29,9 @@ def _coerce_values(dtype: DataType, values: Sequence[Any] | np.ndarray) -> np.nd
     if isinstance(values, np.ndarray) and values.dtype == np_dtype:
         return values
     if np_dtype == np.dtype(object):
-        arr = np.empty(len(values), dtype=object)
-        for i, v in enumerate(values):
-            arr[i] = v
-        return arr
+        # fromiter stores each item as it is; np.asarray would turn a list of
+        # str into a fixed-width array and strip trailing NULs on the way.
+        return np.fromiter(values, dtype=object, count=len(values))
     placeholder: Any = 0
     cleaned = [placeholder if v is None else v for v in values]
     return np.asarray(cleaned, dtype=np_dtype)
@@ -119,11 +118,23 @@ class Column:
         return v
 
     def __iter__(self) -> Iterator[Any]:
-        for i in range(len(self)):
-            yield self[i]
+        return iter(self.to_pylist())
 
     def to_pylist(self) -> list[Any]:
-        return list(self)
+        """The column as python values, ``None`` for null: the one kernel
+        that takes data out of numpy. Row views, masks, digests and per-value
+        expression loops all walk this list — ``tolist`` is one C call that
+        yields what ``__getitem__`` yields one boxed scalar at a time."""
+        out = self.values.tolist()
+        if self.values.dtype == np.dtype(object) and any(
+            issubclass(t, np.generic) for t in set(map(type, out))
+        ):
+            # An object array built from a numpy string array holds np.str_.
+            out = [v.item() if isinstance(v, np.generic) else v for v in out]
+        if self.validity is not None:
+            for i in np.flatnonzero(~self.validity).tolist():
+                out[i] = None
+        return out
 
     # -- transformations ---------------------------------------------------
 
@@ -187,22 +198,17 @@ class DictionaryColumn:
     @staticmethod
     def encode(column: Column) -> "DictionaryColumn":
         """Dictionary-encode a flat column."""
-        valid = column.is_valid()
-        codes = np.full(len(column), -1, dtype=np.int32)
+        # A dict keeps insertion order, so codes follow first occurrence.
         value_to_code: dict[Any, int] = {}
-        dict_values: list[Any] = []
-        for i in range(len(column)):
-            if not valid[i]:
-                continue
-            v = column.values[i]
-            key = v.item() if isinstance(v, np.generic) else v
-            code = value_to_code.get(key)
-            if code is None:
-                code = len(dict_values)
-                value_to_code[key] = code
-                dict_values.append(key)
-            codes[i] = code
-        return DictionaryColumn(column.dtype, codes, Column(column.dtype, dict_values))
+        codes = [
+            -1 if v is None else value_to_code.setdefault(v, len(value_to_code))
+            for v in column.to_pylist()
+        ]
+        return DictionaryColumn(
+            column.dtype,
+            np.asarray(codes, dtype=np.int32),
+            Column(column.dtype, list(value_to_code)),
+        )
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -221,6 +227,18 @@ class DictionaryColumn:
         # arrays keep their dtype, so this is representation-preserving.
         validity = None if bool(valid.all()) else valid
         return Column(self.dtype, values, validity)
+
+    def gather(self, per_entry: list[Any]) -> list[Any]:
+        """One python value per row, picked by code from ``per_entry`` (one
+        value per dictionary entry); ``None`` at null rows."""
+        by_code = per_entry + [None]  # where code -1, the null, lands
+        # Codes come from file bytes: any negative code is a null, as in decode().
+        return [by_code[code] for code in np.maximum(self.codes, -1).tolist()]
+
+    def to_pylist(self) -> list[Any]:
+        """Python values without decoding first: each distinct value is
+        converted once and rows gather it by code."""
+        return self.gather(self.dictionary.to_pylist())
 
     def filter(self, mask: np.ndarray) -> "DictionaryColumn":
         return DictionaryColumn(self.dtype, self.codes[mask], self.dictionary)

@@ -213,7 +213,10 @@ class QueryResult:
         return concat_batches(self.schema, self.batches).to_pydict()
 
     def column(self, name: str) -> list[Any]:
-        return self.to_pydict()[self.schema.field(name).name]
+        index = self.schema.index_of(name)
+        only = Schema((self.schema.fields[index],))
+        narrowed = [RecordBatch(only, [b.columns[index]]) for b in self.batches]
+        return concat_batches(only, narrowed).columns[0].to_pylist()
 
     def single_value(self) -> Any:
         rows = self.rows()

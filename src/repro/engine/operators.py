@@ -539,14 +539,14 @@ def _execute_sort(node: SortNode, ctx: ExecContext) -> list[RecordBatch]:
     combined = concat_batches(node.child.schema, batches)
     binder = Binder(node.child.schema, ctx.engine.functions)
     key_columns = [
-        (evaluate(binder.bind(expr), combined), ascending)
+        (evaluate(binder.bind(expr), combined).to_pylist(), ascending)
         for expr, ascending in node.keys
     ]
 
     def sort_key(i: int):
         parts = []
-        for column, ascending in key_columns:
-            value = column[i]
+        for values, ascending in key_columns:
+            value = values[i]
             # NULLs first ascending, last descending (BigQuery default).
             null_rank = 0 if value is None else 1
             if not ascending:

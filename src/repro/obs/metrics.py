@@ -21,6 +21,13 @@ LabelKey = tuple[tuple[str, str], ...]
 
 
 def _label_key(labels: dict[str, Any]) -> LabelKey:
+    # Almost every series has no label or one (tier=, stream=, op=): nothing
+    # to sort, and a str value needs no conversion.
+    if not labels:
+        return ()
+    if len(labels) == 1:
+        ((k, v),) = labels.items()
+        return ((k, v if type(v) is str else str(v)),)
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 

@@ -148,14 +148,19 @@ class FunctionRegistry:
 
 def _map_values(column: Column, fn: Callable, out_dtype: DataType) -> Column:
     """Apply ``fn`` per present value; nulls propagate."""
-    valid = column.is_valid()
-    out = np.empty(len(column), dtype=out_dtype.numpy_dtype())
-    if out_dtype.numpy_dtype() != np.dtype(object):
-        out = np.zeros(len(column), dtype=out_dtype.numpy_dtype())
-    for i in range(len(column)):
-        if valid[i]:
-            out[i] = fn(column.values[i])
-    return Column(out_dtype, out, None if bool(valid.all()) else valid)
+    # Column() swaps the None left at a null for the dtype's placeholder.
+    out = [None if v is None else fn(v) for v in column.to_pylist()]
+    return Column(out_dtype, out, column.validity)
+
+
+def _and_validity(*columns: Column) -> np.ndarray | None:
+    """Rows where every column is present; ``None`` when no column has a
+    null, so null-free operands never pay for a mask."""
+    valid = None
+    for column in columns:
+        if column.validity is not None:
+            valid = column.validity if valid is None else valid & column.validity
+    return valid
 
 
 def _register_builtins(reg: FunctionRegistry) -> None:
@@ -198,15 +203,11 @@ def _register_builtins(reg: FunctionRegistry) -> None:
         _fixed(DataType.FLOAT64)))
 
     def _concat(args: list[Column]) -> Column:
-        n = len(args[0])
-        valid = np.ones(n, dtype=bool)
-        for a in args:
-            valid &= a.is_valid()
-        out = np.empty(n, dtype=object)
-        for i in range(n):
-            if valid[i]:
-                out[i] = "".join(str(a.values[i]) for a in args)
-        return Column(DataType.STRING, out, None if bool(valid.all()) else valid)
+        out = [
+            None if None in row else "".join(map(str, row))
+            for row in zip(*[a.to_pylist() for a in args])
+        ]
+        return Column(DataType.STRING, out, _and_validity(*args))
 
     reg.register(ScalarFunction("CONCAT", _concat, _fixed(DataType.STRING), max_args=None))
 
@@ -559,13 +560,12 @@ def evaluate(expr: BoundExpr, batch: RecordBatch) -> Column:
     if isinstance(expr, BoundLike):
         operand = evaluate(expr.operand, batch)
         regex = _like_to_regex(expr.pattern)
-        valid = operand.is_valid()
-        out = np.zeros(n, dtype=bool)
-        for i in range(n):
-            if valid[i]:
-                out[i] = regex.match(operand.values[i]) is not None
+        out = np.fromiter(
+            (v is not None and regex.match(v) is not None for v in operand.to_pylist()),
+            dtype=bool, count=n,
+        )
         if expr.negated:
-            out = ~out & valid
+            out = ~out & operand.is_valid()
         return Column(DataType.BOOL, out, operand.validity)
     if isinstance(expr, BoundCase):
         return _eval_case(expr, batch)
@@ -581,7 +581,9 @@ def evaluate(expr: BoundExpr, batch: RecordBatch) -> Column:
 def evaluate_predicate(expr: BoundExpr, batch: RecordBatch) -> np.ndarray:
     """Evaluate a boolean expression to a selection mask (NULL -> False)."""
     col = evaluate(expr, batch)
-    return col.values.astype(bool) & col.is_valid()
+    # May be the column's own array: a mask is for indexing, never written to.
+    values = col.values.astype(bool, copy=False)
+    return values if col.validity is None else values & col.validity
 
 
 def _eval_binary(expr: BoundBinary, batch: RecordBatch) -> Column:
@@ -589,8 +591,11 @@ def _eval_binary(expr: BoundBinary, batch: RecordBatch) -> Column:
     if op in ("AND", "OR"):
         left = evaluate(expr.left, batch)
         right = evaluate(expr.right, batch)
-        lv = left.values.astype(bool)
-        rv = right.values.astype(bool)
+        lv = left.values.astype(bool, copy=False)
+        rv = right.values.astype(bool, copy=False)
+        if left.validity is None and right.validity is None:
+            # What the Kleene code below computes when every mask is all-true.
+            return Column(DataType.BOOL, lv & rv if op == "AND" else lv | rv)
         lvalid = left.is_valid()
         rvalid = right.is_valid()
         if op == "AND":
@@ -606,16 +611,13 @@ def _eval_binary(expr: BoundBinary, batch: RecordBatch) -> Column:
 
     left = evaluate(expr.left, batch)
     right = evaluate(expr.right, batch)
-    lvalid = left.is_valid()
-    rvalid = right.is_valid()
-    valid = lvalid & rvalid
-    validity = None if bool(valid.all()) else valid
+    validity = _and_validity(left, right)
 
     if op == "||":
-        out = np.empty(len(left), dtype=object)
-        for i in range(len(left)):
-            if valid[i]:
-                out[i] = str(left.values[i]) + str(right.values[i])
+        out = [
+            None if a is None or b is None else str(a) + str(b)
+            for a, b in zip(left.to_pylist(), right.to_pylist())
+        ]
         return Column(DataType.STRING, out, validity)
 
     if op in ("=", "!=", "<", "<=", ">", ">="):
@@ -626,7 +628,8 @@ def _eval_binary(expr: BoundBinary, batch: RecordBatch) -> Column:
             values = np.zeros(len(lv), dtype=bool)
             cmp = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
                    ">": lambda a, b: a > b, ">=": lambda a, b: a >= b}[op]
-            for i in np.flatnonzero(valid):
+            present = range(len(lv)) if validity is None else np.flatnonzero(validity)
+            for i in present:
                 values[i] = cmp(lv[i], rv[i])
             return Column(DataType.BOOL, values, validity)
         if op == "=":
@@ -653,14 +656,12 @@ def _eval_binary(expr: BoundBinary, batch: RecordBatch) -> Column:
     elif op == "/":
         denom = rv.astype(np.float64)
         zero = denom == 0
-        valid = valid & ~zero
-        validity = None if bool(valid.all()) else valid
+        validity = ~zero if validity is None else validity & ~zero
         with np.errstate(divide="ignore", invalid="ignore"):
             values = lv.astype(np.float64) / np.where(zero, 1.0, denom)
     elif op == "%":
         denom = np.where(rv == 0, 1, rv)
-        valid = valid & (rv != 0)
-        validity = None if bool(valid.all()) else valid
+        validity = rv != 0 if validity is None else validity & (rv != 0)
         values = lv % denom
     else:
         raise ExecutionError(f"unknown binary op {op}")
@@ -708,12 +709,7 @@ def _eval_cast(operand: Column, target: DataType) -> Column:
     if src is DataType.INT64 and target.is_temporal:
         return Column(target, operand.values, validity)
     if target is DataType.STRING:
-        out = np.empty(len(operand), dtype=object)
-        valid = operand.is_valid()
-        for i in range(len(operand)):
-            if valid[i]:
-                v = operand.values[i]
-                out[i] = str(v.item() if isinstance(v, np.generic) else v)
+        out = [None if v is None else str(v) for v in operand.to_pylist()]
         return Column(target, out, validity)
     if src is DataType.STRING and target is DataType.INT64:
         return _map_values(operand, int, DataType.INT64)

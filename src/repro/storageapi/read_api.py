@@ -438,9 +438,11 @@ class ReadApi:
     # ------------------------------------------------------------------
 
     def _register_session(self, session: ReadSession) -> None:
+        # One TTL on a monotonic clock: insertion order is expiry order, so
+        # the expired sessions are a prefix.
         now = self.ctx.clock.now_ms
-        for sid in [s for s, sess in self._sessions.items() if now > sess.expires_ms]:
-            del self._sessions[sid]
+        while self._sessions and now > next(iter(self._sessions.values())).expires_ms:
+            self._sessions.popitem(last=False)
         self._sessions[session.session_id] = session
         while len(self._sessions) > _SESSION_REGISTRY_LIMIT:
             self._sessions.popitem(last=False)

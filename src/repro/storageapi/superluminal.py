@@ -13,10 +13,8 @@ import copy
 import hashlib
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.data.batch import RecordBatch
-from repro.data.column import Column
+from repro.data.column import Column, DictionaryColumn
 from repro.data.types import DataType, Field, Schema
 from repro.errors import AccessDeniedError
 from repro.obs.trace import NOOP_TRACER, Tracer
@@ -160,8 +158,7 @@ class Superluminal:
             if not batch.schema.has_field(name):
                 continue
             field = batch.schema.field(name)
-            column = batch.column(name)
-            masked = mask_column(column, kind)
+            masked = mask_column(batch.raw_column(name), kind)
             self.stats.values_masked += batch.num_rows
             batch = batch.with_column(
                 Field(field.name, masked.dtype, nullable=True), masked
@@ -176,11 +173,24 @@ class _DenyAll:
 _DENY_ALL = _DenyAll()
 
 
-def mask_column(column: Column, kind: MaskingKind) -> Column:
+def _hash_text(value) -> str:
+    payload = value if isinstance(value, bytes) else str(value).encode("utf-8")
+    return hashlib.sha256(payload).hexdigest()
+
+
+def _last_four_text(value) -> str:
+    text = str(value)
+    if len(text) <= 4:
+        return "X" * len(text)
+    return "X" * (len(text) - 4) + text[-4:]
+
+
+def mask_column(column: Column | DictionaryColumn, kind: MaskingKind) -> Column:
     """Vectorized data masking with the semantics of
     :func:`repro.security.policies.apply_mask_value`."""
     n = len(column)
-    valid = column.is_valid()
+    encoded = isinstance(column, DictionaryColumn)
+    validity = column.codes >= 0 if encoded else column.validity
     if kind is MaskingKind.NULLIFY:
         return Column.nulls(column.dtype, n)
     if kind is MaskingKind.DEFAULT_VALUE:
@@ -196,24 +206,17 @@ def mask_column(column: Column, kind: MaskingKind) -> Column:
         return Column(
             column.dtype,
             Column.repeat(column.dtype, defaults[column.dtype], n).values,
-            None if bool(valid.all()) else valid,
+            validity,
         )
     if kind is MaskingKind.HASH:
-        out = np.empty(n, dtype=object)
-        for i in range(n):
-            if valid[i]:
-                v = column.values[i]
-                payload = v if isinstance(v, bytes) else str(v).encode("utf-8")
-                out[i] = hashlib.sha256(payload).hexdigest()
-        return Column(DataType.STRING, out, None if bool(valid.all()) else valid)
-    if kind is MaskingKind.LAST_FOUR:
-        out = np.empty(n, dtype=object)
-        for i in range(n):
-            if valid[i]:
-                text = str(column.values[i])
-                if len(text) <= 4:
-                    out[i] = "X" * len(text)
-                else:
-                    out[i] = "X" * (len(text) - 4) + text[-4:]
-        return Column(DataType.STRING, out, None if bool(valid.all()) else valid)
-    raise ValueError(f"unknown masking kind {kind}")
+        mask = _hash_text
+    elif kind is MaskingKind.LAST_FOUR:
+        mask = _last_four_text
+    else:
+        raise ValueError(f"unknown masking kind {kind}")
+    if encoded and len(column.dictionary) <= n:
+        # Operate on codes: mask each distinct value once, gather per row.
+        texts = column.gather([mask(v) for v in column.dictionary.to_pylist()])
+    else:
+        texts = [None if v is None else mask(v) for v in column.to_pylist()]
+    return Column(DataType.STRING, texts, validity)

@@ -6,11 +6,39 @@ linear interpolation over cumulative buckets. Both ship with the
 observability tentpole and are covered here at the unit level.
 """
 
+import enum
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.obs.metrics import Histogram, MetricsRegistry, _escape_label_value
+from repro.obs.metrics import Histogram, MetricsRegistry, _escape_label_value, _label_key
+
+
+class _Tier(enum.Enum):
+    CHUNK = "chunk"
+    FOOTER = "footer"
+
+
+class _Op(str, enum.Enum):  # a str whose str() is not itself
+    GET = "get"
+
+
+_LABEL_VALUES = st.one_of(
+    st.text(max_size=4), st.integers(-5, 5), st.floats(allow_nan=False),
+    st.booleans(), st.sampled_from(list(_Tier) + list(_Op)),
+)
+
+
+@given(st.dictionaries(st.text(alphabet="abcxyz_", min_size=1, max_size=3),
+                       _LABEL_VALUES, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_label_key_shortcuts_give_the_sorted_stringified_key(labels):
+    """No label and one label skip the sort and the ``str``; the key — what
+    ``render()`` and the scraper see — is the general path's."""
+    key = _label_key(labels)
+    assert key == tuple(sorted((k, str(v)) for k, v in labels.items()))
+    assert all(type(v) is str for _, v in key)
 
 
 class TestLabelEscaping:

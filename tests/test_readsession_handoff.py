@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.errors import SessionExpiredError, StorageApiError
+from repro.storageapi import read_api as read_api_module
 from repro.storageapi.streams import drain_session, parse_handle, rows_crc
 from tests.helpers import make_platform, setup_sales_lake
 
@@ -56,6 +57,32 @@ class TestSerializeAttach:
         platform.ctx.clock.advance(7 * 3600 * 1000.0)
         with pytest.raises(SessionExpiredError):
             platform.read_api.attach(blob)
+
+    def test_registry_drops_the_expired_prefix_and_stays_bounded(self, monkeypatch):
+        """One TTL on a monotonic clock: expired sessions are the oldest
+        ones. A create sweeps exactly them; the bound drops oldest-first."""
+        platform, admin = make_platform()
+        info, _ = setup_sales_lake(platform, admin)
+        read_api = platform.read_api
+        ttl = read_api_module._SESSION_TTL_MS
+        old = [read_api.create_read_session(admin, info) for _ in range(3)]
+        platform.ctx.clock.advance(ttl / 2)
+        young = read_api.create_read_session(admin, info)
+        assert list(read_api._sessions) == [s.session_id for s in old + [young]]
+        platform.ctx.clock.advance(ttl / 2 + 1)  # past the TTL for ``old`` only
+        newest = read_api.create_read_session(admin, info)
+        assert list(read_api._sessions) == [young.session_id, newest.session_id]
+        assert read_api.attach(young.serialize()) is young
+        for session in old:
+            with pytest.raises(SessionExpiredError):
+                read_api.attach(session.serialize())
+
+        monkeypatch.setattr(read_api_module, "_SESSION_REGISTRY_LIMIT", 4)
+        more = [read_api.create_read_session(admin, info) for _ in range(3)]
+        assert list(read_api._sessions) == [
+            s.session_id for s in [newest] + more]  # ``young`` went first
+        with pytest.raises(StorageApiError, match="unknown session"):
+            read_api.attach(young.serialize())
 
     def test_attach_unknown_session(self):
         platform, admin = make_platform()
