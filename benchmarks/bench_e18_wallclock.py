@@ -15,10 +15,11 @@ the thing PR 10's vectorization and caches actually buy. Three parts:
   equal cache-off CRCs under seeded fault injection too (the plan cache
   is on by default in both, so this also pins its byte-invisibility).
 * **Decode/join/row-boundary microbench** — the vectorized PLAIN decoder
-  and hash-join match enumeration against their retained ``*_naive``
-  reference oracles, and the row view + drain digest (``iter_rows``,
-  ``rows_crc``) against the per-element ``Column.__getitem__`` walk they
-  replaced, on identical inputs: the cache-off speedup numbers.
+  and hash-join match enumeration against their ``*_naive`` reference
+  oracles (the join's lives in ``tests/reference_operators.py``), and the
+  row view + drain digest (``iter_rows``, ``rows_crc``) against the
+  per-element ``Column.__getitem__`` walk they replaced, on identical
+  inputs: the cache-off speedup numbers.
 
 Recorded in ``BENCH_PR10.json`` under ``e18_wc``. Also runnable directly
 (``python benchmarks/bench_e18_wallclock.py --smoke --json OUT``) as the
@@ -44,15 +45,13 @@ from repro.bench import (
     record_bench,
 )
 from repro.data import Column, DataType, DictionaryColumn, RecordBatch, Schema
-from repro.engine.operators import (
-    _hash_join_indices,
-    _hash_join_indices_naive,
-    _join_key_codes,
-)
+from repro.engine.operators import _hash_join_indices, _join_key_codes
 from repro.errors import ReproError
 from repro.faults import FaultPlan
 from repro.formats import encodings
 from repro.storageapi.streams import rows_crc
+
+from tests.reference_operators import _hash_join_indices_naive
 
 CHAOS_SEEDS = (7, 1234)
 CHAOS_RATE = 0.05

@@ -49,8 +49,8 @@ twice "cache-stats run" "cache determinism gate FAILED: two runs produced differ
     repro cache-stats
 # Query-cache coherence: the CLI itself exits non-zero if the warm hit's
 # rows differ from the cold run, the hit scans any bytes, fails to save
-# GETs, parses a statement or clones a plan, or DML serves a stale entry /
-# flushes the tier.
+# GETs or parses a statement, or DML serves a stale entry / flushes the
+# tier.
 twice "querycache run" "query-cache coherence gate FAILED: two runs produced different reports" \
     repro querycache
 # Chaos: same seed, two processes, identical retries/degradations per job.
@@ -96,3 +96,6 @@ twice "readsession run" "readsession determinism gate FAILED: $same" \
     repro readsession --smoke --seed 1234 --json {}
 twice "readsession run under chaos" "readsession chaos determinism gate FAILED: $same" \
     repro readsession --smoke --chaos --seed 1234 --json {}
+
+# The figure ROADMAP item 8 tracks (CHANGES.md quotes it from here).
+echo "== src/ + scripts/ lines: $(find src scripts -type f \( -name '*.py' -o -name '*.sh' \) -print0 | xargs -0 cat | wc -l) =="

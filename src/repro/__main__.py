@@ -23,9 +23,9 @@ Commands:
   deterministic, so two invocations must be byte-identical.
 * ``querycache`` — plan + query-result cache walkthrough: the demo query
   cold then warm with ``use_query_cache=True`` (the warm run must parse no
-  statement, clone no plan, return byte-identical rows, report
-  ``cache_hit``, scan zero bytes, and issue strictly fewer object-store
-  GETs), then a DML leg against a managed
+  statement, return byte-identical rows, report ``cache_hit``, scan zero
+  bytes, and issue strictly fewer object-store GETs), then a DML leg
+  against a managed
   table proving snapshot-keyed coherence — the INSERT makes the next run
   a miss with fresh rows while the old entries stay resident (coherence
   by keying, never flushing). Exits non-zero if any invariant fails; the
@@ -388,14 +388,12 @@ def _cache_stats() -> int:
 
 def _querycache() -> int:
     """Plan + result cache walkthrough: cold/warm identity, zero-scan warm
-    hits that neither parse nor clone a plan, and snapshot-keyed DML
-    coherence. Deterministic output: ``scripts/check.sh`` diffs two
-    invocations."""
+    hits that parse nothing, and snapshot-keyed DML coherence.
+    Deterministic output: ``scripts/check.sh`` diffs two invocations."""
     import zlib
     from unittest import mock
 
     from repro import DataType, Schema
-    from repro.cache import plan as plan_module
     from repro.engine import engine as engine_module
     from repro.serving import jobs as jobs_module
 
@@ -421,16 +419,14 @@ def _querycache() -> int:
     cold_gets = gets(metering.delta_since(before))
     before = metering.snapshot()
     # The warm run is watched: a text the cache knows must reach its result
-    # without being parsed (at submit or at execution) or cloning a plan.
+    # without being parsed (at submit or at execution).
     def watched(module, attr):
         return mock.patch.object(module, attr, wraps=getattr(module, attr))
 
     with watched(jobs_module, "parse_statement") as parse_at_submit, \
-            watched(engine_module, "parse_statement") as parse_at_execution, \
-            watched(plan_module, "_clone_plan") as clone_plan:
+            watched(engine_module, "parse_statement") as parse_at_execution:
         warm = engine.execute(sql, admin, use_query_cache=True)
     parsed = parse_at_submit.call_count + parse_at_execution.call_count
-    cloned = clone_plan.call_count
     warm_gets = gets(metering.delta_since(before))
     for label, result, n_gets in (("cold", cold, cold_gets), ("warm", warm, warm_gets)):
         print(
@@ -438,10 +434,10 @@ def _querycache() -> int:
             f"crc={crc(result):08x} scanned={result.stats.bytes_scanned:,} B "
             f"gets={n_gets} elapsed={result.stats.elapsed_ms:.2f} ms"
         )
-    print(f"warm: statements parsed={parsed} plans cloned={cloned}")
+    print(f"warm: statements parsed={parsed}")
     failures = 0
-    if parsed or cloned:
-        print("error: the warm hit parsed a statement or cloned a plan", file=sys.stderr)
+    if parsed:
+        print("error: the warm hit parsed a statement", file=sys.stderr)
         failures += 1
     if warm.rows() != cold.rows():
         print("error: warm run returned different rows than cold run", file=sys.stderr)

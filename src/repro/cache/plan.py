@@ -41,7 +41,7 @@ underlying telemetry changes with every statement).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.cache import (
@@ -52,27 +52,13 @@ from repro.cache import (
     CacheTier,
     eviction_counter,
 )
-from repro.engine.plan import (
-    AggregateNode,
-    DistinctNode,
-    FilterNode,
-    JoinNode,
-    LimitNode,
-    PlanNode,
-    ProjectNode,
-    ScanNode,
-    SortNode,
-    SystemTableNode,
-    TvfNode,
-    UnionAllNode,
-    ValuesNode,
-)
+from repro.engine.plan import ScanNode, SystemTableNode, TvfNode
 from repro.errors import ReproError
-from repro.metastore.constraints import ConstraintSet
 
 if TYPE_CHECKING:
     from repro.data.batch import RecordBatch
     from repro.data.types import Schema
+    from repro.engine.plan import PlanNode
     from repro.metastore.catalog import Catalog, TableInfo
     from repro.security.iam import IamService, Principal
     from repro.simtime import SimContext
@@ -114,64 +100,7 @@ def table_digest(table: "TableInfo", principal: "Principal") -> tuple:
     return (table.table_id, table.version, schema_fp, policy_digest(table, principal))
 
 
-# -- plan cloning -------------------------------------------------------------
-
-
-def _clone_plan(node: PlanNode) -> PlanNode | None:
-    """Deep-copy a plan's node shells (ASTs, schemas, and TableInfo refs
-    are shared — they are not mutated at execution) while giving every
-    ScanNode a fresh :class:`ConstraintSet`, because dynamic partition
-    pruning mutates ``runtime_constraints`` in place at run time.
-
-    Returns None for uncacheable plans: any TVF, or a node type this
-    function does not know (fail closed — an unknown node might carry
-    execution-time state).
-    """
-    if isinstance(node, ScanNode):
-        return replace(
-            node,
-            columns=list(node.columns),
-            pushed_filters=list(node.pushed_filters),
-            runtime_constraints=ConstraintSet(),
-            pushed_aggregates=list(node.pushed_aggregates),
-        )
-    if isinstance(node, (SystemTableNode, ValuesNode)):
-        return node
-    if isinstance(node, TvfNode):
-        return None
-    if isinstance(node, (FilterNode, SortNode, LimitNode, DistinctNode)):
-        child = _clone_plan(node.child)
-        return None if child is None else replace(node, child=child)
-    if isinstance(node, ProjectNode):
-        child = _clone_plan(node.child)
-        if child is None:
-            return None
-        return replace(node, child=child, items=list(node.items))
-    if isinstance(node, AggregateNode):
-        child = _clone_plan(node.child)
-        if child is None:
-            return None
-        return replace(
-            node,
-            child=child,
-            group_items=list(node.group_items),
-            aggregates=list(node.aggregates),
-        )
-    if isinstance(node, JoinNode):
-        left = _clone_plan(node.left)
-        right = _clone_plan(node.right)
-        if left is None or right is None:
-            return None
-        return replace(node, left=left, right=right, equi_keys=list(node.equi_keys))
-    if isinstance(node, UnionAllNode):
-        inputs = [_clone_plan(child) for child in node.inputs]
-        if any(child is None for child in inputs):
-            return None
-        return replace(node, inputs=inputs)
-    return None
-
-
-def _plan_refs(plan: PlanNode) -> tuple[list["TableInfo"], bool] | None:
+def _plan_refs(plan: "PlanNode") -> tuple[list["TableInfo"], bool] | None:
     """``(scanned tables, references INFORMATION_SCHEMA)`` for a plan, or
     None when the plan contains a TVF (uncacheable)."""
     tables: list["TableInfo"] = []
@@ -179,21 +108,13 @@ def _plan_refs(plan: PlanNode) -> tuple[list["TableInfo"], bool] | None:
     stack = [plan]
     while stack:  # pre-order, left to right
         node = stack.pop()
+        if isinstance(node, TvfNode):
+            return None
         if isinstance(node, ScanNode):
             tables.append(node.table)
         elif isinstance(node, SystemTableNode):
             has_system = True
-        elif isinstance(node, JoinNode):
-            stack += (node.right, node.left)
-        elif isinstance(node, UnionAllNode):
-            stack.extend(reversed(node.inputs))
-        elif isinstance(node, TvfNode):
-            return None
-        elif not isinstance(node, ValuesNode):
-            child = getattr(node, "child", None)
-            if child is None:
-                return None
-            stack.append(child)
+        stack.extend(reversed(node.children()))
     return tables, has_system
 
 
@@ -359,8 +280,9 @@ class QueryCache:
         principal: "Principal",
         resolution: Resolution | None = None,
     ) -> PlanNode | None:
-        """A freshly-cloned cached plan for ``sql_text``, or None. Pass the
-        job's :meth:`resolve` result to reuse its digests."""
+        """The cached plan for ``sql_text`` — the one object every hit
+        shares; execution never writes to a plan — or None. Pass the job's
+        :meth:`resolve` result to reuse its digests."""
         if not self.config.plan_enabled:
             return None
         if resolution is None:
@@ -374,20 +296,16 @@ class QueryCache:
             self._count(self.plans, hit=False)
             return None
         self._count(self.plans, hit=True)
-        return _clone_plan(entry[0])
+        return entry[0]
 
     def store_plan(
         self, sql_text: str, engine: Any, principal: "Principal", plan: PlanNode
     ) -> bool:
-        """Admit an optimized plan (a defensive clone of it — the live plan
-        is about to be executed and mutated). Returns True on admission."""
+        """Admit an optimized plan. Returns True on admission."""
         if not self.config.plan_enabled:
             return False
         refs = _plan_refs(plan)
         if refs is None:
-            return False
-        master = _clone_plan(plan)
-        if master is None:
             return False
         tables, has_system = refs
         base = self._base_key(sql_text, engine)
@@ -395,7 +313,7 @@ class QueryCache:
         resolution = self._resolve(base, principal)
         if resolution is None:
             return False
-        return self.plans.put(resolution.plan_key, master, 1)
+        return self.plans.put(resolution.plan_key, plan, 1)
 
     # -- result tier --------------------------------------------------------
 

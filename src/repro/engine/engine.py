@@ -255,6 +255,13 @@ class QueryEngine:
     * ``use_row_oriented_reader`` — the §3.4 prototype scan path.
     """
 
+    # How scans consume a read session. The home engine schedules one task
+    # per file over ``slots`` streams; an external connector (SparkSim)
+    # requests ``scan_streams`` streams, attaches through the serialized
+    # handle and schedules one executor per stream.
+    executor_per_stream = False
+    scan_streams: int | None = None
+
     def __init__(
         self,
         read_api: ReadApi,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -11,7 +12,7 @@ from repro.data.batch import RecordBatch, batch_from_rows, concat_batches
 from repro.data.column import Column
 from repro.data.types import DataType, Schema
 from repro.errors import ExecutionError
-from repro.metastore.constraints import ColumnConstraint
+from repro.metastore.constraints import ColumnConstraint, ConstraintSet
 from repro.sql import ast_nodes as ast
 from repro.sql.expressions import Binder, evaluate, evaluate_predicate
 from repro.sql.printer import strip_qualifiers, to_sql
@@ -56,6 +57,9 @@ class ExecContext:
     stats: Any  # QueryStats
     dpp_enabled: bool = True
     snapshot_ms: float | None = None
+    # Dynamic partition pruning's IN-sets for this execution, by id() of the
+    # probe ScanNode they restrict: the plan itself is never written to.
+    dpp_constraints: dict[int, ConstraintSet] = field(default_factory=dict)
 
 
 def execute_plan(node: PlanNode, ctx: ExecContext) -> list[RecordBatch]:
@@ -110,13 +114,13 @@ def _dispatch_plan_node(node: PlanNode, ctx: ExecContext) -> list[RecordBatch]:
 
 
 def _execute_scan(node: ScanNode, ctx: ExecContext) -> list[RecordBatch]:
-    restriction = _scan_restriction(node)
+    restriction = _scan_restriction(node, ctx)
     engine = ctx.engine
     # External connectors (executor_per_stream) request a fixed executor
     # count and schedule one task per stream; the home engine keeps one
     # task per file.
-    per_stream = getattr(engine, "executor_per_stream", False)
-    max_streams = (getattr(engine, "scan_streams", None) or engine.slots) if per_stream else engine.slots
+    per_stream = engine.executor_per_stream
+    max_streams = (engine.scan_streams or engine.slots) if per_stream else engine.slots
     t0 = engine.ctx.clock.now_ms
     session = engine.read_api.create_read_session(
         principal=ctx.principal,
@@ -129,7 +133,7 @@ def _execute_scan(node: ScanNode, ctx: ExecContext) -> list[RecordBatch]:
         use_row_oriented_reader=engine.use_row_oriented_reader,
         aggregates=node.pushed_aggregates or None,
     )
-    if per_stream and hasattr(session, "serialize") and hasattr(engine.read_api, "attach"):
+    if per_stream:
         # Connector handoff: executors join through the serialized wire
         # handle, never through a live session reference.
         session = engine.read_api.attach(session.serialize())
@@ -196,7 +200,7 @@ def _run_stream_task(engine, session, stream_index: int) -> list[RecordBatch]:
         stream = session.streams[stream_index]
         # Reads advance the stream's consumption cursor; a retried attempt
         # must rewind it with the stats or the re-run starts mid-stream.
-        progress = getattr(stream, "progress_snapshot", lambda: None)()
+        progress = stream.progress_snapshot()
         try:
             collected: list[RecordBatch] = []
             rows = 0
@@ -205,8 +209,7 @@ def _run_stream_task(engine, session, stream_index: int) -> list[RecordBatch]:
                 collected.append(batch)
         except BaseException:
             session.stats.restore(snap)
-            if progress is not None:
-                stream.restore_progress(progress)
+            stream.restore_progress(progress)
             raise
         return collected, rows
 
@@ -225,7 +228,7 @@ def _execute_system_table(node: SystemTableNode, ctx: ExecContext) -> list[Recor
     lives in the provider, not here — the engine is untrusted with respect
     to observability data just as it is with table data (§3.2)."""
     engine = ctx.engine
-    provider = getattr(engine, "system_tables", None)
+    provider = engine.system_tables
     if provider is None:
         raise ExecutionError(
             f"INFORMATION_SCHEMA.{node.name} requires a platform-wired engine"
@@ -246,11 +249,11 @@ def _execute_system_table(node: SystemTableNode, ctx: ExecContext) -> list[Recor
     return [batch]
 
 
-def _scan_restriction(node: ScanNode) -> str | None:
+def _scan_restriction(node: ScanNode, ctx: ExecContext) -> str | None:
     clauses: list[str] = [
         to_sql(strip_qualifiers(f)) for f in node.pushed_filters
     ]
-    clauses.extend(_constraints_to_sql(node.runtime_constraints))
+    clauses.extend(_constraints_to_sql(ctx.dpp_constraints.get(id(node), ())))
     if not clauses:
         return None
     return " AND ".join(clauses)
@@ -363,42 +366,39 @@ def _execute_union(node: UnionAllNode, ctx: ExecContext) -> list[RecordBatch]:
 # Row-key factorization (shared by join / DISTINCT / GROUP BY)
 #
 # Multi-column keys are reduced to one int64 code per row via np.unique so
-# that equal codes correspond *exactly* to key tuples that compare equal
-# under the naive python semantics (NULL == NULL, NULL != any value). When
-# that equivalence cannot be guaranteed — NaN values (python tuples keep
-# distinct NaN objects apart, np.unique collapses them), non-comparable
-# object values, or mismatched key dtypes — the helpers return None and
-# the caller falls back to the retained naive row-at-a-time path, which
-# doubles as the property-test reference.
+# that equal codes correspond *exactly* to key tuples that compare equal as
+# python tuples (NULL == NULL, NULL != any value, every NaN its own key,
+# 1 == 1.0 == True, 'a' != b'a'), which is what the row-at-a-time oracles
+# in tests/reference_operators.py compute. The one divergence: an INT64 key
+# against a FLOAT64 key is compared in float64, so integers above 2**53
+# match the float they round to where python compares them exactly.
 # --------------------------------------------------------------------------
 
 
-def _column_codes(columns: list[Column]) -> np.ndarray | None:
+def _column_codes(columns: list[Column]) -> np.ndarray:
     """Factorize the concatenation of same-position key columns to codes.
 
     Valid values get codes >= 0 (equal value <=> equal code, shared across
-    all the given columns); NULLs get -1. Returns None when python-tuple
-    equality semantics cannot be reproduced with np.unique.
+    all the given columns); NULLs get -1. Values can only be equal within a
+    family — the fixed-width dtypes promote to one numeric array, STRING
+    and BYTES each stand alone — so families are factorized apart and
+    their code ranges kept disjoint.
     """
-    first_dtype = columns[0].dtype
-    for col in columns[1:]:
-        if col.dtype is not first_dtype:
-            return None
-    if len(columns) == 1:
-        vals, valid = columns[0].values, columns[0].is_valid()
-    else:
-        vals = np.concatenate([c.values for c in columns])
-        valid = np.concatenate([c.is_valid() for c in columns])
-    codes = np.full(len(vals), -1, dtype=np.int64)
-    sub = vals[valid]
-    if sub.size:
-        if sub.dtype.kind == "f" and np.isnan(sub).any():
-            return None
-        try:
-            _, inverse = np.unique(sub, return_inverse=True)
-        except TypeError:
-            return None
-        codes[valid] = inverse
+    valid = np.concatenate([c.is_valid() for c in columns])
+    lengths = [len(c) for c in columns]
+    families = [c.dtype if c.dtype.is_variable_width else None for c in columns]
+    codes = np.full(len(valid), -1, dtype=np.int64)
+    base = 0
+    for family in dict.fromkeys(families):
+        member = [f is family for f in families]
+        present = np.concatenate(
+            [c.values[c.is_valid()] for c, m in zip(columns, member) if m]
+        )
+        if present.size:
+            # equal_nan=False: NaN != NaN, as python float equality has it.
+            uniques, inverse = np.unique(present, return_inverse=True, equal_nan=False)
+            codes[valid & np.repeat(member, lengths)] = inverse + base
+            base += len(uniques)
     return codes
 
 
@@ -417,29 +417,27 @@ def _combine_codes(code_arrays: list[np.ndarray]) -> np.ndarray:
     return combined
 
 
-def _row_codes(columns: list[Column]) -> np.ndarray | None:
-    """One int64 code per row for a multi-column key; None -> fall back."""
-    code_arrays = []
-    for col in columns:
-        codes = _column_codes([col])
-        if codes is None:
-            return None
-        code_arrays.append(codes)
-    return _combine_codes(code_arrays)
+def _row_codes(columns: list[Column]) -> np.ndarray:
+    """One int64 code per row for a multi-column key."""
+    return _combine_codes([_column_codes([col]) for col in columns])
 
 
 def _join_key_codes(
     build_cols: list[Column], probe_cols: list[Column], build_rows: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Shared (build_codes, probe_codes) for equi-join keys; None -> naive."""
-    code_arrays = []
-    for bcol, pcol in zip(build_cols, probe_cols):
-        codes = _column_codes([bcol, pcol])
-        if codes is None:
-            return None
-        code_arrays.append(codes)
-    combined = _combine_codes(code_arrays)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shared (build_codes, probe_codes) for equi-join keys."""
+    combined = _combine_codes(
+        [_column_codes([bcol, pcol]) for bcol, pcol in zip(build_cols, probe_cols)]
+    )
     return combined[:build_rows], combined[build_rows:]
+
+
+def _keys_valid(key_cols: list[Column], rows: int) -> np.ndarray:
+    """Rows whose key has no NULL component (the only rows that can match)."""
+    valid = np.ones(rows, dtype=bool)
+    for col in key_cols:
+        valid &= col.is_valid()
+    return valid
 
 
 def _hash_join_indices(
@@ -473,36 +471,6 @@ def _hash_join_indices(
     return probe_indices.astype(np.int64), build_indices.astype(np.int64)
 
 
-def _hash_join_indices_naive(
-    build_key_cols: list[Column],
-    probe_key_cols: list[Column],
-    build_valid: np.ndarray,
-    probe_valid: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Retained dict-of-lists reference (fallback + property-test oracle)."""
-    table: dict[tuple, list[int]] = {}
-    build_key_lists = [c.to_pylist() for c in build_key_cols]
-    for i in range(len(build_valid)):
-        if not build_valid[i]:
-            continue
-        table.setdefault(tuple(lst[i] for lst in build_key_lists), []).append(i)
-    probe_key_lists = [c.to_pylist() for c in probe_key_cols]
-    probe_indices: list[int] = []
-    build_indices: list[int] = []
-    for i in range(len(probe_valid)):
-        matches = (
-            table.get(tuple(lst[i] for lst in probe_key_lists)) if probe_valid[i] else None
-        )
-        if matches:
-            for j in matches:
-                probe_indices.append(i)
-                build_indices.append(j)
-    return (
-        np.asarray(probe_indices, dtype=np.int64),
-        np.asarray(build_indices, dtype=np.int64),
-    )
-
-
 def _execute_distinct(node: DistinctNode, ctx: ExecContext) -> list[RecordBatch]:
     batches = execute_plan(node.child, ctx)
     if not batches:
@@ -510,26 +478,14 @@ def _execute_distinct(node: DistinctNode, ctx: ExecContext) -> list[RecordBatch]
     combined = concat_batches(node.child.schema, batches)
     if combined.num_rows == 0:
         return []
-    codes = _row_codes(list(combined.columns))
-    if codes is None:
-        return _distinct_naive(node, batches)
+    return [combined.take(_first_occurrences(_row_codes(list(combined.columns))))]
+
+
+def _first_occurrences(codes: np.ndarray) -> np.ndarray:
+    """Index of the first row carrying each distinct code, in row order."""
     _, first_index = np.unique(codes, return_index=True)
-    first_index.sort()  # first-seen row order, as the naive set preserves
-    return [combined.take(first_index.astype(np.int64))]
-
-
-def _distinct_naive(node: DistinctNode, batches: list[RecordBatch]) -> list[RecordBatch]:
-    """Retained row-at-a-time reference (fallback + property-test oracle)."""
-    seen: set[tuple] = set()
-    rows: list[tuple] = []
-    for batch in batches:
-        for row in batch.iter_rows():
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-    if not rows:
-        return []
-    return [batch_from_rows(node.schema, rows)]
+    first_index.sort()
+    return first_index.astype(np.int64)
 
 
 def _execute_sort(node: SortNode, ctx: ExecContext) -> list[RecordBatch]:
@@ -591,7 +547,7 @@ def _execute_aggregate(node: AggregateNode, ctx: ExecContext) -> list[RecordBatc
 
     if node.group_items:
         key_columns = [evaluate(binder.bind(expr), combined) for expr, _ in node.group_items]
-        gid, keys_in_order = _group_keys(key_columns, n)
+        gid, keys_in_order = _group_keys(key_columns)
         num_groups = len(keys_in_order)
         if num_groups == 0:
             return []
@@ -612,15 +568,13 @@ def _execute_aggregate(node: AggregateNode, ctx: ExecContext) -> list[RecordBatc
     return [RecordBatch(node.schema, out_columns)]
 
 
-def _group_keys(key_columns: list[Column], n: int) -> tuple[np.ndarray, list[tuple]]:
+def _group_keys(key_columns: list[Column]) -> tuple[np.ndarray, list[tuple]]:
     """Materialize GROUP BY keys: per-row group ids (numbered in first-seen
     order) plus each group's key tuple, first-seen order preserved."""
     codes = _row_codes(key_columns)
-    if codes is None:
-        return _group_keys_naive(key_columns, n)
     _, first_index, inverse = np.unique(codes, return_index=True, return_inverse=True)
     # Rank the unique codes by first appearance so gid 0 is the first key
-    # seen, exactly like the naive dict numbering.
+    # seen, exactly like a dict numbering keys as it meets them.
     order = np.argsort(first_index, kind="stable")
     rank = np.empty(len(first_index), dtype=np.int64)
     rank[order] = np.arange(len(first_index), dtype=np.int64)
@@ -628,23 +582,6 @@ def _group_keys(key_columns: list[Column], n: int) -> tuple[np.ndarray, list[tup
     first_rows = first_index[order].astype(np.int64)
     rep_lists = [c.take(first_rows).to_pylist() for c in key_columns]
     keys_in_order = list(zip(*rep_lists)) if rep_lists else []
-    return gid, keys_in_order
-
-
-def _group_keys_naive(key_columns: list[Column], n: int) -> tuple[np.ndarray, list[tuple]]:
-    """Retained row-at-a-time reference (fallback + property-test oracle)."""
-    key_lists = [c.to_pylist() for c in key_columns]
-    group_of: dict[tuple, int] = {}
-    gid = np.empty(n, dtype=np.int64)
-    keys_in_order: list[tuple] = []
-    for i in range(n):
-        key = tuple(lst[i] for lst in key_lists)
-        g = group_of.get(key)
-        if g is None:
-            g = len(keys_in_order)
-            group_of[key] = g
-            keys_in_order.append(key)
-        gid[i] = g
     return gid, keys_in_order
 
 
@@ -731,8 +668,6 @@ def _aggregate(spec: AggSpec, arg: Column | None, gid: np.ndarray, groups: int, 
 def _execute_join(node: JoinNode, ctx: ExecContext) -> list[RecordBatch]:
     if node.kind == "CROSS":
         return _execute_cross_join(node, ctx)
-    if node.kind in ("SEMI", "ANTI"):
-        return _execute_semi_join(node, ctx)
     if not node.equi_keys:
         # Non-equi inner join: cross join + residual filter.
         batches = _execute_cross_join(node, ctx)
@@ -741,56 +676,48 @@ def _execute_join(node: JoinNode, ctx: ExecContext) -> list[RecordBatch]:
         bound = Binder(node.schema, ctx.engine.functions).bind(node.residual)
         return [b.filter(evaluate_predicate(bound, b)) for b in batches]
 
-    # Decide build/probe by estimated size, then build first so dynamic
-    # partition pruning can inform the probe-side scan (§3.4).
-    from repro.engine.optimizer import estimate_rows
+    # Build first so dynamic partition pruning can inform the probe-side
+    # scan (§3.4). An inner join builds on the side estimated smaller; LEFT
+    # probes with the left side to preserve all its rows; IN / NOT IN
+    # (SEMI / ANTI) build on the subquery, the right side.
+    build_is_left = False
+    if node.kind == "INNER":
+        from repro.engine.optimizer import estimate_rows
 
-    stats_provider = ctx.engine.stats_provider
-    left_estimate = estimate_rows(node.left, stats_provider)
-    right_estimate = estimate_rows(node.right, stats_provider)
-    build_is_left = left_estimate <= right_estimate
-    if node.kind == "LEFT":
-        build_is_left = False  # preserve all left rows: probe with left
-
+        stats_provider = ctx.engine.stats_provider
+        build_is_left = estimate_rows(node.left, stats_provider) <= estimate_rows(
+            node.right, stats_provider
+        )
     build_node = node.left if build_is_left else node.right
     probe_node = node.right if build_is_left else node.left
     build_keys = [l if build_is_left else r for l, r in node.equi_keys]
     probe_keys = [r if build_is_left else l for l, r in node.equi_keys]
 
-    build_batches = execute_plan(build_node, ctx)
-    build = concat_batches(build_node.schema, build_batches)
-    build_binder = Binder(build_node.schema, ctx.engine.functions)
-    build_key_cols = [evaluate(build_binder.bind(k), build) for k in build_keys]
-    _charge_compute(ctx, build.num_rows, ctx.engine.ctx.costs.join_cpu_us_per_row)
-
-    if ctx.dpp_enabled and node.kind == "INNER":
+    build, build_key_cols = _execute_join_side(build_node, build_keys, ctx)
+    if node.kind == "ANTI" and any(c.null_count() > 0 for c in build_key_cols):
+        # NOT IN over a set containing NULL matches nothing — decided before
+        # the probe side runs, so its scan is never charged.
+        return []
+    if ctx.dpp_enabled and node.kind in ("INNER", "SEMI"):
+        # Pruning the probe scan to the build keys is unsound where
+        # non-matching probe rows are output: LEFT and ANTI.
         _apply_dynamic_partition_pruning(probe_node, probe_keys, build_key_cols, ctx)
+    probe, probe_key_cols = _execute_join_side(probe_node, probe_keys, ctx)
 
-    probe_batches = execute_plan(probe_node, ctx)
-    probe = concat_batches(probe_node.schema, probe_batches)
-    probe_binder = Binder(probe_node.schema, ctx.engine.functions)
-    probe_key_cols = [evaluate(probe_binder.bind(k), probe) for k in probe_keys]
-    _charge_compute(ctx, probe.num_rows, ctx.engine.ctx.costs.join_cpu_us_per_row)
-
-    # Enumerate matches: factorize the keys to shared int codes and group
-    # the build side with a stable argsort (dict-of-lists retained as the
-    # naive fallback for key types np.unique cannot order faithfully).
-    build_valid = np.ones(build.num_rows, dtype=bool)
-    for col in build_key_cols:
-        build_valid &= col.is_valid()
-    probe_valid = np.ones(probe.num_rows, dtype=bool)
-    for col in probe_key_cols:
-        probe_valid &= col.is_valid()
-    shared = _join_key_codes(build_key_cols, probe_key_cols, build.num_rows)
-    if shared is not None:
-        build_codes, probe_codes = shared
-        probe_idx_array, build_idx_array = _hash_join_indices(
-            build_codes, probe_codes, build_valid, probe_valid
+    # Factorize the keys to shared int codes; NULL keys match nothing.
+    build_valid = _keys_valid(build_key_cols, build.num_rows)
+    probe_valid = _keys_valid(probe_key_cols, probe.num_rows)
+    build_codes, probe_codes = _join_key_codes(
+        build_key_cols, probe_key_cols, build.num_rows
+    )
+    if node.kind in ("SEMI", "ANTI"):
+        result = probe.filter(
+            _semi_join_keep(build_codes, probe_codes, build_valid, probe_valid, node.kind)
         )
-    else:
-        probe_idx_array, build_idx_array = _hash_join_indices_naive(
-            build_key_cols, probe_key_cols, build_valid, probe_valid
-        )
+        return [result] if result.num_rows else []
+    probe_idx_array, build_idx_array = _hash_join_indices(
+        build_codes, probe_codes, build_valid, probe_valid
+    )
 
     probe_taken = probe.take(probe_idx_array)
     build_taken = build.take(build_idx_array)
@@ -811,16 +738,40 @@ def _execute_join(node: JoinNode, ctx: ExecContext) -> list[RecordBatch]:
         matched = np.zeros(probe.num_rows, dtype=bool)
         matched[probe_idx_array] = True
         unmatched_probe = np.flatnonzero(~matched)
-    else:
-        unmatched_probe = np.empty(0, dtype=np.int64)
-    if node.kind == "LEFT" and unmatched_probe.size:
-        left_rows = probe.take(unmatched_probe.astype(np.int64))
-        null_right = RecordBatch(
-            build_node.schema,
-            [Column.nulls(f.dtype, left_rows.num_rows) for f in build_node.schema],
-        )
-        results.append(_concat_columns(node.schema, left_rows, null_right))
+        if unmatched_probe.size:
+            left_rows = probe.take(unmatched_probe.astype(np.int64))
+            null_right = RecordBatch(
+                build_node.schema,
+                [Column.nulls(f.dtype, left_rows.num_rows) for f in build_node.schema],
+            )
+            results.append(_concat_columns(node.schema, left_rows, null_right))
     return results
+
+
+def _execute_join_side(
+    side: PlanNode, keys: list[ast.Expr], ctx: ExecContext
+) -> tuple[RecordBatch, list[Column]]:
+    """Run one input of a keyed join: its rows as one batch plus its
+    evaluated key columns, charged as join CPU."""
+    rows = concat_batches(side.schema, execute_plan(side, ctx))
+    binder = Binder(side.schema, ctx.engine.functions)
+    key_cols = [evaluate(binder.bind(k), rows) for k in keys]
+    _charge_compute(ctx, rows.num_rows, ctx.engine.ctx.costs.join_cpu_us_per_row)
+    return rows, key_cols
+
+
+def _semi_join_keep(
+    build_codes: np.ndarray,
+    probe_codes: np.ndarray,
+    build_valid: np.ndarray,
+    probe_valid: np.ndarray,
+    kind: str,
+) -> np.ndarray:
+    """Probe rows an IN (SEMI) / NOT IN (ANTI) subquery keeps. Probe rows
+    with NULL keys never qualify in either mode; the caller has already
+    handled NOT IN over a build side holding a NULL."""
+    in_set = np.isin(probe_codes, build_codes[build_valid])
+    return probe_valid & (in_set if kind == "SEMI" else ~in_set)
 
 
 def _apply_dynamic_partition_pruning(
@@ -844,19 +795,19 @@ def _apply_dynamic_partition_pruning(
         scan = _find_scan_for_column(probe_node, column)
         if scan is None:
             continue
-        values = {v for v in build_col.to_pylist() if v is not None}
-        if not values or len(values) > _DPP_MAX_KEYS:
+        # A NaN key matches nothing, so it is dropped from the IN-set; an
+        # infinite one matches but has no SQL literal, so it is not pruned on.
+        values = {v for v in build_col.to_pylist() if v is not None and v == v}
+        if (
+            not values
+            or len(values) > _DPP_MAX_KEYS
+            or not values.isdisjoint((math.inf, -math.inf))
+        ):
             continue
-        scan.runtime_constraints.add(column, ColumnConstraint(in_set=frozenset(values)))
+        ctx.dpp_constraints.setdefault(id(scan), ConstraintSet()).add(
+            column, ColumnConstraint(in_set=frozenset(values))
+        )
         ctx.stats.dpp_applied += 1
-
-
-def _unwrap_scan(node: PlanNode) -> ScanNode | None:
-    if isinstance(node, ScanNode):
-        return node
-    if isinstance(node, FilterNode):
-        return _unwrap_scan(node.child)
-    return None
 
 
 def _find_scan_for_column(node: PlanNode, column: str) -> ScanNode | None:
@@ -875,85 +826,6 @@ def _find_scan_for_column(node: PlanNode, column: str) -> ScanNode | None:
             return None  # ambiguous: refuse to prune
         return left or right
     return None
-
-
-def _execute_semi_join(node: JoinNode, ctx: ExecContext) -> list[RecordBatch]:
-    """SEMI/ANTI join for IN / NOT IN subqueries.
-
-    The subquery (right side) builds first so its keys can dynamically
-    prune the probe scan, like any other build side. NOT IN follows SQL
-    null semantics: a NULL anywhere in the subquery result means no probe
-    row can pass, and probe rows with NULL keys never qualify.
-    """
-    build_node, probe_node = node.right, node.left
-    probe_keys = [l for l, _ in node.equi_keys]
-    build_keys = [r for _, r in node.equi_keys]
-
-    build_batches = execute_plan(build_node, ctx)
-    build = concat_batches(build_node.schema, build_batches)
-    build_binder = Binder(build_node.schema, ctx.engine.functions)
-    build_key_cols = [evaluate(build_binder.bind(k), build) for k in build_keys]
-    _charge_compute(ctx, build.num_rows, ctx.engine.ctx.costs.join_cpu_us_per_row)
-
-    build_has_null = any(c.null_count() > 0 for c in build_key_cols)
-    if node.kind == "ANTI" and build_has_null:
-        return []  # NOT IN over a set containing NULL matches nothing
-
-    if ctx.dpp_enabled and node.kind == "SEMI":
-        # Pruning to the build keys is only sound for SEMI: an ANTI join
-        # needs precisely the non-matching rows.
-        _apply_dynamic_partition_pruning(probe_node, probe_keys, build_key_cols, ctx)
-
-    probe_batches = execute_plan(probe_node, ctx)
-    probe = concat_batches(probe_node.schema, probe_batches)
-    probe_binder = Binder(probe_node.schema, ctx.engine.functions)
-    probe_key_cols = [evaluate(probe_binder.bind(k), probe) for k in probe_keys]
-    _charge_compute(ctx, probe.num_rows, ctx.engine.ctx.costs.join_cpu_us_per_row)
-
-    build_valid = np.ones(build.num_rows, dtype=bool)
-    for col in build_key_cols:
-        build_valid &= col.is_valid()
-    probe_valid = np.ones(probe.num_rows, dtype=bool)
-    for col in probe_key_cols:
-        probe_valid &= col.is_valid()
-    shared = _join_key_codes(build_key_cols, probe_key_cols, build.num_rows)
-    if shared is not None:
-        build_codes, probe_codes = shared
-        in_set = np.isin(probe_codes, build_codes[build_valid])
-        if node.kind == "SEMI":
-            keep = probe_valid & in_set
-        else:
-            keep = probe_valid & ~in_set
-    else:
-        keep = _semi_join_keep_naive(
-            build_key_cols, probe_key_cols, probe.num_rows, node.kind
-        )
-    result = probe.filter(keep)
-    return [result] if result.num_rows else []
-
-
-def _semi_join_keep_naive(
-    build_key_cols: list[Column],
-    probe_key_cols: list[Column],
-    probe_rows: int,
-    kind: str,
-) -> np.ndarray:
-    """Retained row-at-a-time reference (fallback + property-test oracle)."""
-    key_set: set[tuple] = set()
-    build_lists = [c.to_pylist() for c in build_key_cols]
-    for i in range(len(build_lists[0]) if build_lists else 0):
-        key = tuple(lst[i] for lst in build_lists)
-        if None not in key:
-            key_set.add(key)
-    probe_lists = [c.to_pylist() for c in probe_key_cols]
-    keep = np.zeros(probe_rows, dtype=bool)
-    for i in range(probe_rows):
-        key = tuple(lst[i] for lst in probe_lists)
-        if None in key:
-            continue  # NULL keys match nothing in either mode
-        matched = key in key_set
-        keep[i] = matched if kind == "SEMI" else not matched
-    return keep
 
 
 def _execute_cross_join(node: JoinNode, ctx: ExecContext) -> list[RecordBatch]:

@@ -27,7 +27,6 @@ from repro.engine.plan import (
     ProjectNode,
     ScanNode,
     SortNode,
-    TvfNode,
     UnionAllNode,
     ValuesNode,
 )
@@ -73,9 +72,7 @@ def push_filters(plan: PlanNode) -> PlanNode:
         if not remaining:
             return child
         return FilterNode(child=child, predicate=_join_and(remaining), schema=child.schema)
-    for i, node in enumerate(plan.children()):
-        _replace_child(plan, i, push_filters(node))
-    return plan
+    return plan.map_children(push_filters)
 
 
 def _try_push(node: PlanNode, conjunct: ast.Expr) -> bool:
@@ -98,13 +95,10 @@ def _try_push(node: PlanNode, conjunct: ast.Expr) -> bool:
             if _binds(side.schema, refs) and _try_push(side, conjunct):
                 return True
         # Bindable on one side but not absorbable by a scan: insert a filter.
-        for i, side in enumerate(sides):
+        for side in sides:
             if _binds(side.schema, refs):
                 wrapped = FilterNode(child=side, predicate=conjunct, schema=side.schema)
-                if side is node.left:
-                    node.left = wrapped
-                else:
-                    node.right = wrapped
+                node.map_children(lambda child: wrapped if child is side else child)
                 return True
         return False
     return False
@@ -231,9 +225,7 @@ def push_aggregates(plan: PlanNode) -> PlanNode:
         rewritten = _try_push_aggregate(plan)
         if rewritten is not None:
             return rewritten
-    for i, child in enumerate(plan.children()):
-        _replace_child(plan, i, push_aggregates(child))
-    return plan
+    return plan.map_children(push_aggregates)
 
 
 def _try_push_aggregate(node: AggregateNode) -> AggregateNode | None:
@@ -300,9 +292,7 @@ def reorder_joins(plan: PlanNode, stats_provider: StatsProvider) -> PlanNode:
                 rebuilt = FilterNode(child=rebuilt, predicate=residual, schema=rebuilt.schema)
             # Recurse into the (non-join) leaves.
             return rebuilt
-    for i, child in enumerate(plan.children()):
-        _replace_child(plan, i, reorder_joins(child, stats_provider))
-    return plan
+    return plan.map_children(lambda child: reorder_joins(child, stats_provider))
 
 
 def _collect_join_chain(
@@ -424,24 +414,3 @@ def _rebuild_left_deep(
                 schema=plan.schema,
             )
     return plan
-
-
-# --------------------------------------------------------------------------
-
-
-def _replace_child(parent: PlanNode, index: int, new_child: PlanNode) -> None:
-    if isinstance(parent, (FilterNode, ProjectNode, AggregateNode, SortNode, LimitNode, DistinctNode)):
-        parent.child = new_child
-        return
-    if isinstance(parent, JoinNode):
-        if index == 0:
-            parent.left = new_child
-        else:
-            parent.right = new_child
-        return
-    if isinstance(parent, UnionAllNode):
-        parent.inputs[index] = new_child
-        return
-    if isinstance(parent, TvfNode):
-        parent.input_plan = new_child
-        return

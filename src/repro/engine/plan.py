@@ -3,17 +3,27 @@
 Plans carry *syntactic* expressions (AST) plus the schema each node
 produces; binding to concrete column indices happens per-batch at execution
 via :class:`repro.sql.expressions.Binder`, which keeps plan rewrites (filter
-pushdown, join reordering, DPP) simple tree surgery.
+pushdown, join reordering) simple tree surgery.
+
+A plan is under construction until :func:`repro.engine.optimizer.optimize`
+(or the cross-cloud relocation) returns, and a value from then on:
+execution reads it and never writes to it, so one plan object can be
+cached, shared and run any number of times. State that belongs to one
+execution (dynamic partition pruning's IN-sets) lives in the
+:class:`~repro.engine.operators.ExecContext`.
+
+This module is the only place that names a node's inputs: each class
+declares ``child_fields`` and every walk goes through :meth:`~PlanNode.children`
+or :meth:`~PlanNode.map_children`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.data.types import DataType, Schema
 from repro.metastore.catalog import TableInfo
-from repro.metastore.constraints import ConstraintSet
 from repro.sql import ast_nodes as ast
 
 
@@ -21,9 +31,31 @@ class PlanNode:
     """Base class; every node exposes ``schema`` and ``children()``."""
 
     schema: Schema
+    # The attributes that hold this node's inputs, in child order. Each is a
+    # node, a list of nodes, or None (an absent optional input).
+    child_fields: tuple[str, ...] = ()
 
     def children(self) -> list["PlanNode"]:
-        return []
+        out: list[PlanNode] = []
+        for name in self.child_fields:
+            value = getattr(self, name)
+            if isinstance(value, list):
+                out.extend(value)
+            elif value is not None:
+                out.append(value)
+        return out
+
+    def map_children(self, fn: Callable[["PlanNode"], "PlanNode"]) -> "PlanNode":
+        """Replace each child by ``fn(child)``, in place and in child order,
+        and return this node. For plan construction only — the optimizer's
+        rewrites and the cross-cloud relocation."""
+        for name in self.child_fields:
+            value = getattr(self, name)
+            if isinstance(value, list):
+                setattr(self, name, [fn(child) for child in value])
+            elif value is not None:
+                setattr(self, name, fn(value))
+        return self
 
     def describe(self, indent: int = 0) -> str:
         """Human-readable plan tree (EXPLAIN output)."""
@@ -42,8 +74,7 @@ class ScanNode(PlanNode):
     """Read one table through the Storage Read API.
 
     ``pushed_filters`` are conjuncts fully answerable by this relation,
-    serialized into the session's row restriction. ``runtime_constraints``
-    receive dynamic-partition-pruning IN-sets at execution time.
+    serialized into the session's row restriction.
     """
 
     table: TableInfo
@@ -51,7 +82,6 @@ class ScanNode(PlanNode):
     columns: list[str]
     qualifier: str | None = None
     pushed_filters: list[ast.Expr] = field(default_factory=list)
-    runtime_constraints: ConstraintSet = field(default_factory=ConstraintSet)
     snapshot_ms: float | None = None
     # Aggregate pushdown (§3.4 future work): (func, column|None, output).
     # When set, the scan returns one partial-aggregate row per stream and
@@ -94,8 +124,7 @@ class FilterNode(PlanNode):
     predicate: ast.Expr
     schema: Schema
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    child_fields = ("child",)
 
     def _label(self) -> str:
         return f"Filter({self.predicate})"
@@ -107,8 +136,7 @@ class ProjectNode(PlanNode):
     items: list[tuple[ast.Expr, str]]  # (expression, output name)
     schema: Schema
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    child_fields = ("child",)
 
     def _label(self) -> str:
         return f"Project({', '.join(name for _, name in self.items)})"
@@ -132,8 +160,7 @@ class AggregateNode(PlanNode):
     aggregates: list[AggSpec]
     schema: Schema
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    child_fields = ("child",)
 
     def _label(self) -> str:
         keys = ", ".join(name for _, name in self.group_items)
@@ -143,7 +170,7 @@ class AggregateNode(PlanNode):
 
 @dataclass
 class JoinNode(PlanNode):
-    kind: str  # INNER, LEFT, CROSS
+    kind: str  # INNER, LEFT, CROSS, SEMI, ANTI
     left: PlanNode
     right: PlanNode
     schema: Schema
@@ -151,16 +178,12 @@ class JoinNode(PlanNode):
     equi_keys: list[tuple[ast.Expr, ast.Expr]] = field(default_factory=list)
     # Residual non-equi condition applied after matching.
     residual: ast.Expr | None = None
-    # Dynamic partition pruning: feed build-side keys into the probe scan.
-    dpp_eligible: bool = False
 
-    def children(self) -> list[PlanNode]:
-        return [self.left, self.right]
+    child_fields = ("left", "right")
 
     def _label(self) -> str:
         keys = ", ".join(f"{l}={r}" for l, r in self.equi_keys)
-        dpp = " +DPP" if self.dpp_eligible else ""
-        return f"{self.kind}Join({keys}){dpp}"
+        return f"{self.kind}Join({keys})"
 
 
 @dataclass
@@ -169,8 +192,7 @@ class SortNode(PlanNode):
     keys: list[tuple[ast.Expr, bool]]  # (expr, ascending)
     schema: Schema
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    child_fields = ("child",)
 
 
 @dataclass
@@ -179,8 +201,7 @@ class LimitNode(PlanNode):
     limit: int
     schema: Schema
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    child_fields = ("child",)
 
     def _label(self) -> str:
         return f"Limit({self.limit})"
@@ -191,8 +212,7 @@ class DistinctNode(PlanNode):
     child: PlanNode
     schema: Schema
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    child_fields = ("child",)
 
 
 @dataclass
@@ -200,8 +220,7 @@ class UnionAllNode(PlanNode):
     inputs: list[PlanNode]
     schema: Schema
 
-    def children(self) -> list[PlanNode]:
-        return list(self.inputs)
+    child_fields = ("inputs",)
 
 
 @dataclass
@@ -215,8 +234,7 @@ class TvfNode(PlanNode):
     schema: Schema
     options: dict[str, Any] = field(default_factory=dict)
 
-    def children(self) -> list[PlanNode]:
-        return [self.input_plan] if self.input_plan is not None else []
+    child_fields = ("input_plan",)
 
     def _label(self) -> str:
         return f"Tvf({self.name} model={'.'.join(self.model)})"

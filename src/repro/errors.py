@@ -82,6 +82,13 @@ class TransactionAbortedError(CatalogError):
     """
 
 
+class CorruptTxnRecordError(CatalogError):
+    """A transaction-log object does not decode to a record (torn write,
+    flipped bit). Deliberately not transient: re-reading the same bytes
+    cannot succeed, so ``with_retry`` must not spin on it.
+    """
+
+
 class WriterCrashError(ReproError):
     """An injected writer death at a ``txn.crash`` hazard point.
 

@@ -14,19 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.cloud import transfer_latency_ms
 from repro.data.types import Field as SchemaField, Schema
-from repro.engine.plan import (
-    AggregateNode,
-    DistinctNode,
-    FilterNode,
-    JoinNode,
-    LimitNode,
-    PlanNode,
-    ProjectNode,
-    ScanNode,
-    SortNode,
-    TvfNode,
-    UnionAllNode,
-)
+from repro.engine.plan import PlanNode, ScanNode
 from repro.metastore.catalog import TableInfo, TableKind
 from repro.security.iam import Principal
 from repro.sql import ast_nodes as ast
@@ -62,14 +50,24 @@ class CrossCloudQueryPlanner:
         self.omni = omni
         self._temp_counter = 0
 
-    def execute(self, select: ast.Select, principal: Principal, primary_engine):
+    def execute(
+        self,
+        select: ast.Select,
+        principal: Principal,
+        primary_engine,
+        push_filters: bool = True,
+    ):
         """Plan on the primary engine, relocate remote scans, execute."""
         plan = primary_engine.plan(select)
         report = CrossCloudReport()
         with self.platform.ctx.tracer.span(
             "crosscloud.execute", layer="omni", primary=primary_engine.location
         ) as span:
-            rewritten = self._relocate_remote_scans(plan, principal, primary_engine, report)
+            if not push_filters:
+                span.set_tag("naive_copy", True)
+            rewritten = self._relocate_remote_scans(
+                plan, principal, primary_engine, report, push_filters
+            )
             result = primary_engine._run_plan(rewritten, principal)
             span.set_tag("subqueries", len(report.subqueries))
             span.set_tag("bytes_moved", report.total_bytes_moved)
@@ -84,22 +82,7 @@ class CrossCloudQueryPlanner:
         """Baseline for E10: replicate each remote table *in full* (no
         filter pushdown) before joining locally — the traditional ETL
         approach the paper contrasts against."""
-        plan = primary_engine.plan(select)
-        report = CrossCloudReport()
-        with self.platform.ctx.tracer.span(
-            "crosscloud.execute", layer="omni", primary=primary_engine.location,
-            naive_copy=True,
-        ):
-            rewritten = self._relocate_remote_scans(
-                plan, principal, primary_engine, report, push_filters=False
-            )
-            result = primary_engine._run_plan(rewritten, principal)
-        result.cross_cloud = {
-            "subqueries": len(report.subqueries),
-            "bytes_moved": report.total_bytes_moved,
-            "sources": [s.source_location for s in report.subqueries],
-        }
-        return result
+        return self.execute(select, principal, primary_engine, push_filters=False)
 
     # ------------------------------------------------------------------
 
@@ -109,40 +92,22 @@ class CrossCloudQueryPlanner:
         principal: Principal,
         primary_engine,
         report: CrossCloudReport,
-        push_filters: bool = True,
+        push_filters: bool,
     ) -> PlanNode:
+        """Swap every scan of a table outside the primary region for a scan
+        of its streamed-back temp table (part of plan construction: the
+        plan is sealed once this returns)."""
         if isinstance(node, ScanNode):
-            location = node.table.location
-            if location == primary_engine.location:
+            if node.table.location == primary_engine.location:
                 return node
             return self._run_remote_subquery(
                 node, principal, primary_engine, report, push_filters
             )
-        if isinstance(node, (FilterNode, ProjectNode, AggregateNode, SortNode, LimitNode, DistinctNode)):
-            node.child = self._relocate_remote_scans(
-                node.child, principal, primary_engine, report, push_filters
+        return node.map_children(
+            lambda child: self._relocate_remote_scans(
+                child, principal, primary_engine, report, push_filters
             )
-            return node
-        if isinstance(node, JoinNode):
-            node.left = self._relocate_remote_scans(
-                node.left, principal, primary_engine, report, push_filters
-            )
-            node.right = self._relocate_remote_scans(
-                node.right, principal, primary_engine, report, push_filters
-            )
-            return node
-        if isinstance(node, UnionAllNode):
-            node.inputs = [
-                self._relocate_remote_scans(c, principal, primary_engine, report, push_filters)
-                for c in node.inputs
-            ]
-            return node
-        if isinstance(node, TvfNode) and node.input_plan is not None:
-            node.input_plan = self._relocate_remote_scans(
-                node.input_plan, principal, primary_engine, report, push_filters
-            )
-            return node
-        return node
+        )
 
     def _run_remote_subquery(
         self,

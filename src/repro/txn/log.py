@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import (
+    CorruptTxnRecordError,
     NotFoundError,
     PreconditionFailedError,
     TransactionAbortedError,
@@ -74,13 +75,19 @@ class TableCommit:
 
     @staticmethod
     def from_dict(d: dict[str, Any]) -> "TableCommit":
-        return TableCommit(
-            table_id=d["table_id"],
-            format=d["format"],
-            base_version=d["base_version"],
-            added=list(d["added"]),
-            deleted=list(d["deleted"]),
-        )
+        """Decode one intent entry; raises CorruptTxnRecordError on junk."""
+        try:
+            return TableCommit(
+                table_id=d["table_id"],
+                format=d["format"],
+                base_version=d["base_version"],
+                added=list(d["added"]),
+                deleted=list(d["deleted"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise CorruptTxnRecordError(
+                f"malformed transaction table commit: {exc!r}"
+            ) from None
 
 
 @dataclass
@@ -109,16 +116,22 @@ class TxnRecord:
 
     @staticmethod
     def from_json(data: bytes) -> "TxnRecord":
-        doc = json.loads(data)
-        return TxnRecord(
-            txn_id=doc["txn_id"],
-            state=doc["state"],
-            writer=doc["writer"],
-            begin_ms=doc["begin_ms"],
-            commit_ms=doc["commit_ms"],
-            finalized=doc["finalized"],
-            tables=[TableCommit.from_dict(t) for t in doc["tables"]],
-        )
+        """Decode a log object; raises CorruptTxnRecordError on junk."""
+        try:
+            doc = json.loads(data)
+            return TxnRecord(
+                txn_id=doc["txn_id"],
+                state=doc["state"],
+                writer=doc["writer"],
+                begin_ms=doc["begin_ms"],
+                commit_ms=doc["commit_ms"],
+                finalized=doc["finalized"],
+                tables=[TableCommit.from_dict(t) for t in doc["tables"]],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptTxnRecordError(
+                f"malformed transaction record: {exc!r}"
+            ) from None
 
 
 class TransactionLog:

@@ -1,5 +1,6 @@
 """Focused operator-level tests: sorting, limits, unions, casts, dates."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -210,9 +211,45 @@ class TestLeftJoinNullKeys:
         assert rows == [("c",), ("e",)]  # NULL probe keys never qualify
 
 
+# Key values per dtype for the matrix: few enough to collide often, and
+# chosen so keys of *different* dtypes collide too wherever python says they
+# are equal (1 == 1.0 == True, DATE and INT64 are both ints) and only there
+# ('1' != 1, 'a' != b'a').
+KEY_VALUES = {
+    DataType.INT64: [0, 1, 2, -1],
+    DataType.FLOAT64: [0.0, 1.0, 2.0, 0.5, -0.0, float("nan")],
+    DataType.BOOL: [True, False],
+    DataType.STRING: ["a", "1", ""],
+    DataType.BYTES: [b"a", b"1", b""],
+    DataType.DATE: [0, 1, 2, 19000],
+}
+KEY_DTYPES = list(KEY_VALUES)
+
+
+def key_lists(dtype, **kwargs):
+    return st.lists(st.one_of(st.none(), st.sampled_from(KEY_VALUES[dtype])), **kwargs)
+
+
+def pair_of_columns(draw, dtype, rows):
+    """A two-column key: one column of ``dtype``, one INT64."""
+    from repro.data import Column
+
+    n = len(rows)
+    ints = draw(key_lists(DataType.INT64, min_size=n, max_size=n))
+    return [Column.from_pylist(dtype, rows), Column.from_pylist(DataType.INT64, ints)]
+
+
+def same(a, b) -> bool:
+    """Row-list equality where NaN equals NaN (results carry NaN keys)."""
+    return repr(a) == repr(b)
+
+
 class TestVectorizedVsNaive:
-    """Property tests: the factorized join / DISTINCT / GROUP BY paths are
-    byte-identical to the retained naive reference implementations."""
+    """Property tests: the factorized join / semi-join / DISTINCT / GROUP BY
+    kernels agree with the row-at-a-time oracles in
+    ``tests/reference_operators.py`` for every pair of key dtypes, with
+    NULLs and NaNs on both sides. There is no fallback path: every key goes
+    through ``_column_codes``."""
 
     @staticmethod
     def _cols(int_items, str_items):
@@ -223,6 +260,27 @@ class TestVectorizedVsNaive:
             Column.from_pylist(DataType.STRING, str_items),
         ]
 
+    @staticmethod
+    def _join_both_ways(build_cols, probe_cols):
+        from repro.engine import operators as ops
+        from tests import reference_operators as ref
+
+        build_rows, probe_rows = len(build_cols[0]), len(probe_cols[0])
+        build_valid = ops._keys_valid(build_cols, build_rows)
+        probe_valid = ops._keys_valid(probe_cols, probe_rows)
+        build_codes, probe_codes = ops._join_key_codes(build_cols, probe_cols, build_rows)
+        fast = ops._hash_join_indices(build_codes, probe_codes, build_valid, probe_valid)
+        naive = ref._hash_join_indices_naive(build_cols, probe_cols, build_valid, probe_valid)
+        assert fast[0].tolist() == naive[0].tolist()
+        assert fast[1].tolist() == naive[1].tolist()
+        for kind in ("SEMI", "ANTI"):
+            keep = ops._semi_join_keep(
+                build_codes, probe_codes, build_valid, probe_valid, kind
+            )
+            expected = ref._semi_join_keep_naive(build_cols, probe_cols, probe_rows, kind)
+            assert keep.tolist() == expected.tolist()
+        return fast
+
     @given(
         st.lists(st.one_of(st.none(), st.integers(0, 6)), min_size=0, max_size=40),
         st.lists(st.one_of(st.none(), st.integers(0, 6)), min_size=0, max_size=40),
@@ -230,10 +288,6 @@ class TestVectorizedVsNaive:
     )
     @settings(max_examples=80, deadline=None)
     def test_join_indices_match_naive(self, build_ints, probe_ints, data):
-        import numpy as np
-
-        from repro.engine import operators as ops
-
         alphabet = st.one_of(st.none(), st.sampled_from(["p", "q", "r"]))
         build_strs = data.draw(
             st.lists(alphabet, min_size=len(build_ints), max_size=len(build_ints))
@@ -241,20 +295,9 @@ class TestVectorizedVsNaive:
         probe_strs = data.draw(
             st.lists(alphabet, min_size=len(probe_ints), max_size=len(probe_ints))
         )
-        build_cols = self._cols(build_ints, build_strs)
-        probe_cols = self._cols(probe_ints, probe_strs)
-        build_valid = np.ones(len(build_ints), dtype=bool)
-        probe_valid = np.ones(len(probe_ints), dtype=bool)
-        for c in build_cols:
-            build_valid &= c.is_valid()
-        for c in probe_cols:
-            probe_valid &= c.is_valid()
-        shared = ops._join_key_codes(build_cols, probe_cols, len(build_ints))
-        assert shared is not None
-        fast = ops._hash_join_indices(shared[0], shared[1], build_valid, probe_valid)
-        naive = ops._hash_join_indices_naive(build_cols, probe_cols, build_valid, probe_valid)
-        assert fast[0].tolist() == naive[0].tolist()
-        assert fast[1].tolist() == naive[1].tolist()
+        self._join_both_ways(
+            self._cols(build_ints, build_strs), self._cols(probe_ints, probe_strs)
+        )
 
     @given(
         st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=0, max_size=50),
@@ -263,6 +306,7 @@ class TestVectorizedVsNaive:
     @settings(max_examples=80, deadline=None)
     def test_group_keys_match_naive(self, ints, data):
         from repro.engine import operators as ops
+        from tests import reference_operators as ref
 
         strs = data.draw(
             st.lists(
@@ -272,24 +316,19 @@ class TestVectorizedVsNaive:
             )
         )
         cols = self._cols(ints, strs)
-        gid_fast, keys_fast = ops._group_keys(cols, len(ints))
-        gid_naive, keys_naive = ops._group_keys_naive(cols, len(ints))
+        gid_fast, keys_fast = ops._group_keys(cols)
+        gid_naive, keys_naive = ref._group_keys_naive(cols, len(ints))
         assert gid_fast.tolist() == gid_naive.tolist()
         assert list(keys_fast) == list(keys_naive)
 
     @given(st.lists(st.one_of(st.none(), st.integers(0, 5)), min_size=0, max_size=60))
     @settings(max_examples=80, deadline=None)
     def test_distinct_first_seen_order(self, ints):
-        import numpy as np
-
         from repro.data import Column
         from repro.engine import operators as ops
 
         col = Column.from_pylist(DataType.INT64, ints)
-        codes = ops._row_codes([col])
-        assert codes is not None
-        _, first_index = np.unique(codes, return_index=True)
-        first_index.sort()
+        first_index = ops._first_occurrences(ops._row_codes([col]))
         got = [col.to_pylist()[i] for i in first_index]
         seen, expected = set(), []
         for v in ints:
@@ -299,12 +338,117 @@ class TestVectorizedVsNaive:
                 expected.append(v)
         assert got == expected
 
-    def test_nan_keys_fall_back_to_naive(self):
+    @pytest.mark.parametrize("probe_dtype", KEY_DTYPES, ids=lambda d: d.name)
+    @pytest.mark.parametrize("build_dtype", KEY_DTYPES, ids=lambda d: d.name)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_join_key_dtype_matrix(self, build_dtype, probe_dtype, data):
+        """INNER / SEMI / ANTI over every ordered pair of key dtypes, as a
+        single key and as the first half of a two-column key."""
+        from repro.data import Column
+
+        build = data.draw(key_lists(build_dtype, max_size=12))
+        probe = data.draw(key_lists(probe_dtype, max_size=12))
+        self._join_both_ways(
+            [Column.from_pylist(build_dtype, build)],
+            [Column.from_pylist(probe_dtype, probe)],
+        )
+        self._join_both_ways(
+            pair_of_columns(data.draw, build_dtype, build),
+            pair_of_columns(data.draw, probe_dtype, probe),
+        )
+
+    @pytest.mark.parametrize("dtype", KEY_DTYPES, ids=lambda d: d.name)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_group_by_and_distinct_per_key_dtype(self, dtype, data):
+        from repro import RecordBatch
+        from repro.engine import operators as ops
+        from tests import reference_operators as ref
+
+        cols = pair_of_columns(data.draw, dtype, data.draw(key_lists(dtype, max_size=20)))
+        n = len(cols[0])
+        gid_fast, keys_fast = ops._group_keys(cols)
+        gid_naive, keys_naive = ref._group_keys_naive(cols, n)
+        assert gid_fast.tolist() == gid_naive.tolist()
+        assert same(list(keys_fast), list(keys_naive))
+        schema = Schema.of(("k", dtype), ("i", DataType.INT64))
+        batch = RecordBatch(schema, cols)
+        kept = batch.take(ops._first_occurrences(ops._row_codes(cols)))
+        expected = [r for b in ref._distinct_naive(schema, [batch]) for r in b.iter_rows()]
+        assert same(list(kept.iter_rows()), expected)
+
+    def test_every_nan_is_its_own_key(self):
+        """NaN != NaN: a NaN key joins nothing (so NOT IN keeps it), and
+        GROUP BY / DISTINCT keep every NaN row apart — python tuple
+        semantics, reproduced by ``np.unique(..., equal_nan=False)``."""
         from repro.data import Column
         from repro.engine import operators as ops
 
-        col = Column.from_pylist(DataType.FLOAT64, [1.0, float("nan"), 2.0])
-        assert ops._row_codes([col]) is None  # NaN: python tuple semantics differ
+        nan = float("nan")
+        col = Column.from_pylist(DataType.FLOAT64, [1.0, nan, None, nan, 1.0])
+        probe_idx, build_idx = self._join_both_ways([col], [col])
+        assert list(zip(probe_idx.tolist(), build_idx.tolist())) == [
+            (0, 0), (0, 4), (4, 0), (4, 4)
+        ]
+        gid, keys = ops._group_keys([col])
+        assert gid.tolist() == [0, 1, 2, 3, 0]
+        assert same(list(keys), [(1.0,), (nan,), (None,), (nan,)])
+        assert ops._first_occurrences(ops._row_codes([col])).tolist() == [0, 1, 2, 3]
+
+    def test_nan_keys_in_sql(self, env):
+        platform, admin = env
+        schema = Schema.of(("f", DataType.FLOAT64), ("tag", DataType.STRING))
+        t = platform.tables.create_managed_table("ds", "nans", schema)
+        nan, inf = float("nan"), float("inf")
+        platform.managed.append(
+            t.table_id,
+            batch_from_pydict(
+                schema,
+                {"f": [nan, 1.5, nan, None, inf], "tag": ["a", "b", "c", "d", "e"]},
+            ),
+        )
+        grouped = q(env, "SELECT f, COUNT(*) AS n FROM ds.nans GROUP BY f").rows()
+        assert same(sorted(grouped, key=repr), sorted(
+            [(nan, 1), (nan, 1), (1.5, 1), (None, 1), (inf, 1)], key=repr))
+        assert len(q(env, "SELECT DISTINCT f FROM ds.nans").rows()) == 5
+        # Dynamic partition pruning has no SQL literal for NaN / inf build
+        # keys: it drops the first (they match nothing) and stands down on
+        # the second, instead of rendering an unparseable restriction.
+        joined = q(
+            env,
+            "SELECT a.tag, b.tag FROM ds.nans a JOIN ds.nans b ON a.f = b.f ORDER BY a.tag",
+        ).rows()
+        assert joined == [("b", "b"), ("e", "e")]
+        semi = q(env, "SELECT tag FROM ds.nans WHERE f IN (SELECT f FROM ds.t) ORDER BY tag")
+        assert semi.rows() == [("b",)]
+        anti = q(
+            env,
+            "SELECT tag FROM ds.nans WHERE f NOT IN "
+            "(SELECT f FROM ds.t WHERE f IS NOT NULL) ORDER BY tag",
+        )
+        # NaN (and inf) match nothing in ds.t; the NULL key never qualifies.
+        assert anti.rows() == [("a",), ("c",), ("e",)]
+
+    def test_int64_float64_keys_above_2_53_compare_as_floats(self):
+        """The one documented divergence from python's exact comparison: an
+        INT64 key against a FLOAT64 key is promoted to float64, so 2**53 + 1
+        meets the float it rounds to. Same-dtype INT64 keys stay exact."""
+        from repro.data import Column
+        from repro.engine import operators as ops
+        from tests import reference_operators as ref
+
+        big = 2**53
+        ints = Column.from_pylist(DataType.INT64, [big, big + 1])
+        floats = Column.from_pylist(DataType.FLOAT64, [float(big)])
+        valid_i, valid_f = np.ones(2, dtype=bool), np.ones(1, dtype=bool)
+        codes = ops._join_key_codes([floats], [ints], 1)
+        fast = ops._hash_join_indices(codes[0], codes[1], valid_f, valid_i)
+        naive = ref._hash_join_indices_naive([floats], [ints], valid_f, valid_i)
+        assert fast[0].tolist() == [0, 1]  # both ints round to float(2**53)
+        assert naive[0].tolist() == [0]  # python: 2**53 + 1 != 2.0**53
+        exact = ops._join_key_codes([ints], [ints], 2)
+        assert exact[0][0] != exact[0][1]  # big and big + 1 stay apart
 
 
 class TestAggregateEdgeCases:

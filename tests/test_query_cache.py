@@ -10,9 +10,11 @@ from repro.cache.plan import QueryCache, QueryCacheConfig
 from repro.core.platform import PlatformConfig
 from repro.data import DataType, Schema
 from repro.errors import AnalysisError
-from repro.metastore.constraints import ColumnConstraint
 from repro.security import RowAccessPolicy
+from repro.engine.plan import PlanNode
+from repro.metastore.catalog import TableInfo
 from repro.security.iam import Role
+from repro.serving.workload import build_serving_platform, mixed_queries
 from repro.sql.parser import parse_statement
 
 from tests.helpers import make_platform, setup_sales_lake
@@ -25,6 +27,31 @@ def env():
     platform, admin = make_platform()
     setup_sales_lake(platform, admin)
     return platform, admin
+
+
+@pytest.fixture(scope="module")
+def suite_env():
+    """Both TPC lakes, admin only, each of the 17 suite statements run once:
+    a table's first read fills its metadata cache and prunes nothing, so
+    only later runs are comparable with each other."""
+    platform, admin, _ = build_serving_platform(scale=0.05, analysts=0)
+    for _, sql in mixed_queries():
+        platform.home_engine.execute(sql, admin)
+    return platform, admin
+
+
+def plan_fingerprint(value):
+    """Every attribute of every node of a plan, node identities included:
+    any write to any node — a rebound child, an appended filter, a new
+    attribute — changes it."""
+    if isinstance(value, PlanNode):
+        attrs = {name: plan_fingerprint(v) for name, v in vars(value).items()}
+        return (type(value).__name__, id(value), attrs)
+    if isinstance(value, (list, tuple)):
+        return [plan_fingerprint(item) for item in value]
+    if isinstance(value, TableInfo):
+        return value.table_id
+    return repr(value)
 
 
 def make_managed(platform, admin):
@@ -103,25 +130,31 @@ class TestPlanCache:
         assert stats["entries"] == 2
         assert stats["evictions"] == 1
 
-    def test_cached_plan_gets_fresh_runtime_constraints(self, env):
-        platform, admin = env
+    @pytest.mark.parametrize("name,sql", mixed_queries(), ids=[n for n, _ in mixed_queries()])
+    def test_executing_a_cached_plan_leaves_it_untouched(self, suite_env, name, sql):
+        """A plan is sealed after optimize: the plan tier hands every hit
+        the one stored object, and running it — dynamic partition pruning
+        included — writes to no node, so two runs are the same run."""
+        platform, admin = suite_env
         engine = platform.home_engine
         cache = platform.query_cache
-        plan = engine.plan(parse_statement(SALES_Q))
-        assert cache.store_plan(SALES_Q, engine, admin, plan)
-        served = cache.lookup_plan(SALES_Q, engine, admin)
-        scan = served
-        while not hasattr(scan, "table"):
-            scan = getattr(scan, "child", None) or scan.left
-        # Simulate DPP mutating the served plan's scan at execution time.
-        scan.runtime_constraints.add(
-            "region", ColumnConstraint(in_set=frozenset(["us"]))
-        )
-        again = cache.lookup_plan(SALES_Q, engine, admin)
-        scan2 = again
-        while not hasattr(scan2, "table"):
-            scan2 = getattr(scan2, "child", None) or scan2.left
-        assert scan2.runtime_constraints.is_empty
+        plan = engine.plan(parse_statement(sql))
+        assert cache.store_plan(sql, engine, admin, plan)
+        assert cache.lookup_plan(sql, engine, admin) is plan
+        assert cache.lookup_plan(sql, engine, admin) is cache.lookup_plan(sql, engine, admin)
+        sealed, text = plan_fingerprint(plan), plan.describe()
+        hits = plan_stats(platform)["hits"]
+        first = engine.execute(sql, admin)
+        assert plan_fingerprint(plan) == sealed
+        second = engine.execute(sql, admin)
+        assert plan_stats(platform)["hits"] == hits + 2  # both ran the shared plan
+        assert plan_fingerprint(plan) == sealed and plan.describe() == text
+        assert first.plan_text == second.plan_text == text
+        assert second.rows() == first.rows()
+        assert second.stats.dpp_applied == first.stats.dpp_applied
+        assert second.stats.files_read == first.stats.files_read
+        if name == "tpcds.q_dpp":
+            assert first.stats.dpp_applied > 0  # the pruning state exists, off the plan
 
     def test_ast_submissions_bypass_caches(self, env):
         platform, admin = env

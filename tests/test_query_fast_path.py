@@ -7,8 +7,8 @@ Pinned here, as tests rather than prose:
 * **Equivalence** — for every suite statement and both an admin and a
   governed analyst, cold rows == warm rows == rows with the fast path
   forced to miss.
-* **No work on a hit** — a warm result hit tokenizes, parses and clones
-  nothing; a warm plan-only hit parses nothing.
+* **No work on a hit** — a warm result hit tokenizes and parses nothing
+  and does not ask the plan tier; a warm plan-only hit parses nothing.
 * **Every change falls off** — revoked reader, new row policy, new mask,
   DML, transaction commit, DROP + recreate, another ``snapshot_ms``,
   another principal, a flipped engine flag: none is served from the fast
@@ -27,7 +27,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro import Role
-from repro.cache import plan as plan_module
 from repro.data import DataType, Schema
 from repro.engine import engine as engine_module
 from repro.errors import AccessDeniedError, ReproError, SqlSyntaxError
@@ -69,9 +68,9 @@ def env():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counting wrappers around the tokenizer, the statement parser (both
-    modules that call it) and the plan cloner."""
-    counts = {"tokenize": 0, "parse_statement": 0, "clone_plan": 0}
+    """Counting wrappers around the tokenizer and the statement parser
+    (both modules that call it)."""
+    counts = {"tokenize": 0, "parse_statement": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -85,8 +84,6 @@ def calls(monkeypatch):
     parse = counting("parse_statement", parser_module.parse_statement)
     monkeypatch.setattr(jobs_module, "parse_statement", parse)
     monkeypatch.setattr(engine_module, "parse_statement", parse)
-    monkeypatch.setattr(
-        plan_module, "_clone_plan", counting("clone_plan", plan_module._clone_plan))
     return counts
 
 
@@ -148,14 +145,13 @@ def test_cold_warm_and_forced_miss_rows_agree(governed, who, name, sql):
     assert engine.execute(sql, principal).rows() == cold.rows()
 
 
-# -- a hit does no parsing, planning or cloning --------------------------------
+# -- a hit does no parsing or planning -----------------------------------------
 
 
 class TestNoWorkOnAHit:
     def test_warm_result_hit_parses_and_clones_nothing(self, env, calls):
         cold = env.engine.execute(SALES_Q, env.reader, use_query_cache=True)
         assert calls["parse_statement"] == 1 and calls["tokenize"] >= 1
-        assert calls["clone_plan"] >= 1  # the stored master
         plan_before = plan_tier(env)
         calls.update(dict.fromkeys(calls, 0))
         job = env.platform.submit(SALES_Q, env.reader, use_query_cache=True)
@@ -163,7 +159,7 @@ class TestNoWorkOnAHit:
         warm = job.wait()
         assert warm.stats.cache_hit is True
         assert warm.rows() == cold.rows()
-        assert calls == {"tokenize": 0, "parse_statement": 0, "clone_plan": 0}
+        assert calls == {"tokenize": 0, "parse_statement": 0}
         # The plan tier was not asked: no hit, no miss, no recency bump.
         assert plan_tier(env) == plan_before
 

@@ -6,14 +6,18 @@ import pytest
 
 from repro.data import DataType, Schema
 from repro.errors import (
+    CorruptTxnRecordError,
     QueryError,
+    ReproError,
     TransactionAbortedError,
     TransactionConflictError,
     UnavailableError,
     error_code,
+    is_retryable,
 )
 from repro.faults import FaultSpec
 from repro.security.iam import Role
+from repro.txn.log import TableCommit, TxnRecord
 from repro.txn.workload import build_txn_platform, check_invariant
 
 
@@ -198,6 +202,62 @@ class TestErrorCodes:
         ).rows()
         assert rows, "the failed query must land in JOBS"
         assert all(code == "RETRY_BUDGET_EXHAUSTED" for _, _, code in rows)
+
+
+class TestLogRecordDecoding:
+    """A txn-log object is bytes from a durability boundary: whatever a torn
+    write or a flipped bit leaves there decodes to a record or raises a
+    typed, non-transient error — never a raw json / KeyError traceback."""
+
+    SAMPLE = TxnRecord(
+        txn_id="txn_000007", state="COMMITTED", writer="user:admin",
+        begin_ms=12.5, commit_ms=40.25, finalized=True,
+        tables=[
+            TableCommit("p.txn.orders", "blmt", 3, ["b/o/f1.pqs"], ["b/o/f0.pqs"]),
+            TableCommit("p.txn.lineitems", "iceberg", 9, ["b/l/f2.pqs"], []),
+        ],
+    ).to_json()
+
+    @staticmethod
+    def decode(data: bytes):
+        try:
+            return TxnRecord.from_json(data)
+        except ReproError as exc:
+            assert not is_retryable(exc)
+            return exc
+
+    def test_round_trip(self):
+        assert TxnRecord.from_json(self.SAMPLE).to_json() == self.SAMPLE
+
+    def test_every_truncation_is_typed(self):
+        for cut in range(len(self.SAMPLE)):
+            assert isinstance(self.decode(self.SAMPLE[:cut]), CorruptTxnRecordError)
+
+    def test_every_bit_flip_decodes_or_is_typed(self):
+        typed = 0
+        for offset in range(len(self.SAMPLE)):
+            for bit in range(8):
+                flipped = bytearray(self.SAMPLE)
+                flipped[offset] ^= 1 << bit
+                typed += isinstance(self.decode(bytes(flipped)), CorruptTxnRecordError)
+        assert typed > len(self.SAMPLE)  # most flips break the document
+
+    def test_missing_or_mistyped_fields_are_typed(self):
+        for doc in (b"[]", b"7", b'{"txn_id": "t"}', b'{"tables": 3}'):
+            assert isinstance(self.decode(doc), CorruptTxnRecordError)
+        with pytest.raises(CorruptTxnRecordError):
+            TableCommit.from_dict({"table_id": "t", "added": 5})
+
+    def test_log_read_does_not_retry_a_corrupt_record(self, env):
+        platform, admin = env
+        commit_one(platform, admin)
+        log = platform.txn.log
+        (obj,) = list(log.store.list_objects(log.bucket, prefix=f"{log.prefix}/"))
+        log.store.put_object(log.bucket, obj.key, b'{"txn_id": ')
+        retries = platform.ctx.metering.snapshot().op_counts.get("repro.retry", 0)
+        with pytest.raises(CorruptTxnRecordError):
+            log.entries()
+        assert platform.ctx.metering.snapshot().op_counts.get("repro.retry", 0) == retries
 
 
 class TestSystemTables:
