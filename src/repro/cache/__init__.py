@@ -144,8 +144,13 @@ class CacheTier:
             return "idle"
         return None
 
-    def _drop(self, entry: list, reason: str) -> None:
-        self.resident_bytes -= entry[1]
+    def _account(self, key: tuple, delta: int) -> None:
+        """The one place resident bytes change: an entry under ``key`` was
+        admitted (``delta > 0``) or left — replaced, expired or evicted."""
+        self.resident_bytes += delta
+
+    def _drop(self, key: tuple, entry: list, reason: str) -> None:
+        self._account(key, -entry[1])
         if reason == "lru":
             self.stats.evictions += 1
         elif reason == "ttl":
@@ -164,7 +169,7 @@ class CacheTier:
             reason = self._expiry_reason(entry, now)
             if reason is not None:
                 del self._entries[key]
-                self._drop(entry, reason)
+                self._drop(key, entry, reason)
 
     def get(self, key: tuple) -> tuple[Any, int] | None:
         entry = self._entries.get(key)
@@ -175,7 +180,7 @@ class CacheTier:
         reason = self._expiry_reason(entry, now)
         if reason is not None:
             del self._entries[key]
-            self._drop(entry, reason)
+            self._drop(key, entry, reason)
             self.stats.misses += 1
             return None
         entry[3] = now
@@ -183,12 +188,6 @@ class CacheTier:
         self.stats.hits += 1
         self.stats.hit_bytes += entry[1]
         return entry[0], entry[1]
-
-    def resident_items(self) -> "list[tuple[tuple, int]]":
-        """``(key, size_bytes)`` pairs, LRU order — a *read-only* view that,
-        unlike :meth:`get`, touches neither the recency order nor the
-        hit/miss stats (planner probes must not perturb the cache)."""
-        return [(key, entry[1]) for key, entry in self._entries.items()]
 
     def put(self, key: tuple, value: Any, size_bytes: int) -> bool:
         """Admit ``(key, value)``; returns False if rejected by size."""
@@ -199,13 +198,31 @@ class CacheTier:
         self.sweep(now)
         old = self._entries.pop(key, None)
         if old is not None:
-            self.resident_bytes -= old[1]
+            self._account(key, -old[1])
         while self._entries and self.resident_bytes + size_bytes > self.capacity_bytes:
-            _, entry = self._entries.popitem(last=False)
-            self._drop(entry, "lru")
+            evicted, entry = self._entries.popitem(last=False)
+            self._drop(evicted, entry, "lru")
         self._entries[key] = [value, size_bytes, now, now]
-        self.resident_bytes += size_bytes
+        self._account(key, size_bytes)
         return True
+
+
+class ChunkTier(CacheTier):
+    """The chunk tier, which also knows how many bytes it holds of each
+    object: its keys are ``(bucket, key, generation, row group, column)``,
+    and :attr:`object_bytes` maps the first three to the resident total."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.object_bytes: dict[tuple, int] = {}
+
+    def _account(self, key: tuple, delta: int) -> None:
+        super()._account(key, delta)
+        held = self.object_bytes.get(key[:3], 0) + delta
+        if held:
+            self.object_bytes[key[:3]] = held
+        else:
+            self.object_bytes.pop(key[:3], None)
 
 
 def eviction_counter(metrics) -> Any:
@@ -246,7 +263,7 @@ class DataCache:
         self.footers = CacheTier(
             "footer", self.config.footer_capacity_bytes, fraction, **tier_kwargs
         )
-        self.chunks = CacheTier(
+        self.chunks = ChunkTier(
             "chunk", self.config.chunk_capacity_bytes, fraction, **tier_kwargs
         )
         self.dictionaries = CacheTier(
@@ -367,11 +384,7 @@ class DataCache:
         """
         if not self.enabled or generation <= 0:
             return 0
-        prefix = (bucket, key, generation)
-        return sum(
-            size for entry_key, size in self.chunks.resident_items()
-            if entry_key[:3] == prefix
-        )
+        return self.chunks.object_bytes.get((bucket, key, generation), 0)
 
     # -- dictionary tier ----------------------------------------------------
 

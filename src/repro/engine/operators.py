@@ -15,7 +15,7 @@ from repro.errors import ExecutionError
 from repro.metastore.constraints import ColumnConstraint, ConstraintSet
 from repro.sql import ast_nodes as ast
 from repro.sql.expressions import Binder, evaluate, evaluate_predicate
-from repro.sql.printer import strip_qualifiers, to_sql
+from repro.sql.printer import strip_qualifiers
 
 from repro.engine.plan import (
     AggregateNode,
@@ -249,36 +249,27 @@ def _execute_system_table(node: SystemTableNode, ctx: ExecContext) -> list[Recor
     return [batch]
 
 
-def _scan_restriction(node: ScanNode, ctx: ExecContext) -> str | None:
-    clauses: list[str] = [
-        to_sql(strip_qualifiers(f)) for f in node.pushed_filters
-    ]
-    clauses.extend(_constraints_to_sql(ctx.dpp_constraints.get(id(node), ())))
-    if not clauses:
-        return None
-    return " AND ".join(clauses)
-
-
-def _constraints_to_sql(constraints) -> list[str]:
-    clauses = []
-    for column, constraint in constraints:
+def _scan_restriction(node: ScanNode, ctx: ExecContext) -> ast.Expr | None:
+    """The scan's row restriction as the Read API takes it from an
+    in-process caller: the conjunction of the pushed filters and this
+    execution's dynamic-pruning constraints on the node, as a tree."""
+    clauses = [strip_qualifiers(f) for f in node.pushed_filters]
+    for name, constraint in ctx.dpp_constraints.get(id(node), ()):
+        column = ast.ColumnRef((name,))
         if constraint.in_set is not None:
-            rendered = ", ".join(_render_literal(v) for v in sorted(constraint.in_set, key=repr))
-            clauses.append(f"{column} IN ({rendered})")
+            # Sorted, so the text a connector's handle carries is stable.
+            # Two joins on one column can leave no key in common: no row.
+            items = tuple(map(ast.Literal, sorted(constraint.in_set)))
+            clauses.append(ast.InList(column, items) if items else ast.Literal(False))
             continue
         if constraint.lo is not None:
-            clauses.append(f"{column} >= {_render_literal(constraint.lo)}")
+            clauses.append(ast.BinaryOp(">=", column, ast.Literal(constraint.lo)))
         if constraint.hi is not None:
-            clauses.append(f"{column} <= {_render_literal(constraint.hi)}")
-    return clauses
-
-
-def _render_literal(value) -> str:
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    return repr(value)
+            clauses.append(ast.BinaryOp("<=", column, ast.Literal(constraint.hi)))
+    restriction = None
+    for clause in clauses:
+        restriction = clause if restriction is None else ast.BinaryOp("AND", restriction, clause)
+    return restriction
 
 
 # --------------------------------------------------------------------------
@@ -795,8 +786,12 @@ def _apply_dynamic_partition_pruning(
         scan = _find_scan_for_column(probe_node, column)
         if scan is None:
             continue
-        # A NaN key matches nothing, so it is dropped from the IN-set; an
-        # infinite one matches but has no SQL literal, so it is not pruned on.
+        # A NaN key matches nothing, so it is dropped from the IN-set. An
+        # infinite or a BYTES one matches but has no SQL literal — the form
+        # the restriction takes in a connector's session handle — so it is
+        # not pruned on.
+        if build_col.dtype is DataType.BYTES:
+            continue
         values = {v for v in build_col.to_pylist() if v is not None and v == v}
         if (
             not values

@@ -74,7 +74,7 @@ class ScanNode(PlanNode):
     """Read one table through the Storage Read API.
 
     ``pushed_filters`` are conjuncts fully answerable by this relation,
-    serialized into the session's row restriction.
+    handed to the session as part of its row restriction.
     """
 
     table: TableInfo

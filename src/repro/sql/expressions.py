@@ -79,6 +79,12 @@ class BoundInList(BoundExpr):
     values: tuple
     negated: bool
     dtype: DataType = DataType.BOOL
+    # What evaluate() probes, prepared once from ``values`` for the
+    # operand's type (see _membership_probe).
+    probe: Any = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "probe", _membership_probe(self.operand.dtype, self.values))
 
 
 @dataclass(frozen=True)
@@ -340,6 +346,9 @@ _NUMERIC_RESULT = {
     ("+",): None, ("-",): None, ("*",): None,
 }
 
+# The python types _bind_literal accepts for a literal with no type hint.
+_PLAIN_LITERAL_TYPES = (bool, int, float, str, bytes, type(None))
+
 
 class Binder:
     """Resolves names against a schema and type-checks expressions."""
@@ -363,6 +372,14 @@ class Binder:
             operand = self.bind(expr.operand)
             values = []
             for item in expr.items:
+                # A pushed-down pruning list is thousands of plain literals,
+                # whose value is what binding them would return.
+                if (
+                    isinstance(item, ast.Literal) and item.type_hint is None
+                    and isinstance(item.value, _PLAIN_LITERAL_TYPES)
+                ):
+                    values.append(item.value)
+                    continue
                 bound = self.bind(item)
                 if not isinstance(bound, BoundLiteral):
                     raise AnalysisError("IN list items must be literals")
@@ -550,9 +567,7 @@ def evaluate(expr: BoundExpr, batch: RecordBatch) -> Column:
         return Column(DataType.BOOL, result)
     if isinstance(expr, BoundInList):
         operand = evaluate(expr.operand, batch)
-        hits = np.zeros(n, dtype=bool)
-        for v in expr.values:
-            hits |= operand.values == v
+        hits = _member_of(operand.values, expr.probe)
         hits &= operand.is_valid()
         if expr.negated:
             hits = ~hits & operand.is_valid()
@@ -584,6 +599,40 @@ def evaluate_predicate(expr: BoundExpr, batch: RecordBatch) -> np.ndarray:
     # May be the column's own array: a mask is for indexing, never written to.
     values = col.values.astype(bool, copy=False)
     return values if col.validity is None else values & col.validity
+
+
+def _membership_probe(dtype: DataType, values: tuple) -> "frozenset | tuple[np.ndarray, ...]":
+    """The IN-list ``values`` in the form :func:`_member_of` tests an operand
+    of ``dtype`` against, with ``==``'s meaning item by item: NULL and NaN
+    items match nothing, ``1 == 1.0 == True``, and text equals only text.
+
+    Variable-width operands probe a set. Fixed-width ones probe arrays of
+    the numeric items: a FLOAT64 operand compares everything as float64;
+    the int64-backed and BOOL ones compare int items exactly and float
+    items as float64, so the two kinds stay in arrays of their own.
+    """
+    if dtype.is_variable_width:
+        return frozenset(values)
+    numbers = [v for v in values if isinstance(v, (int, float)) and v == v]
+    if dtype is DataType.FLOAT64:
+        arrays = [np.asarray(numbers, dtype=np.float64)]
+    else:
+        floats = [v for v in numbers if isinstance(v, float)]
+        # An int no int64 holds equals no operand value.
+        ints = [v for v in numbers if not isinstance(v, float) and -(2**63) <= v < 2**63]
+        arrays = [np.asarray(floats, dtype=np.float64), np.asarray(ints, dtype=np.int64)]
+    return tuple(array for array in arrays if array.size)
+
+
+def _member_of(values: np.ndarray, probe: "frozenset | tuple[np.ndarray, ...]") -> np.ndarray:
+    """Which of ``values`` the IN list holds: one membership pass per probe
+    array, or one set probe per value of an object array."""
+    if isinstance(probe, frozenset):
+        return np.fromiter(map(probe.__contains__, values.tolist()), dtype=bool, count=len(values))
+    hits = np.zeros(len(values), dtype=bool)
+    for items in probe:
+        hits |= np.isin(values, items)
+    return hits
 
 
 def _eval_binary(expr: BoundBinary, batch: RecordBatch) -> Column:

@@ -1,12 +1,17 @@
 """AST -> SQL text serialization.
 
-Used when the engine pushes predicates down into Read API sessions: the
-Read API's protocol carries row restrictions as SQL text (like the real
-``row_restriction`` field), so pushed filters round-trip through the
-printer and the parser.
+SQL text is the Read API's wire format for a row restriction (like the real
+``row_restriction`` field): what a serialized session handle carries and
+what an external engine sends. An in-process engine hands the Read API the
+tree itself, so the printer is not on the scan path; it runs when a session
+built from a tree is asked for its text (``ReadSession.row_restriction``),
+and ``parse_expression(to_sql(tree)) == tree`` for every tree the engine
+pushes down. A value with no SQL literal raises :class:`AnalysisError`.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.errors import AnalysisError
 from repro.sql import ast_nodes as ast
@@ -71,7 +76,11 @@ def _literal(expr: ast.Literal) -> str:
         return "TRUE" if v else "FALSE"
     if isinstance(v, str):
         return _quote(v)
-    return repr(v)
+    if isinstance(v, int) or (isinstance(v, float) and math.isfinite(v)):
+        return repr(v)
+    # BYTES, NaN, the infinities: the dialect has no literal the parser
+    # would read back as this value.
+    raise AnalysisError(f"no SQL literal for {v!r}")
 
 
 def _quote(text: str) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from repro.errors import SqlSyntaxError
@@ -47,85 +48,68 @@ class Token:
         return self.kind is TokenKind.SYMBOL and self.text in symbols
 
 
+# ``str.isdigit`` is wider than ``\d`` (Unicode decimals): it also takes the
+# superscripts, circled digits and the like. Unicode gives no new character
+# Numeric_Type=Digit (UAX #44, since 6.3), so the list is closed;
+# tests/test_sql_tokens.py checks it against the running interpreter.
+_DIGIT = (
+    r"[\d\u00b2\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079\u2080-\u2089"
+    r"\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea\u24f5-\u24fd\u24ff"
+    r"\u2776-\u277e\u2780-\u2788\u278a-\u2792\U00010a40-\U00010a43"
+    r"\U00010e60-\U00010e68\U00011052-\U0001105a\U0001f100-\U0001f10a]"
+)
+
+# One match per token: what separates tokens, then one alternative per
+# token kind, tried in this order. No alternative can fail after it has
+# consumed a character, so nothing backtracks: an unterminated string or
+# quoted identifier matches to the end of the text with an empty closing
+# group, and ``bad`` takes whatever nothing else does.
+_TOKEN = re.compile(
+    rf"""(?: \s+ | --[^\n]* )*
+    (?: (?P<string>  '(?P<body>[^']*(?:''[^']*)*)(?P<close>'?) )
+      | (?P<quoted>  `(?P<name>[^`]*)(?P<tick>`?) )
+      | (?P<number>  (?:{_DIGIT}+\.?{_DIGIT}*|\.{_DIGIT}+)(?:[eE][+-]?{_DIGIT}*)? )
+      | (?P<word>    (?!{_DIGIT})\w+ )
+      | (?P<symbol>  {"|".join(map(re.escape, SYMBOLS))} )
+      | (?P<eof>     \Z )
+      | (?P<bad>     . )
+    )""",
+    re.VERBOSE,
+)
+
+
 def tokenize(sql: str) -> list[Token]:
     """Lex ``sql`` into tokens; raises :class:`SqlSyntaxError` on garbage."""
     tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and i + 1 < n and sql[i + 1] == "-":  # line comment
-            while i < n and sql[i] != "\n":
-                i += 1
-            continue
-        if ch == "'":  # string literal with '' escaping
-            j = i + 1
-            chunks: list[str] = []
-            while True:
-                if j >= n:
-                    raise SqlSyntaxError(f"unterminated string literal at {i}")
-                if sql[j] == "'":
-                    if j + 1 < n and sql[j + 1] == "'":
-                        chunks.append("'")
-                        j += 2
-                        continue
-                    break
-                chunks.append(sql[j])
-                j += 1
-            tokens.append(Token(TokenKind.STRING, "".join(chunks), i))
-            i = j + 1
-            continue
-        if ch == "`":  # quoted identifier
-            j = sql.find("`", i + 1)
-            if j < 0:
-                raise SqlSyntaxError(f"unterminated quoted identifier at {i}")
-            tokens.append(Token(TokenKind.IDENT, sql[i + 1 : j], i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            seen_exp = False
-            while j < n:
-                c = sql[j]
-                if c.isdigit():
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif c in "eE" and not seen_exp and j > i:
-                    seen_exp = True
-                    j += 1
-                    if j < n and sql[j] in "+-":
-                        j += 1
-                else:
-                    break
-            tokens.append(Token(TokenKind.NUMBER, sql[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (sql[j].isalnum() or sql[j] == "_"):
-                j += 1
-            word = sql[i:j]
-            upper = word.upper()
+    for m in _TOKEN.finditer(sql):
+        kind = m.lastgroup
+        text = m[kind]
+        pos = m.end() - len(text)
+        if kind == "word":
+            # \w also takes the numeric letters (fractions, Roman numerals),
+            # which start no identifier.
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise SqlSyntaxError(f"unexpected character {text[0]!r} at position {pos}")
+            upper = text.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenKind.KEYWORD, upper, i))
+                tokens.append(Token(TokenKind.KEYWORD, upper, pos))
             else:
-                tokens.append(Token(TokenKind.IDENT, word, i))
-            i = j
-            continue
-        matched = False
-        for sym in SYMBOLS:
-            if sql.startswith(sym, i):
-                tokens.append(Token(TokenKind.SYMBOL, sym, i))
-                i += len(sym)
-                matched = True
-                break
-        if not matched:
-            raise SqlSyntaxError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(Token(TokenKind.EOF, "", n))
+                tokens.append(Token(TokenKind.IDENT, text, pos))
+        elif kind == "symbol":
+            tokens.append(Token(TokenKind.SYMBOL, text, pos))
+        elif kind == "number":
+            tokens.append(Token(TokenKind.NUMBER, text, pos))
+        elif kind == "string":
+            if not m["close"]:
+                raise SqlSyntaxError(f"unterminated string literal at {pos}")
+            tokens.append(Token(TokenKind.STRING, m["body"].replace("''", "'"), pos))
+        elif kind == "quoted":
+            if not m["tick"]:
+                raise SqlSyntaxError(f"unterminated quoted identifier at {pos}")
+            tokens.append(Token(TokenKind.IDENT, m["name"], pos))
+        elif kind == "eof":
+            break
+        else:
+            raise SqlSyntaxError(f"unexpected character {text!r} at position {pos}")
+    tokens.append(Token(TokenKind.EOF, "", len(sql)))
     return tokens

@@ -48,6 +48,7 @@ from repro.sql.analysis import extract_constraints
 from repro.sql.dates import parse_date_to_days
 from repro.sql.expressions import FunctionRegistry
 from repro.sql.parser import parse_expression
+from repro.sql.printer import to_sql
 from repro.storageapi.fileutil import entry_from_footer, read_remote_footer
 from repro.storageapi.managed import ManagedStorage
 from repro.storageapi.superluminal import Superluminal
@@ -170,15 +171,16 @@ class ReadStream:
 class ReadSession:
     """A consistent point-in-time read of one table.
 
-    The session owns its compiled scan. ``row_restriction`` is the wire
-    format — the text :meth:`serialize` ships and the resolution cache keys
-    on — and is parsed exactly once, at create: ``restriction`` is that
-    parse, ``constraints`` the pruning bounds extracted from it, and
-    ``pipeline`` the Superluminal enforcement compiled from it against
-    ``access``, the principal's effective access at the time. Every stream
-    reads through a :meth:`~Superluminal.fresh` view of the one pipeline;
-    :meth:`ReadApi.read_rows` re-resolves the access on every call and
-    recompiles when it no longer equals ``access``.
+    The session owns its compiled scan. ``restriction`` is the caller's row
+    restriction as a tree — the one parse of the text a wire caller sent, or
+    the tree an in-process caller handed over — ``constraints`` the pruning
+    bounds extracted from it, and ``pipeline`` the Superluminal enforcement
+    compiled from it against ``access``, the principal's effective access at
+    the time. :attr:`row_restriction` is the same restriction in the wire
+    format: the text :meth:`serialize` ships and the resolution cache keys
+    on. Every stream reads through a :meth:`~Superluminal.fresh` view of the
+    one pipeline; :meth:`ReadApi.read_rows` re-resolves the access on every
+    call and recompiles when it no longer equals ``access``.
     """
 
     session_id: str
@@ -186,7 +188,6 @@ class ReadSession:
     principal: Principal
     output_schema: Schema
     columns: list[str]
-    row_restriction: str | None
     restriction: ast.Expr | None
     constraints: ConstraintSet
     access: EffectiveAccess
@@ -207,6 +208,15 @@ class ReadSession:
     # Ranged reads: fetch only the surviving row-group x needed-column
     # chunks (with range coalescing) instead of whole objects.
     ranged_reads: bool = False
+    # The restriction as text: what the caller sent, else rendered on demand.
+    restriction_text: str | None = None
+
+    @property
+    def row_restriction(self) -> str | None:
+        """The restriction in the wire format (SQL text)."""
+        if self.restriction_text is None and self.restriction is not None:
+            self.restriction_text = to_sql(self.restriction)
+        return self.restriction_text
 
     def serialize(self) -> bytes:
         """Wire handle for "over the wire" handoff: a stable byte blob with
@@ -289,7 +299,7 @@ class ReadApi:
         principal: Principal,
         table: TableInfo,
         columns: list[str] | None = None,
-        row_restriction: str | None = None,
+        row_restriction: str | ast.Expr | None = None,
         snapshot_ms: float | None = None,
         max_streams: int = 8,
         with_table_stats: bool = False,
@@ -301,6 +311,12 @@ class ReadApi:
         ranged_reads: bool = False,
     ) -> ReadSession:
         """Open a consistent read session over ``table``.
+
+        ``row_restriction`` is SQL text — the wire format, parsed once, here
+        — or the expression tree an in-process engine already holds. Either
+        way the tree is bound against the table's effective schema with this
+        deployment's function registry and conjoined with the principal's
+        row policies before any IO, so both forms pass the same checks.
 
         ``aggregates`` pushes partial MIN/MAX/SUM/COUNT computation into the
         server; ``wire_format`` selects ReadRows payload accounting;
@@ -324,9 +340,13 @@ class ReadApi:
 
         table_schema = self._effective_schema(table)
         access = table.policies.resolve(principal)
-        # The one parse of the wire-format restriction; everything below,
-        # and every stream, works from this tree.
-        restriction = parse_expression(row_restriction) if row_restriction else None
+        # Text becomes a tree here and nowhere else; everything below, and
+        # every stream, works from the tree.
+        if isinstance(row_restriction, str):
+            restriction_text = row_restriction
+            restriction = parse_expression(row_restriction) if row_restriction else None
+        else:
+            restriction_text, restriction = None, row_restriction
         projected = columns if columns is not None else [
             f.name for f in table_schema if f.name not in access.denied_columns
         ]
@@ -344,8 +364,10 @@ class ReadApi:
         streams: list[ReadStream]
         cache_key = None
         if reuse and table.kind not in (TableKind.MANAGED,):
+            if restriction_text is None and restriction is not None:
+                restriction_text = to_sql(restriction)
             cache_key = (
-                table.table_id, table.version, row_restriction, snapshot_ms, max_streams
+                table.table_id, table.version, restriction_text, snapshot_ms, max_streams
             )
         if cache_key is not None and cache_key in self._resolution_cache:
             self._resolution_cache.move_to_end(cache_key)
@@ -391,7 +413,6 @@ class ReadApi:
             principal=principal,
             output_schema=table_schema.select(projected),
             columns=projected,
-            row_restriction=row_restriction,
             restriction=restriction,
             constraints=constraints,
             access=access,
@@ -406,6 +427,7 @@ class ReadApi:
             aggregates=list(aggregates or []),
             wire_format=wire_format,
             ranged_reads=ranged_reads,
+            restriction_text=restriction_text,
         )
         self._register_session(session)
         return session

@@ -54,9 +54,10 @@ class Superluminal:
     moves — so a malicious engine cannot even construct the scan.
 
     A read session compiles one pipeline per effective access and shares it
-    between its streams (:meth:`fresh`). ``row_restriction`` arrives parsed:
-    the SQL text is the wire format and the session parses it once at the
-    trust boundary; the only text compiled here is the table's own row
+    between its streams (:meth:`fresh`). ``row_restriction`` arrives as a
+    tree: SQL text is the wire format and the session turns it into a tree
+    once, at the trust boundary, where an in-process engine hands over the
+    tree it holds; the only text compiled here is the table's own row
     policies.
     """
 

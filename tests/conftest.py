@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.cloud import Cloud, Region
 from repro.data import DataType, Schema, batch_from_pydict
 from repro.objectstore import ObjectStore
 from repro.simtime import SimContext
+
+# `--hypothesis-profile=oracles` (ci.yml's check job): many more examples for
+# the tests that leave max_examples to the profile — the lexer and IN-list
+# kernels against the loops they replaced, which tier-1 runs at the default.
+settings.register_profile("oracles", max_examples=5000, deadline=None)
 
 GCP_US = Region(Cloud.GCP, "us-central1")
 AWS_US = Region(Cloud.AWS, "us-east-1")

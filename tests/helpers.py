@@ -22,6 +22,41 @@ def make_platform():
     return platform, admin
 
 
+def setup_lake_table(
+    platform,
+    admin,
+    schema: Schema,
+    files: list[dict],
+    bucket: str = "lake",
+    dataset: str = "ds",
+    table: str = "sales",
+    cache_mode: MetadataCacheMode = MetadataCacheMode.AUTOMATIC,
+):
+    """Write ``files`` (one column dict each) as a lake under ``table/`` and
+    register a BigLake table over it; bucket, connection and dataset are
+    created on first use."""
+    store = platform.stores.store_for(platform.config.home_region.location)
+    if not store.has_bucket(bucket):
+        store.create_bucket(bucket)
+    connection_name = f"{dataset}.lakeconn"
+    if not platform.connections.has_connection(connection_name):
+        conn = platform.connections.create_connection(connection_name)
+        platform.connections.grant_lake_access(conn, bucket)
+    platform.iam.grant(f"connections/{connection_name}", Role.CONNECTION_USER, admin)
+    if not platform.catalog.has_dataset(dataset):
+        platform.catalog.create_dataset(dataset)
+    for i, rows in enumerate(files):
+        write_data_file(
+            store, bucket, f"{table}/part-{i:04d}.pqs", schema,
+            [batch_from_pydict(schema, rows)],
+        )
+    info = platform.tables.create_biglake_table(
+        admin, dataset, table, schema, bucket, table, connection_name,
+        cache_mode=cache_mode,
+    )
+    return info, store
+
+
 def setup_sales_lake(
     platform,
     admin,
@@ -35,33 +70,17 @@ def setup_sales_lake(
     """Write a small partition-friendly sales lake and register a BigLake
     table over it. Files are written with disjoint order_id ranges and one
     year per file half, so statistics can prune."""
-    store = platform.stores.store_for(platform.config.home_region.location)
-    if not store.has_bucket(bucket):
-        store.create_bucket(bucket)
-    connection_name = f"{dataset}.lakeconn"
-    if not platform.connections.has_connection(connection_name):
-        conn = platform.connections.create_connection(connection_name)
-        platform.connections.grant_lake_access(conn, bucket)
-    platform.iam.grant(f"connections/{connection_name}", Role.CONNECTION_USER, admin)
-    if not platform.catalog.has_dataset(dataset):
-        platform.catalog.create_dataset(dataset)
-
     regions = ["us", "eu", "apac"]
+    columns = []
     for i in range(files):
         year = 2022 if i < files // 2 else 2023
         base = i * rows_per_file
-        rows = {
+        columns.append({
             "order_id": list(range(base, base + rows_per_file)),
             "region": [regions[j % 3] for j in range(rows_per_file)],
             "amount": [float(j + 1) for j in range(rows_per_file)],
             "year": [year] * rows_per_file,
-        }
-        write_data_file(
-            store, bucket, f"{table}/part-{i:04d}.pqs", SALES_SCHEMA,
-            [batch_from_pydict(SALES_SCHEMA, rows)],
-        )
-    info = platform.tables.create_biglake_table(
-        admin, dataset, table, SALES_SCHEMA, bucket, table, connection_name,
-        cache_mode=cache_mode,
+        })
+    return setup_lake_table(
+        platform, admin, SALES_SCHEMA, columns, bucket, dataset, table, cache_mode
     )
-    return info, store

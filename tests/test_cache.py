@@ -9,7 +9,11 @@ model in ``QueryStats.finalize``.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import CacheConfig, CacheTier, DataCache
 from repro.core.platform import LakehousePlatform, PlatformConfig
@@ -405,3 +409,60 @@ class TestAgeEviction:
         fresh, fresh_admin = make_platform()
         setup_sales_lake(fresh, fresh_admin)
         assert fresh.home_engine.execute(SALES_SQL, fresh_admin).rows() == cold
+
+
+class TestWarmChunkBytes:
+    """The scheduler's probe reads a per-object counter the chunk tier keeps
+    where it admits, replaces, expires and evicts."""
+
+    OBJECTS = [("b", "f0"), ("b", "f1"), ("c", "f0")]
+    step = st.one_of(
+        # admit / replace; a new generation is how a rewrite invalidates
+        st.tuples(st.just("put"), st.integers(0, 2), st.integers(1, 3), st.integers(0, 3),
+                  st.integers(0, 40)),
+        st.tuples(st.just("get"), st.integers(0, 2), st.integers(1, 3), st.integers(0, 3)),
+        st.tuples(st.just("wait"), st.floats(0.0, 12.0)),
+    )
+
+    @staticmethod
+    def recomputed(cache, prefix):
+        return sum(e[1] for k, e in cache.chunks._entries.items() if k[:3] == prefix)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(step, max_size=40))
+    def test_counter_is_the_recomputed_sum(self, steps):
+        cache = DataCache(
+            SimContext(),
+            CacheConfig(chunk_capacity_bytes=100, admission_fraction=0.3, ttl_ms=20.0, idle_ms=8.0),
+        )
+        for op, *args in steps:
+            if op == "put":
+                obj, generation, rg, size = args
+                cache.admit_chunk(*self.OBJECTS[obj], generation, rg, "col", "v", size)
+            elif op == "get":
+                obj, generation, rg = args
+                cache.lookup_chunk(*self.OBJECTS[obj], generation, rg, "col")
+            else:
+                cache.ctx.clock.advance(args[0])
+            for bucket, key in self.OBJECTS:
+                for generation in (1, 2, 3):
+                    assert cache.warm_chunk_bytes(bucket, key, generation) == self.recomputed(
+                        cache, (bucket, key, generation)
+                    )
+            assert sum(cache.chunks.object_bytes.values()) == cache.chunks.resident_bytes
+            assert all(cache.chunks.object_bytes.values())  # no object left at zero
+
+    def test_probe_does_not_perturb_the_cache(self):
+        cache = DataCache(SimContext(), CacheConfig(chunk_capacity_bytes=100, admission_fraction=1.0))
+        cache.admit_chunk("b", "k", 1, 0, "x", "v", 30)
+        cache.admit_chunk("b", "k", 1, 1, "x", "v", 30)
+        cache.admit_chunk("b", "other", 1, 0, "x", "v", 30)
+        stats, order = copy.copy(cache.chunks.stats), list(cache.chunks._entries)
+        now = cache.ctx.clock.now_ms
+        assert cache.warm_chunk_bytes("b", "k", 1) == 60
+        assert cache.warm_chunk_bytes("b", "k", 2) == 0
+        assert cache.warm_chunk_bytes("b", "k", 0) == 0  # unknown generation: never cached
+        assert (cache.chunks.stats, list(cache.chunks._entries)) == (stats, order)
+        assert cache.ctx.clock.now_ms == now
+        cache.admit_chunk("b", "big", 1, 0, "x", "v", 70)  # evicts both chunks of k
+        assert cache.warm_chunk_bytes("b", "k", 1) == 0
