@@ -16,7 +16,7 @@ the thing PR 10's vectorization and caches actually buy. Three parts:
   is on by default in both, so this also pins its byte-invisibility).
 * **Decode/join/row-boundary microbench** — the vectorized PLAIN decoder
   and hash-join match enumeration against their ``*_naive`` reference
-  oracles (the join's lives in ``tests/reference_operators.py``), and the
+  oracles (``tests/reference_encodings.py`` / ``reference_operators.py``), and the
   row view + drain digest (``iter_rows``, ``rows_crc``) against the
   per-element ``Column.__getitem__`` walk they replaced, on identical
   inputs: the cache-off speedup numbers.
@@ -51,6 +51,7 @@ from repro.faults import FaultPlan
 from repro.formats import encodings
 from repro.storageapi.streams import rows_crc
 
+from tests.reference_encodings import decode_plain_naive
 from tests.reference_operators import _hash_join_indices_naive
 
 CHAOS_SEEDS = (7, 1234)
@@ -179,8 +180,8 @@ def _microbench(n_rows):
     )
     decode_naive = _time_best(
         lambda: (
-            encodings.decode_plain_naive(DataType.INT64, enc_int),
-            encodings.decode_plain_naive(DataType.STRING, enc_str),
+            decode_plain_naive(DataType.INT64, enc_int),
+            decode_plain_naive(DataType.STRING, enc_str),
         )
     )
 

@@ -17,6 +17,7 @@ Run:  python examples/advanced_features.py
 
 from repro import DataType, LakehousePlatform, Role, Schema, batch_from_pydict
 from repro.errors import StorageError
+from repro.faults import FaultSpec
 from repro.sql.dates import micros_to_timestamp_string
 
 
@@ -117,7 +118,10 @@ def main() -> None:
     )
 
     # -- 6. Crash safety ------------------------------------------------------------------
-    store.inject_fault("put", 1)
+    platform.ctx.faults.add(FaultSpec(
+        op="objectstore.put", error="StorageError", count=1,
+        match=(("store", store.name),),
+    ))
     try:
         platform.home_engine.execute("UPDATE ops.tickets SET hours = 0.0", admin)
     except StorageError as exc:

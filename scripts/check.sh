@@ -61,8 +61,8 @@ twice "chaos run" "chaos determinism gate FAILED: same seed produced different r
 # placement, straggler draws, backup launches) byte-for-byte.
 twice "schedule run" "scheduler determinism gate FAILED: same seed produced different timelines" \
     repro schedule --seed 1234 --json {}
-# Serve: the CLI itself exits non-zero if the in-memory job handles
-# disagree with INFORMATION_SCHEMA.JOBS; the diff pins the whole
+# Serve: the CLI itself exits non-zero if INFORMATION_SCHEMA.JOBS returns
+# anything but what the job records hold; the diff pins the whole
 # multi-principal run (arrivals, admission order, queue waits, result
 # CRCs) byte-for-byte — with and without the chaos plan.
 twice "serve run" "serve determinism gate FAILED: $same" \

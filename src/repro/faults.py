@@ -72,10 +72,9 @@ class FaultSpec:
 
     ``op`` is a hazard-point *prefix* (``"objectstore.get"`` hits plain and
     ranged GETs; ``"objectstore."`` hits everything in the store). Either
-    ``count`` (fire unconditionally on the next N matching operations — the
-    legacy ``inject_fault`` semantics) or ``rate`` (fire each matching
-    operation with probability ``rate``, drawn from the plan's seeded RNG,
-    at most ``max_fires`` times) drives firing. ``start_ms``/``end_ms``
+    ``count`` (fire unconditionally on the next N matching operations) or
+    ``rate`` (fire each matching operation with probability ``rate``, drawn
+    from the plan's seeded RNG, at most ``max_fires`` times) drives firing. ``start_ms``/``end_ms``
     bound the window on the sim clock; ``match`` restricts to operations
     whose keyword detail (e.g. ``store="gcp-us"``) matches exactly.
     """

@@ -12,10 +12,10 @@ code array.
 
 The hot-path codecs are vectorized (offset arrays + single-buffer slicing
 instead of per-value ``struct`` calls); the pre-vectorization row-at-a-time
-implementations are retained as ``*_naive`` reference oracles so property
-tests can pin byte-identity. Every decoder validates chunk bounds and
-raises :class:`ExecutionError` on truncation instead of leaking a raw
-``struct.error`` or silently decoding a short payload.
+implementations live on in ``tests/reference_encodings.py`` as the oracles
+property tests pin byte-identity against. Every decoder validates chunk
+bounds and raises :class:`ExecutionError` on truncation instead of leaking a
+raw ``struct.error`` or silently decoding a short payload.
 """
 
 from __future__ import annotations
@@ -110,63 +110,6 @@ def decode_plain(dtype: DataType, buf: bytes) -> Column:
         values = values.astype(bool)
     else:
         values = values.copy()  # frombuffer yields a read-only view
-    return Column(dtype, values, validity)
-
-
-def encode_plain_naive(column: Column) -> bytes:
-    """Pre-vectorization row-at-a-time encoder, retained as a test oracle."""
-    n = len(column)
-    parts = [_U32.pack(n), column.is_valid().astype(np.uint8).tobytes()]
-    if column.dtype.is_variable_width:
-        valid = column.is_valid()
-        for i in range(n):
-            if not valid[i]:
-                continue
-            v = column.values[i]
-            payload = v.encode("utf-8") if isinstance(v, str) else bytes(v)
-            parts.append(_U32.pack(len(payload)))
-            parts.append(payload)
-    else:
-        physical = column.values.astype(_fixed_numpy_dtype(column.dtype), copy=False)
-        parts.append(physical.tobytes())
-    return b"".join(parts)
-
-
-def decode_plain_naive(dtype: DataType, buf: bytes) -> Column:
-    """Pre-vectorization row-at-a-time decoder, retained as a test oracle
-    (with the same truncation bounds checks as :func:`decode_plain`)."""
-    nbuf = len(buf)
-    if nbuf < 4:
-        raise ExecutionError("truncated PLAIN chunk")
-    (n,) = _U32.unpack_from(buf, 0)
-    offset = 4
-    if nbuf - offset < n:
-        raise ExecutionError("truncated PLAIN chunk")
-    validity = np.frombuffer(buf, dtype=np.uint8, count=n, offset=offset).astype(bool)
-    offset += n
-    if dtype.is_variable_width:
-        values = np.empty(n, dtype=object)
-        for i in range(n):
-            if not validity[i]:
-                continue
-            if offset + 4 > nbuf:
-                raise ExecutionError("truncated PLAIN chunk")
-            (length,) = _U32.unpack_from(buf, offset)
-            offset += 4
-            if offset + length > nbuf:
-                raise ExecutionError("truncated PLAIN chunk")
-            payload = buf[offset : offset + length]
-            offset += length
-            values[i] = payload.decode("utf-8") if dtype is DataType.STRING else payload
-        return Column(dtype, values, validity)
-    physical = _fixed_numpy_dtype(dtype)
-    if nbuf - offset < n * physical.itemsize:
-        raise ExecutionError("truncated PLAIN chunk")
-    values = np.frombuffer(buf, dtype=physical, count=n, offset=offset)
-    if dtype is DataType.BOOL:
-        values = values.astype(bool)
-    else:
-        values = values.copy()
     return Column(dtype, values, validity)
 
 

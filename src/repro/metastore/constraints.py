@@ -83,12 +83,6 @@ class ConstraintSet:
     def get(self, column: str) -> ColumnConstraint | None:
         return self.columns.get(column.lower())
 
-    def merged_with(self, other: "ConstraintSet") -> "ConstraintSet":
-        out = ConstraintSet(dict(self.columns))
-        for name, c in other.columns.items():
-            out.add(name, c)
-        return out
-
     @property
     def is_empty(self) -> bool:
         return not self.columns

@@ -24,9 +24,6 @@ class HivePartition:
     values: tuple[tuple[str, Any], ...]
     prefix: str  # key prefix within the table's bucket
 
-    def value_map(self) -> dict[str, Any]:
-        return dict(self.values)
-
 
 @dataclass
 class _HiveTable:

@@ -33,10 +33,6 @@ class ImageModel:
         self.channels = channels
         self.classes = list(classes)
 
-    @property
-    def input_shape(self) -> tuple[int, int, int]:
-        return (self.input_height, self.input_width, self.channels)
-
     def predict(self, tensors: np.ndarray) -> tuple[list[str], np.ndarray]:
         """(labels, scores) for a batch of preprocessed tensors."""
         logits = self.forward(tensors)

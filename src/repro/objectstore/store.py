@@ -94,27 +94,6 @@ class ObjectStore:
         # Per-object earliest next allowed CAS mutation time (sim ms).
         self._cas_next_allowed_ms: dict[tuple[str, str], float] = {}
 
-    # -- fault injection (tests/failure benches) -------------------------------
-
-    def inject_fault(self, op_prefix: str, count: int = 1) -> None:
-        """Make the next ``count`` operations whose name starts with
-        ``op_prefix`` (e.g. ``"put"``, ``"get"``, ``"list"``) fail with
-        :class:`~repro.errors.StorageError`.
-
-        Compatibility shim over the :class:`~repro.faults.FaultInjector` on
-        this store's context: the fault is scoped to this store (via a
-        ``store=`` match) and raises the legacy non-transient
-        ``StorageError``, so retry policies pass it straight through.
-        """
-        from repro.faults import FaultSpec
-
-        self.ctx.faults.add(FaultSpec(
-            op=f"objectstore.{op_prefix}",
-            error="StorageError",
-            count=count,
-            match=(("store", self.name),),
-        ))
-
     def _maybe_fail(self, op: str) -> None:
         """Consult the context-wide injector at this store's hazard point."""
         self.ctx.faults.check(f"objectstore.{op}", store=self.name)

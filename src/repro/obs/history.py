@@ -1,13 +1,13 @@
 """Persistent job history: the record behind ``INFORMATION_SCHEMA.JOBS``.
 
-Every :meth:`~repro.engine.engine.QueryEngine.execute` call — SELECT or
-DML, succeeded or failed — lands one :class:`JobRecord` in the platform's
-:class:`JobHistory`, a bounded ring buffer keyed by a monotonically
-assigned ``job_id``. Records carry the paper-relevant execution facts
-(principal, SQL text, terminal state, byte/row/file counters, slot and
-parallelism info, per-layer self-time breakdown) plus the full span tree,
-so the timeline view (``INFORMATION_SCHEMA.JOBS_TIMELINE``) and the trace
-exporters (:mod:`repro.obs.export`) can be derived from history alone —
+Every submitted statement — SELECT or DML, succeeded, failed or cancelled —
+is one :class:`JobRecord`, created by the job queue at submit and appended
+to the platform's :class:`JobHistory`, a bounded ring buffer keyed by a
+monotonically assigned ``job_id``. The record holds the lifecycle, the
+error, the job's costs and the full span tree, and points at the
+statement's ``QueryStats`` for the per-query numbers, so the timeline view
+(``INFORMATION_SCHEMA.JOBS_TIMELINE``) and the trace exporters
+(:mod:`repro.obs.export`) can be derived from history alone —
 observability you can SELECT, long after the ``QueryResult`` is gone.
 """
 
@@ -16,10 +16,13 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import NotFoundError
 from repro.obs.trace import Span, layer_breakdown
+
+if TYPE_CHECKING:
+    from repro.engine.engine import QueryStats
 
 #: Job lifecycle states (mirrors the BigQuery job lifecycle). BigQuery
 #: reports one ``DONE`` state plus an error result; we disaggregate the
@@ -41,7 +44,14 @@ _TASK_SPAN_BASE = 1_000_000
 
 @dataclass
 class JobRecord:
-    """One completed (or failed) statement execution."""
+    """One submitted statement: the single holder of a job's lifecycle,
+    error and cost facts. The queue's handle, this ring and every
+    ``INFORMATION_SCHEMA`` job table read this object.
+
+    The per-query numbers (bytes, rows, files, slot time, the pool's
+    verdict) are not copied here: they are read from ``stats``, and a job
+    with no result reads as a query that did nothing.
+    """
 
     job_id: str
     principal: str  # "user:alice" — the str() of the Principal
@@ -64,22 +74,19 @@ class JobRecord:
     start_ms: float = 0.0
     end_ms: float = 0.0
     queue_wait_ms: float = 0.0
-    # Modeled slot-limited latency for successes; sim wall time for failures.
-    total_ms: float = 0.0
-    slot_ms: float = 0.0
-    bytes_scanned: int = 0
-    rows_scanned: int = 0
+    # The succeeded statement's repro.engine.engine.QueryStats — the object
+    # itself, shared with the QueryResult (and, for CTAS, with the inner
+    # SELECT's record). None until the job succeeds.
+    stats: QueryStats | None = None
     rows_produced: int = 0
-    files_read: int = 0
-    files_total: int = 0
-    shuffle_partitions: int = 0
-    compute_parallelism: int = 0
     # Object-store traffic attributable to this job (metering delta).
     bytes_read: int = 0
     bytes_written: int = 0
     bytes_egressed: int = 0
     # Chaos/recovery accounting: transient-failure retries charged to this
-    # job and whether any degraded (fallback) path served it.
+    # job and whether any degraded (fallback) path served it. Held here, not
+    # read from ``stats``: they exist for failed jobs too, and a CTAS shell
+    # and its inner SELECT share one stats object but not these.
     retry_count: int = 0
     degraded: bool = False
     # Variance attribution (derived from the span tree): time parked in
@@ -88,22 +95,30 @@ class JobRecord:
     backoff_ms: float = 0.0
     cold_read_ms: float = 0.0
     degraded_ms: float = 0.0
-    # Data-cache accounting: source bytes served from the slot-local cache
-    # and the fraction of all source bytes they represent.
-    cache_hit_bytes: int = 0
-    cache_hit_ratio: float = 0.0
-    # True when the query-result cache served the whole statement (no scan
-    # ran and no bytes were charged).
-    cache_hit: bool = False
-    # Scheduler verdict: max/mean winner task duration, speculative backups
-    # launched, and the full per-task timeline (repro.engine.scheduler.
-    # TaskRun), which JOBS_TIMELINE exposes as synthetic scheduler rows.
-    task_skew: float = 1.0
-    speculative_count: int = 0
-    task_timeline: list[Any] = field(default_factory=list)
     # Self-time per layer over the job's span tree (empty if tracing off).
     layers_ms: dict[str, float] = field(default_factory=dict)
     trace: Span | None = None
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for names the record does not hold: the per-query
+        # numbers (bytes_scanned, slot_ms, task_timeline, cache_hit_ratio …).
+        stats = self.__dict__.get("stats")
+        if stats is None:
+            # Imported here: the engine package imports repro.obs.
+            from repro.engine.engine import QueryStats
+
+            stats = QueryStats()
+        return getattr(stats, name)
+
+    @property
+    def total_ms(self) -> float:
+        """Modeled slot-limited latency for a success; sim wall time from
+        admission to the end for a failed or cancelled job that started."""
+        if self.stats is not None:
+            return self.stats.elapsed_ms
+        if self.done and self.start_ms:
+            return max(0.0, self.end_ms - self.start_ms)
+        return 0.0
 
     @property
     def succeeded(self) -> bool:

@@ -8,9 +8,12 @@ as virtual tables the planner resolves like any other relation, so
 filters, joins, and aggregates compose over them — and access is governed
 by the same IAM service that guards the data.
 
+Each table is declared once, in :data:`TABLES`: its typed columns, its row
+source and its governance; schema and rows are derived from that entry.
+
 Tables (all under the ``INFORMATION_SCHEMA`` pseudo-dataset):
 
-* ``JOBS`` — one row per executed statement (from :class:`JobHistory`).
+* ``JOBS`` — one row per submitted statement (from :class:`JobHistory`).
   Principals see their own jobs; ``bigquery.jobs.listAll`` (the admin
   role) widens the view to everyone's.
 * ``JOBS_TIMELINE`` — one row per span of each job's trace tree, same
@@ -37,15 +40,21 @@ Tables (all under the ``INFORMATION_SCHEMA`` pseudo-dataset):
   a denied read is audited.
 * ``ALERTS`` — the SLO alert log (state transitions from the alert
   engine). Same governance as ``METRICS_HISTORY``.
+* ``TRANSACTIONS`` — the multi-table transaction log, one row per
+  transaction; writers see their own, like ``JOBS``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter, itemgetter
+from typing import TYPE_CHECKING, Any
 
 from repro.data.types import DataType, Schema
 from repro.errors import AccessDeniedError, NotFoundError
-from repro.obs.history import JobHistory, JobRecord, timeline_rows
+from repro.obs.history import JobHistory, timeline_rows
 from repro.security.iam import IamService, Permission, Principal
 
 if TYPE_CHECKING:
@@ -57,162 +66,277 @@ if TYPE_CHECKING:
 
 INFORMATION_SCHEMA = "INFORMATION_SCHEMA"
 
-JOBS_SCHEMA = Schema.of(
-    ("job_id", DataType.STRING),
-    ("user", DataType.STRING),
-    ("sql", DataType.STRING),
-    ("kind", DataType.STRING),
-    ("state", DataType.STRING),
-    ("error", DataType.STRING),
-    ("engine", DataType.STRING),
-    ("start_ms", DataType.FLOAT64),
-    ("end_ms", DataType.FLOAT64),
-    ("total_ms", DataType.FLOAT64),
-    ("slot_ms", DataType.FLOAT64),
-    ("bytes_scanned", DataType.INT64),
-    ("rows_scanned", DataType.INT64),
-    ("rows_produced", DataType.INT64),
-    ("files_read", DataType.INT64),
-    ("files_total", DataType.INT64),
-    ("shuffle_partitions", DataType.INT64),
-    ("compute_parallelism", DataType.INT64),
-    ("bytes_read", DataType.INT64),
-    ("bytes_written", DataType.INT64),
-    ("bytes_egressed", DataType.INT64),
-    ("retry_count", DataType.INT64),
-    ("degraded", DataType.BOOL),
-    ("cache_hit_bytes", DataType.INT64),
-    ("cache_hit_ratio", DataType.FLOAT64),
-    ("task_skew", DataType.FLOAT64),
-    ("speculative_count", DataType.INT64),
-    ("creation_ms", DataType.FLOAT64),
-    ("queue_wait_ms", DataType.FLOAT64),
-    ("backoff_ms", DataType.FLOAT64),
-    ("cold_read_ms", DataType.FLOAT64),
-    ("degraded_ms", DataType.FLOAT64),
-    # Appended (not inserted) so positional readers of older columns keep
-    # working: the multi-table transaction the statement ran inside ("" if
-    # none) and the stable machine-readable terminal error code.
-    ("transaction_id", DataType.STRING),
-    ("error_code", DataType.STRING),
-    # Appended: whether the query-result cache served the whole statement.
-    ("cache_hit", DataType.BOOL),
+BOOL = DataType.BOOL
+INT64 = DataType.INT64
+FLOAT64 = DataType.FLOAT64
+STRING = DataType.STRING
+
+
+@dataclass(frozen=True)
+class Column:
+    """One system-table column. ``get`` reads its value off one item of the
+    table's row source; it is None on a table that builds whole rows itself
+    (:attr:`SystemTable.rows`)."""
+
+    name: str
+    dtype: DataType
+    get: Callable[[Any], Any] | None = None
+
+
+def _attr(name: str, dtype: DataType, attr: str | None = None) -> Column:
+    """A column read from the item's attribute ``attr`` (default: its own
+    name)."""
+    return Column(name, dtype, attrgetter(attr or name))
+
+
+@dataclass(frozen=True)
+class SystemTable:
+    """One ``INFORMATION_SCHEMA`` table: everything :class:`SystemTables`
+    needs to resolve, govern and scan it."""
+
+    name: str
+    columns: tuple[Column, ...]
+    # (the platform's SystemTables, the querying principal) -> the items
+    # rows are made from.
+    source: Callable[["SystemTables", Principal], Iterable[Any]]
+    # item -> its rows. None: one row per item, read by the column getters.
+    rows: Callable[[Any], Iterable[tuple]] | None = None
+    # Admin-only: the permission a reader must hold on the project; a denied
+    # read is itself audited.
+    permission: Permission | None = None
+    # Own-rows scoping: item -> the principal it belongs to. A reader
+    # without ``bigquery.jobs.listAll`` sees only its own items.
+    owner: Callable[[Any], str] | None = None
+
+    @cached_property
+    def schema(self) -> Schema:
+        return Schema.of(*((c.name, c.dtype) for c in self.columns))
+
+
+def _as_is(row: tuple) -> tuple[tuple]:
+    """``rows`` of a table whose source already yields finished rows."""
+    return (row,)
+
+
+def _monitor_rows(accessor: str) -> Callable[["SystemTables", Principal], list]:
+    """Source over one row accessor of the fleet monitor; no monitor, no rows."""
+    return lambda tables, _: (
+        [] if tables.monitor is None else getattr(tables.monitor, accessor)()
+    )
+
+
+#: One line per JOBS column, in column order (appended, never inserted, so
+#: positional readers of older columns keep working). The items are
+#: :class:`~repro.obs.history.JobRecord`; a name the record does not hold
+#: itself is read from its ``stats``.
+JOBS_COLUMNS = (
+    _attr("job_id", STRING),
+    _attr("user", STRING, "principal"),
+    _attr("sql", STRING),
+    _attr("kind", STRING),
+    _attr("state", STRING),
+    _attr("error", STRING),
+    _attr("engine", STRING),
+    _attr("start_ms", FLOAT64),
+    _attr("end_ms", FLOAT64),
+    _attr("total_ms", FLOAT64),
+    _attr("slot_ms", FLOAT64),
+    _attr("bytes_scanned", INT64),
+    _attr("rows_scanned", INT64),
+    _attr("rows_produced", INT64),
+    _attr("files_read", INT64),
+    _attr("files_total", INT64),
+    _attr("shuffle_partitions", INT64),
+    _attr("compute_parallelism", INT64),
+    _attr("bytes_read", INT64),
+    _attr("bytes_written", INT64),
+    _attr("bytes_egressed", INT64),
+    _attr("retry_count", INT64),
+    _attr("degraded", BOOL),
+    _attr("cache_hit_bytes", INT64),
+    _attr("cache_hit_ratio", FLOAT64),
+    _attr("task_skew", FLOAT64),
+    _attr("speculative_count", INT64),
+    _attr("creation_ms", FLOAT64),
+    _attr("queue_wait_ms", FLOAT64),
+    _attr("backoff_ms", FLOAT64),
+    _attr("cold_read_ms", FLOAT64),
+    _attr("degraded_ms", FLOAT64),
+    # The multi-table transaction the statement ran inside ("" if none) and
+    # the stable machine-readable terminal error code.
+    _attr("transaction_id", STRING),
+    _attr("error_code", STRING),
+    # Whether the query-result cache served the whole statement.
+    _attr("cache_hit", BOOL),
 )
 
-JOBS_TIMELINE_SCHEMA = Schema.of(
-    ("job_id", DataType.STRING),
-    ("span_id", DataType.INT64),
-    ("parent_span_id", DataType.INT64),
-    ("name", DataType.STRING),
-    ("layer", DataType.STRING),
-    ("start_ms", DataType.FLOAT64),
-    ("duration_ms", DataType.FLOAT64),
-    ("self_ms", DataType.FLOAT64),
-    ("tags", DataType.STRING),
+#: Every ``INFORMATION_SCHEMA`` table, declared once. Adding a table is one
+#: entry here; adding a column is one line in its ``columns``.
+TABLES: tuple[SystemTable, ...] = (
+    SystemTable(
+        "JOBS",
+        JOBS_COLUMNS,
+        source=lambda tables, _: tables.history.jobs(),
+        owner=attrgetter("principal"),
+    ),
+    SystemTable(
+        "JOBS_TIMELINE",
+        (
+            Column("job_id", STRING),
+            Column("span_id", INT64),
+            Column("parent_span_id", INT64),
+            Column("name", STRING),
+            Column("layer", STRING),
+            Column("start_ms", FLOAT64),
+            Column("duration_ms", FLOAT64),
+            Column("self_ms", FLOAT64),
+            Column("tags", STRING),
+        ),
+        source=lambda tables, _: tables.history.jobs(),
+        rows=timeline_rows,
+        owner=attrgetter("principal"),
+    ),
+    SystemTable(
+        "TABLE_STORAGE",
+        (
+            Column("table_catalog", STRING),
+            Column("table_schema", STRING),
+            Column("table_name", STRING),
+            Column("kind", STRING),
+            Column("total_files", INT64),
+            Column("total_rows", INT64),
+            Column("total_bytes", INT64),
+            Column("commit_count", INT64),
+            Column("version", INT64),
+        ),
+        source=lambda tables, principal: tables._table_storage_rows(principal),
+        rows=_as_is,
+    ),
+    SystemTable(
+        "DATA_ACCESS",
+        (
+            _attr("timestamp_ms", FLOAT64),
+            Column("principal", STRING, lambda event: str(event.principal)),
+            _attr("action", STRING),
+            _attr("resource", STRING),
+            _attr("allowed", BOOL),
+            _attr("detail", STRING),
+            _attr("job_id", STRING),
+        ),
+        # A snapshot: auditing this very read must not grow the list while
+        # it is being walked.
+        source=lambda tables, _: list(tables.audit.events),
+        permission=Permission.AUDIT_READ,
+    ),
+    SystemTable(
+        "METRICS",
+        (
+            Column("name", STRING),
+            Column("kind", STRING),
+            Column("sample", STRING),
+            Column("value", FLOAT64),
+        ),
+        source=lambda tables, _: tables._metrics_rows(),
+        rows=_as_is,
+    ),
+    SystemTable(
+        "CACHE_STATS",
+        (
+            Column("tier", STRING),
+            Column("entries", INT64),
+            Column("resident_bytes", INT64),
+            Column("capacity_bytes", INT64),
+            Column("hits", INT64),
+            Column("misses", INT64),
+            Column("evictions", INT64),
+            Column("admission_rejects", INT64),
+            Column("hit_bytes", INT64),
+            Column("hit_ratio", FLOAT64),
+        ),
+        source=lambda tables, _: [
+            row
+            for cache in (tables.cache, tables.query_cache)
+            if cache is not None
+            for row in cache.stats_rows()
+        ],
+        rows=_as_is,
+    ),
+    SystemTable(
+        "RESERVATION_TIMELINE",
+        (
+            Column("period_start_ms", FLOAT64),
+            Column("period_end_ms", FLOAT64),
+            Column("principal", STRING),
+            Column("slot_ms", FLOAT64),
+            Column("scan_slot_ms", FLOAT64),
+            Column("compute_slot_ms", FLOAT64),
+            Column("queue_ms", FLOAT64),
+            Column("queue_depth_avg", FLOAT64),
+            Column("running_avg", FLOAT64),
+            Column("jobs_admitted", INT64),
+            Column("jobs_completed", INT64),
+            Column("weight", FLOAT64),
+            Column("attainment", FLOAT64),
+        ),
+        source=_monitor_rows("reservation_rows"),
+        rows=_as_is,
+        owner=itemgetter(2),
+    ),
+    SystemTable(
+        "METRICS_HISTORY",
+        (
+            Column("scrape_ms", FLOAT64),
+            Column("name", STRING),
+            Column("kind", STRING),
+            Column("sample", STRING),
+            Column("value", FLOAT64),
+            Column("stale", BOOL),
+        ),
+        source=_monitor_rows("metrics_history_rows"),
+        rows=_as_is,
+        permission=Permission.MONITORING_READ,
+    ),
+    SystemTable(
+        "ALERTS",
+        (
+            Column("at_ms", FLOAT64),
+            Column("rule", STRING),
+            Column("severity", STRING),
+            Column("state", STRING),
+            Column("value", FLOAT64),
+            Column("threshold", FLOAT64),
+            Column("window_ms", FLOAT64),
+            Column("series", STRING),
+            Column("detail", STRING),
+        ),
+        source=_monitor_rows("alert_rows"),
+        rows=_as_is,
+        permission=Permission.MONITORING_READ,
+    ),
+    SystemTable(
+        "TRANSACTIONS",
+        (
+            _attr("transaction_id", STRING, "txn_id"),
+            _attr("state", STRING),
+            _attr("writer", STRING),
+            _attr("begin_ms", FLOAT64),
+            _attr("commit_ms", FLOAT64),
+            _attr("finalized", BOOL),
+            Column("table_count", INT64, lambda record: len(record.tables)),
+            Column(
+                "tables",
+                STRING,
+                lambda record: ",".join(tc.table_id for tc in record.tables),
+            ),
+        ),
+        source=lambda tables, _: (
+            [] if tables.txn_log is None else tables.txn_log.entries()
+        ),
+        owner=attrgetter("writer"),
+    ),
 )
 
-TABLE_STORAGE_SCHEMA = Schema.of(
-    ("table_catalog", DataType.STRING),
-    ("table_schema", DataType.STRING),
-    ("table_name", DataType.STRING),
-    ("kind", DataType.STRING),
-    ("total_files", DataType.INT64),
-    ("total_rows", DataType.INT64),
-    ("total_bytes", DataType.INT64),
-    ("commit_count", DataType.INT64),
-    ("version", DataType.INT64),
-)
-
-DATA_ACCESS_SCHEMA = Schema.of(
-    ("timestamp_ms", DataType.FLOAT64),
-    ("principal", DataType.STRING),
-    ("action", DataType.STRING),
-    ("resource", DataType.STRING),
-    ("allowed", DataType.BOOL),
-    ("detail", DataType.STRING),
-    ("job_id", DataType.STRING),
-)
-
-METRICS_SCHEMA = Schema.of(
-    ("name", DataType.STRING),
-    ("kind", DataType.STRING),
-    ("sample", DataType.STRING),
-    ("value", DataType.FLOAT64),
-)
-
-CACHE_STATS_SCHEMA = Schema.of(
-    ("tier", DataType.STRING),
-    ("entries", DataType.INT64),
-    ("resident_bytes", DataType.INT64),
-    ("capacity_bytes", DataType.INT64),
-    ("hits", DataType.INT64),
-    ("misses", DataType.INT64),
-    ("evictions", DataType.INT64),
-    ("admission_rejects", DataType.INT64),
-    ("hit_bytes", DataType.INT64),
-    ("hit_ratio", DataType.FLOAT64),
-)
-
-RESERVATION_TIMELINE_SCHEMA = Schema.of(
-    ("period_start_ms", DataType.FLOAT64),
-    ("period_end_ms", DataType.FLOAT64),
-    ("principal", DataType.STRING),
-    ("slot_ms", DataType.FLOAT64),
-    ("scan_slot_ms", DataType.FLOAT64),
-    ("compute_slot_ms", DataType.FLOAT64),
-    ("queue_ms", DataType.FLOAT64),
-    ("queue_depth_avg", DataType.FLOAT64),
-    ("running_avg", DataType.FLOAT64),
-    ("jobs_admitted", DataType.INT64),
-    ("jobs_completed", DataType.INT64),
-    ("weight", DataType.FLOAT64),
-    ("attainment", DataType.FLOAT64),
-)
-
-METRICS_HISTORY_SCHEMA = Schema.of(
-    ("scrape_ms", DataType.FLOAT64),
-    ("name", DataType.STRING),
-    ("kind", DataType.STRING),
-    ("sample", DataType.STRING),
-    ("value", DataType.FLOAT64),
-    ("stale", DataType.BOOL),
-)
-
-TRANSACTIONS_SCHEMA = Schema.of(
-    ("transaction_id", DataType.STRING),
-    ("state", DataType.STRING),
-    ("writer", DataType.STRING),
-    ("begin_ms", DataType.FLOAT64),
-    ("commit_ms", DataType.FLOAT64),
-    ("finalized", DataType.BOOL),
-    ("table_count", DataType.INT64),
-    ("tables", DataType.STRING),
-)
-
-ALERTS_SCHEMA = Schema.of(
-    ("at_ms", DataType.FLOAT64),
-    ("rule", DataType.STRING),
-    ("severity", DataType.STRING),
-    ("state", DataType.STRING),
-    ("value", DataType.FLOAT64),
-    ("threshold", DataType.FLOAT64),
-    ("window_ms", DataType.FLOAT64),
-    ("series", DataType.STRING),
-    ("detail", DataType.STRING),
-)
-
-_SCHEMAS: dict[str, Schema] = {
-    "JOBS": JOBS_SCHEMA,
-    "JOBS_TIMELINE": JOBS_TIMELINE_SCHEMA,
-    "TABLE_STORAGE": TABLE_STORAGE_SCHEMA,
-    "DATA_ACCESS": DATA_ACCESS_SCHEMA,
-    "METRICS": METRICS_SCHEMA,
-    "CACHE_STATS": CACHE_STATS_SCHEMA,
-    "RESERVATION_TIMELINE": RESERVATION_TIMELINE_SCHEMA,
-    "METRICS_HISTORY": METRICS_HISTORY_SCHEMA,
-    "ALERTS": ALERTS_SCHEMA,
-    "TRANSACTIONS": TRANSACTIONS_SCHEMA,
-}
+_BY_NAME = {table.name: table for table in TABLES}
 
 
 class SystemTables:
@@ -269,182 +393,57 @@ class SystemTables:
             return False
         return path[-2].upper() == INFORMATION_SCHEMA
 
-    def normalize(self, path: tuple[str, ...]) -> str:
-        name = path[-1].upper()
-        if name not in _SCHEMAS:
+    def _table(self, name: str) -> SystemTable:
+        table = _BY_NAME.get(name.upper())
+        if table is None:
             raise NotFoundError(
-                f"system table INFORMATION_SCHEMA.{path[-1]} not found "
-                f"(available: {', '.join(sorted(_SCHEMAS))})"
+                f"system table INFORMATION_SCHEMA.{name} not found "
+                f"(available: {', '.join(sorted(_BY_NAME))})"
             )
-        return name
+        return table
+
+    def normalize(self, path: tuple[str, ...]) -> str:
+        return self._table(path[-1]).name
 
     def schema(self, name: str) -> Schema:
-        return _SCHEMAS[name.upper()]
-
-    def table_names(self) -> list[str]:
-        return sorted(_SCHEMAS)
-
-    # -- governance ---------------------------------------------------------
-
-    @property
-    def _project_resource(self) -> str:
-        return f"projects/{self.project}"
-
-    def _sees_all_jobs(self, principal: Principal) -> bool:
-        return self.iam.is_allowed(
-            principal, Permission.JOBS_LIST_ALL, self._project_resource
-        ).allowed
-
-    def _visible_jobs(self, principal: Principal) -> list[JobRecord]:
-        records = self.history.jobs()
-        if self._sees_all_jobs(principal):
-            return records
-        me = str(principal)
-        return [r for r in records if r.principal == me]
+        return self._table(name).schema
 
     # -- scans --------------------------------------------------------------
 
     def scan(self, name: str, principal: Principal) -> list[tuple]:
         """Produce the rows of one system table as seen by ``principal``."""
-        name = name.upper()
-        if name == "JOBS":
-            rows = self._jobs_rows(principal)
-        elif name == "JOBS_TIMELINE":
-            rows = self._timeline_rows(principal)
-        elif name == "TABLE_STORAGE":
-            rows = self._table_storage_rows(principal)
-        elif name == "DATA_ACCESS":
-            rows = self._data_access_rows(principal)
-        elif name == "METRICS":
-            rows = self._metrics_rows()
-        elif name == "CACHE_STATS":
-            rows = self.cache.stats_rows() if self.cache is not None else []
-            if self.query_cache is not None:
-                rows = rows + self.query_cache.stats_rows()
-        elif name == "RESERVATION_TIMELINE":
-            rows = self._reservation_rows(principal)
-        elif name == "METRICS_HISTORY":
-            rows = self._monitoring_rows(principal, name, "metrics_history_rows")
-        elif name == "ALERTS":
-            rows = self._monitoring_rows(principal, name, "alert_rows")
-        elif name == "TRANSACTIONS":
-            rows = self._transactions_rows(principal)
+        table = self._table(name)
+        project = f"projects/{self.project}"
+        resource = f"{project}/informationSchema/{table.name}"
+        if table.permission is not None:
+            decision = self.iam.is_allowed(principal, table.permission, project)
+            if not decision.allowed:
+                self.audit.record(
+                    principal, "system_tables.read", resource, False,
+                    detail=decision.reason,
+                )
+                raise AccessDeniedError(
+                    f"{principal} lacks {table.permission.value} on {project}: "
+                    f"INFORMATION_SCHEMA.{table.name} is admin-only"
+                )
+        items = table.source(self, principal)
+        if table.owner is not None and not self.iam.is_allowed(
+            principal, Permission.JOBS_LIST_ALL, project
+        ).allowed:
+            me = str(principal)
+            items = [item for item in items if table.owner(item) == me]
+        if table.rows is not None:
+            rows = [row for item in items for row in table.rows(item)]
         else:
-            raise NotFoundError(f"system table INFORMATION_SCHEMA.{name} not found")
+            getters = [column.get for column in table.columns]
+            rows = [tuple(get(item) for get in getters) for item in items]
         self.audit.record(
-            principal,
-            "system_tables.read",
-            f"{self._project_resource}/informationSchema/{name}",
-            True,
+            principal, "system_tables.read", resource, True,
             detail=f"{len(rows)} rows",
         )
         return rows
 
-    def _reservation_rows(self, principal: Principal) -> list[tuple]:
-        """Per-interval slot occupancy, scoped like JOBS: principals see
-        their own intervals unless they can list everyone's jobs."""
-        if self.monitor is None:
-            return []
-        rows = self.monitor.reservation_rows()
-        if self._sees_all_jobs(principal):
-            return rows
-        me = str(principal)
-        return [row for row in rows if row[2] == me]
-
-    def _monitoring_rows(
-        self, principal: Principal, name: str, accessor: str
-    ) -> list[tuple]:
-        """METRICS_HISTORY / ALERTS: fleet-wide telemetry, admin-only
-        (``monitoring.timeSeries.list``); a denied read is itself audited,
-        like DATA_ACCESS."""
-        decision = self.iam.is_allowed(
-            principal, Permission.MONITORING_READ, self._project_resource
-        )
-        if not decision.allowed:
-            self.audit.record(
-                principal,
-                "system_tables.read",
-                f"{self._project_resource}/informationSchema/{name}",
-                False,
-                detail=decision.reason,
-            )
-            raise AccessDeniedError(
-                f"{principal} lacks {Permission.MONITORING_READ.value} on "
-                f"{self._project_resource}: INFORMATION_SCHEMA.{name} is admin-only"
-            )
-        if self.monitor is None:
-            return []
-        return list(getattr(self.monitor, accessor)())
-
-    def _jobs_rows(self, principal: Principal) -> list[tuple]:
-        return [
-            (
-                r.job_id,
-                r.principal,
-                r.sql,
-                r.kind,
-                r.state,
-                r.error,
-                r.engine,
-                r.start_ms,
-                r.end_ms,
-                r.total_ms,
-                r.slot_ms,
-                r.bytes_scanned,
-                r.rows_scanned,
-                r.rows_produced,
-                r.files_read,
-                r.files_total,
-                r.shuffle_partitions,
-                r.compute_parallelism,
-                r.bytes_read,
-                r.bytes_written,
-                r.bytes_egressed,
-                r.retry_count,
-                r.degraded,
-                r.cache_hit_bytes,
-                r.cache_hit_ratio,
-                r.task_skew,
-                r.speculative_count,
-                r.creation_ms,
-                r.queue_wait_ms,
-                r.backoff_ms,
-                r.cold_read_ms,
-                r.degraded_ms,
-                r.transaction_id,
-                r.error_code,
-                r.cache_hit,
-            )
-            for r in self._visible_jobs(principal)
-        ]
-
-    def _transactions_rows(self, principal: Principal) -> list[tuple]:
-        if self.txn_log is None:
-            return []
-        sees_all = self._sees_all_jobs(principal)
-        rows: list[tuple] = []
-        for r in self.txn_log.entries():
-            if not sees_all and r.writer != str(principal):
-                continue
-            rows.append(
-                (
-                    r.txn_id,
-                    r.state,
-                    r.writer,
-                    r.begin_ms,
-                    r.commit_ms,
-                    r.finalized,
-                    len(r.tables),
-                    ",".join(tc.table_id for tc in r.tables),
-                )
-            )
-        return rows
-
-    def _timeline_rows(self, principal: Principal) -> list[tuple]:
-        rows: list[tuple] = []
-        for record in self._visible_jobs(principal):
-            rows.extend(timeline_rows(record))
-        return rows
+    # -- row sources that need more than one service --------------------------
 
     def _table_storage_rows(self, principal: Principal) -> list[tuple]:
         rows: list[tuple] = []
@@ -478,37 +477,6 @@ class SystemTables:
                     )
                 )
         return rows
-
-    def _data_access_rows(self, principal: Principal) -> list[tuple]:
-        decision = self.iam.is_allowed(
-            principal, Permission.AUDIT_READ, self._project_resource
-        )
-        if not decision.allowed:
-            self.audit.record(
-                principal,
-                "system_tables.read",
-                f"{self._project_resource}/informationSchema/DATA_ACCESS",
-                False,
-                detail=decision.reason,
-            )
-            raise AccessDeniedError(
-                f"{principal} lacks {Permission.AUDIT_READ.value} on "
-                f"{self._project_resource}: INFORMATION_SCHEMA.DATA_ACCESS is admin-only"
-            )
-        # Snapshot first: recording this very read must not mutate the list
-        # mid-iteration (the access audit lands after the scan returns).
-        return [
-            (
-                e.timestamp_ms,
-                str(e.principal),
-                e.action,
-                e.resource,
-                e.allowed,
-                e.detail,
-                e.job_id,
-            )
-            for e in list(self.audit.events)
-        ]
 
     def _metrics_rows(self) -> list[tuple]:
         rows: list[tuple] = []

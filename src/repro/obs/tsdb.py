@@ -116,9 +116,6 @@ class TimeSeriesStore:
     def series_names(self) -> list[str]:
         return sorted({name for name, _ in self._series})
 
-    def series_keys(self, name: str) -> list[LabelKey]:
-        return sorted(key for n, key in self._series if n == name)
-
     def points(self, name: str, **labels: Any) -> list[tuple[float, float]]:
         series = self._series.get((name, _label_key(labels)))
         if series is None:

@@ -25,7 +25,6 @@ from typing import Callable
 
 from repro.cloud import transfer_latency_ms
 from repro.errors import InvalidCredentialError, TokenExpiredError, VpnPolicyError
-from repro.security.iam import Principal
 from repro.simtime import SimContext
 
 _token_counter = itertools.count(1)
@@ -255,9 +254,3 @@ class UntrustedProxy:
             self.denied_calls += 1
             raise
         return fresh
-
-
-def human_access_principal(username: str) -> Principal:
-    """A Googler-style human principal for audited production access
-    (§5.3.4); kept distinct from customer principals in tests."""
-    return Principal.user(f"prod-access/{username}")

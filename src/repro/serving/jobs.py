@@ -3,16 +3,18 @@
 The query entry point is asynchronous, the way BigQuery's control plane
 works, and every queued statement is scheduled on one shared pool:
 
-* :meth:`JobQueue.submit` (``jobs.insert``-shaped) parses + validates the
-  statement, reserves a job id, stamps ``creation_time``, and records a
-  ``PENDING`` :class:`~repro.obs.history.JobRecord` — the job is in
-  ``INFORMATION_SCHEMA.JOBS`` *before* it runs.
+* :meth:`JobQueue.submit` (``jobs.insert``-shaped) reserves a job id and
+  creates the job's one :class:`~repro.obs.history.JobRecord` — ``PENDING``,
+  stamped with ``creation_time``, appended to the history ring — then
+  parses + validates the statement: the job is in
+  ``INFORMATION_SCHEMA.JOBS`` *before* it runs. The :class:`QueryJob` handle
+  it returns reads its lifecycle from that record.
 * :meth:`QueryJob.wait` (``getQueryResults``-shaped) drains the queue:
   every pending job is admitted onto one shared
   :class:`~repro.serving.pool.SlotPool` (admission control, fair-share
-  across principals, FIFO within), transitions ``PENDING → RUNNING →
-  SUCCEEDED/FAILED/CANCELLED``, and lands its verdict in history with
-  real ``creation/start/end`` timestamps and ``queue_wait_ms``.
+  across principals, FIFO within) and its record transitions ``PENDING →
+  RUNNING → SUCCEEDED/FAILED/CANCELLED`` with real ``creation/start/end``
+  timestamps and ``queue_wait_ms``, one assignment per transition.
 * ``QueryEngine.execute()`` survives as a thin ``submit()+wait()``
   wrapper, so the blocking API is a special case of the async one —
   single code path, no behavior change for existing callers.
@@ -35,10 +37,9 @@ import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import AnalysisError, JobCancelledError, QueryError, error_code
+from repro.errors import AnalysisError, JobCancelledError, NotFoundError, QueryError, error_code
 from repro.obs.history import (
     CANCELLED,
-    DONE_STATES,
     FAILED,
     PENDING,
     RUNNING,
@@ -46,13 +47,7 @@ from repro.obs.history import (
     JobRecord,
     record_from_trace,
 )
-from repro.serving.pool import (
-    JobVerdict,
-    PoolArrival,
-    PoolExecution,
-    PoolOpaque,
-    SlotPool,
-)
+from repro.serving.pool import JobVerdict, PoolArrival, PoolOpaque, SlotPool
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse_statement
 
@@ -102,7 +97,11 @@ class _WeakAttr:
 
 class QueryJob:
     """Handle to one submitted statement (``jobs.insert`` resource). A handle
-    only: it does not keep the queue or engine it was submitted to alive."""
+    only: it does not keep the queue or engine it was submitted to alive, and
+    it stores no lifecycle fact — ``job_id``, ``sql``, ``kind``, ``state``,
+    the timestamps, ``queue_wait_ms`` and ``transaction_id`` are read from
+    :attr:`record`, the same object the history ring and
+    ``INFORMATION_SCHEMA.JOBS`` read."""
 
     queue = _WeakAttr()
     engine = _WeakAttr()
@@ -112,58 +111,50 @@ class QueryJob:
         queue: "JobQueue",
         engine: "QueryEngine",
         principal: "Principal",
-        job_id: str,
-        creation_ms: float,
-        sql: str,
+        record: JobRecord,
         snapshot_ms: float | None = None,
         use_query_cache: bool = False,
         cache_sql: str | None = None,
     ) -> None:
+        self.record = record
         self.queue = queue
         self.engine = engine
         self.principal = principal
-        self.job_id = job_id
-        self.creation_ms = creation_ms
-        self.sql = sql
         self.snapshot_ms = snapshot_ms
         # Result-cache opt-in plus the cache key text: the original SQL
         # string, or None when the caller submitted an AST (an AST has no
         # stable text to key on, so those statements never hit the caches).
         self.use_query_cache = use_query_cache
         self.cache_sql = cache_sql
-        self.kind = "invalid"
-        # Multi-table transaction this statement runs inside ("" if none);
-        # stamped from the queue's current_transaction_id at submit.
-        self.transaction_id = ""
         # The parsed statement, or None for a SELECT whose text the query
         # cache already knows: that one is parsed at execution, and only if
         # a cache tier misses.
         self.statement: ast.Statement | None = None
-        self.record: JobRecord | None = None
-        self.state = PENDING
-        self.start_ms = 0.0
-        self.end_ms = 0.0
-        self.queue_wait_ms = 0.0
         self._result: "QueryResult | None" = None
         self._error: BaseException | None = None
 
-    # -- lifecycle ----------------------------------------------------------
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for names the handle does not hold.
+        if name == "record":  # not constructed yet: nothing to read through
+            raise AttributeError(name)
+        return getattr(self.record, name)
 
-    @property
-    def done(self) -> bool:
-        return self.state in DONE_STATES
+    # -- lifecycle ----------------------------------------------------------
 
     def wait(self) -> "QueryResult":
         """Block (in sim terms: drain the queue) until this job reaches a
         terminal state; return its result or re-raise its error."""
-        if not self.done:
+        record = self.record
+        if not record.done:
             self.queue.drain()
-        if self.state == CANCELLED:
-            raise JobCancelledError(f"job {self.job_id or '<unnamed>'} was cancelled")
+        if record.state == CANCELLED:
+            raise JobCancelledError(
+                f"job {record.job_id or '<unnamed>'} was cancelled"
+            )
         if self._error is not None:
             raise self._error
         if self._result is None:
-            raise QueryError(f"job {self.job_id or '<unnamed>'} produced no result")
+            raise QueryError(f"job {record.job_id or '<unnamed>'} produced no result")
         return self._result
 
     def result(self) -> "QueryResult":
@@ -178,24 +169,42 @@ class QueryJob:
 
     def to_api_resource(self) -> dict[str, Any]:
         """The ``jobs.get``-shaped JSON view of this job."""
+        record = self.record
         out: dict[str, Any] = {
-            "jobReference": {"jobId": self.job_id},
-            "user_email": str(self.principal),
-            "configuration": {"query": {"query": self.sql}},
+            "jobReference": {"jobId": record.job_id},
+            "user_email": record.principal,
+            "configuration": {"query": {"query": record.sql}},
             "statistics": {
-                "creationTime": round(self.creation_ms, 6),
-                "startTime": round(self.start_ms, 6),
-                "endTime": round(self.end_ms, 6),
-                "queueWaitMs": round(self.queue_wait_ms, 6),
+                "creationTime": round(record.creation_ms, 6),
+                "startTime": round(record.start_ms, 6),
+                "endTime": round(record.end_ms, 6),
+                "queueWaitMs": round(record.queue_wait_ms, 6),
             },
-            "status": {"state": self.state},
+            "status": {"state": record.state},
         }
         if self._error is not None:
-            out["status"]["errorResult"] = {"message": str(self._error)}
+            out["status"]["errorResult"] = {"message": record.error}
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"QueryJob({self.job_id or '<unnamed>'}, {self.state})"
+
+
+@dataclass
+class _Run:
+    """What one statement's real work produced and what it cost: the result
+    or the error (with the span tree either way), retries, degradation,
+    cache bypasses and the object-store traffic metered while it ran."""
+
+    result: "QueryResult | None" = None
+    error: BaseException | None = None
+    trace: Any | None = None
+    retry_count: int = 0
+    degraded: bool = False
+    cache_bypass: bool = False
+    bytes_read: int = 0
+    bytes_written: int = 0
+    bytes_egressed: int = 0
 
 
 class JobQueue:
@@ -244,25 +253,35 @@ class JobQueue:
         snapshot_ms: float | None = None,
         use_query_cache: bool = False,
     ) -> QueryJob:
-        """``jobs.insert``: parse + validate, reserve a job id, record a
-        PENDING job. Validation failures record a FAILED job and raise
-        immediately (they never occupy the pool). A text the engine's query
-        cache already knows is not parsed here (see ``QueryJob.statement``)."""
+        """``jobs.insert``: reserve a job id, create the job's record
+        (PENDING, in the history ring), parse + validate. A validation failure
+        turns that record FAILED and raises immediately (it never occupies
+        the pool). A text the engine's query cache already knows is not
+        parsed here (see ``QueryJob.statement``)."""
         engine = engine or self.default_engine
         if engine is None:
             raise QueryError("JobQueue has no engine to run statements on")
         sql_text = sql_or_select if isinstance(sql_or_select, str) else (
             f"<{type(sql_or_select).__name__} AST>"
         )
-        job_id = self.history.next_job_id() if self.history is not None else ""
         creation_ms = engine.ctx.clock.now_ms
+        record = JobRecord(
+            job_id=self.history.next_job_id() if self.history is not None else "",
+            principal=str(principal),
+            sql=sql_text,
+            kind="invalid",
+            engine=engine.name,
+            state=PENDING,
+            creation_ms=creation_ms,
+            transaction_id=self.current_transaction_id,
+        )
+        if self.history is not None:
+            self.history.record(record)
         job = QueryJob(
-            queue=self, engine=engine, principal=principal, job_id=job_id,
-            creation_ms=creation_ms, sql=sql_text, snapshot_ms=snapshot_ms,
-            use_query_cache=use_query_cache,
+            queue=self, engine=engine, principal=principal, record=record,
+            snapshot_ms=snapshot_ms, use_query_cache=use_query_cache,
             cache_sql=sql_or_select if isinstance(sql_or_select, str) else None,
         )
-        job.transaction_id = self.current_transaction_id
         try:
             cache = engine.query_cache
             if job.cache_sql is not None and cache is not None and cache.knows(
@@ -271,15 +290,15 @@ class JobQueue:
                 # A text the query cache has planned before is a SELECT by
                 # construction: leave it unparsed until a cache tier misses.
                 statement = None
-                job.kind = "select"
+                record.kind = "select"
             else:
                 statement = (
                     parse_statement(sql_or_select)
                     if isinstance(sql_or_select, str)
                     else sql_or_select
                 )
-                job.kind = type(statement).__name__.lower()
-            if job.kind != "select":
+                record.kind = type(statement).__name__.lower()
+            if record.kind != "select":
                 if use_query_cache:
                     raise AnalysisError(
                         "use_query_cache applies to SELECT statements only"
@@ -294,13 +313,11 @@ class JobQueue:
                         "(wire the engine through a table manager)"
                     )
         except Exception as exc:
-            job.state = FAILED
-            job._error = exc
-            job.start_ms = job.end_ms = creation_ms
-            self._record_terminal(job, error=str(exc), exc=exc)
+            # Never occupies the pool: it starts and ends where it was made.
+            record.start_ms = creation_ms
+            self._close(job, creation_ms, exc)
             raise
         job.statement = statement
-        job.record = self._record_pending(job)
         self._register(job)
         if self.monitor is not None and not self._depth:
             # Clock moved since the last scrape opportunity; catch the
@@ -317,8 +334,6 @@ class JobQueue:
         try:
             return self._jobs_by_id[job_id]
         except KeyError:
-            from repro.errors import NotFoundError
-
             raise NotFoundError(f"job {job_id!r} not known to the queue") from None
 
     def _register(self, job: QueryJob) -> None:
@@ -333,13 +348,11 @@ class JobQueue:
     # -- cancellation -------------------------------------------------------
 
     def _cancel(self, job: QueryJob) -> bool:
-        if job.done:
+        if job.record.done:
             return False
         if job in self._pending:
             self._pending.remove(job)
-            job.state = CANCELLED
-            job.end_ms = job.engine.ctx.clock.now_ms
-            self._finish_cancelled(job, end_abs=job.end_ms)
+            self._finish_cancelled(job, job.engine.ctx.clock.now_ms)
             return True
         if self._active_pool is not None:
             for key, active in self._active_keys.items():
@@ -364,11 +377,11 @@ class JobQueue:
                 self._drain_engine(engine, jobs)
 
     def _drain_engine(self, engine: "QueryEngine", jobs: list[QueryJob]) -> None:
-        anchor = jobs[0].creation_ms
+        anchor = jobs[0].record.creation_ms
         arrivals = [
             PoolArrival(
-                key=i, principal=str(job.principal),
-                arrival_ms=job.creation_ms - anchor,
+                key=i, principal=job.record.principal,
+                arrival_ms=job.record.creation_ms - anchor,
             )
             for i, job in enumerate(jobs)
         ]
@@ -378,7 +391,7 @@ class JobQueue:
             inter_stage_overlap=self.config.inter_stage_overlap,
             weights=self.config.weights,
         )
-        outcomes: dict[int, dict[str, Any]] = {}
+        runs: dict[int, _Run] = {}
         self._active_pool = pool
         self._active_keys = {i: job for i, job in enumerate(jobs)}
         self._depth += 1
@@ -386,7 +399,7 @@ class JobQueue:
             verdicts = pool.run(
                 arrivals,
                 lambda key, admitted_ms: self._execute_for_pool(
-                    jobs[key], anchor, admitted_ms, outcomes, key
+                    jobs[key], anchor, admitted_ms, runs, key
                 ),
                 on_admit=self._fire_admit_hooks,
             )
@@ -395,18 +408,19 @@ class JobQueue:
             self._active_pool = None
             self._active_keys = {}
         for key, job in enumerate(jobs):
-            self._settle(job, anchor, verdicts.get(key), outcomes.get(key))
+            self._settle(job, anchor, verdicts.get(key), runs.get(key))
         if self.monitor is not None and getattr(self.monitor, "enabled", False):
+            never_ran = _Run()
             entries = []
             for key in sorted(verdicts):
-                outcome = outcomes.get(key, {})
+                run = runs.get(key, never_ran)
                 entries.append(
                     {
-                        "principal": str(jobs[key].principal),
+                        "principal": jobs[key].record.principal,
                         "verdict": verdicts[key],
-                        "retried": outcome.get("retry_count", 0) > 0,
-                        "degraded": bool(outcome.get("degraded", False)),
-                        "cache_bypass": outcome.get("cache_bypass", 0.0) > 0,
+                        "retried": run.retry_count > 0,
+                        "degraded": run.degraded,
+                        "cache_bypass": run.cache_bypass,
                     }
                 )
             self.monitor.observe_batch(
@@ -427,55 +441,54 @@ class JobQueue:
             return 0.0
         return metrics.get("repro_cache_bypass_total").total()
 
-    def _run_statement(self, job: QueryJob, start_ms: float) -> dict[str, Any]:
-        """Mark the job RUNNING from ``start_ms`` and run its *real* work on
-        the sim clock, under its audit job id. The outcome holds ``result``
-        (or ``error`` and its ``trace``) plus what the statement cost:
-        retries, degradation, cache bypasses, the metering baseline."""
+    def _run_statement(self, job: QueryJob, start_ms: float) -> _Run:
+        """PENDING → RUNNING from ``start_ms``, then the job's *real* work on
+        the sim clock, under its audit job id."""
         engine = job.engine
         ctx = engine.ctx
-        job.state = RUNNING
-        job.start_ms = start_ms
-        job.queue_wait_ms = start_ms - job.creation_ms
-        if job.record is not None:
-            job.record.state = RUNNING
-            job.record.start_ms = job.start_ms
-            job.record.queue_wait_ms = job.queue_wait_ms
-        counts = ctx.metering.op_counts
-        outcome: dict[str, Any] = {
-            "metering_before": (
-                ctx.metering.snapshot() if self.history is not None else None
-            ),
-        }
+        record = job.record
+        record.state = RUNNING
+        record.start_ms = start_ms
+        record.queue_wait_ms = start_ms - record.creation_ms
+        metering = ctx.metering
+        counts = metering.op_counts
         retries_before = counts.get("repro.retry", 0)
         degraded_before = counts.get("repro.degraded", 0)
         bypass_before = self._cache_bypass_total(ctx)
+        read_before = metering.bytes_read
+        written_before = metering.bytes_written
+        egress_before = metering.total_egress()
         audit = getattr(engine.read_api, "audit", None)
         prev_job_id = audit.current_job_id if audit is not None else ""
         if audit is not None:
-            audit.current_job_id = job.job_id
+            audit.current_job_id = record.job_id
+        run = _Run()
         try:
-            outcome["result"] = engine._execute_statement(
-                job.statement, job.principal, job.kind, job.snapshot_ms,
+            run.result = engine._execute_statement(
+                job.statement, job.principal, record.kind, job.snapshot_ms,
                 sql_text=job.cache_sql, use_query_cache=job.use_query_cache,
             )
+            run.trace = run.result.trace
         except Exception as exc:
-            outcome["error"] = exc
-            outcome["trace"] = engine._last_root if ctx.tracer.enabled else None
+            run.error = exc
+            run.trace = engine._last_root if ctx.tracer.enabled else None
         finally:
             if audit is not None:
                 audit.current_job_id = prev_job_id
-        outcome["retry_count"] = counts.get("repro.retry", 0) - retries_before
-        outcome["degraded"] = counts.get("repro.degraded", 0) > degraded_before
-        outcome["cache_bypass"] = self._cache_bypass_total(ctx) - bypass_before
-        return outcome
+        run.retry_count = counts.get("repro.retry", 0) - retries_before
+        run.degraded = counts.get("repro.degraded", 0) > degraded_before
+        run.cache_bypass = self._cache_bypass_total(ctx) > bypass_before
+        run.bytes_read = metering.bytes_read - read_before
+        run.bytes_written = metering.bytes_written - written_before
+        run.bytes_egressed = metering.total_egress() - egress_before
+        return run
 
     def _execute_for_pool(
         self,
         job: QueryJob,
         anchor: float,
         admitted_ms: float,
-        outcomes: dict[int, dict[str, Any]],
+        runs: dict[int, _Run],
         key: int,
     ):
         """The pool's admission callback: run the job's *real* work on the
@@ -483,15 +496,15 @@ class JobQueue:
         engine = job.engine
         ctx = engine.ctx
         clock_before = ctx.clock.now_ms
-        outcome = outcomes[key] = self._run_statement(job, anchor + admitted_ms)
-        if "error" in outcome:
+        run = runs[key] = self._run_statement(job, anchor + admitted_ms)
+        if run.error is not None:
             return PoolOpaque(ctx.clock.now_ms - clock_before, failed=True)
-        if job.kind != "select":
+        if job.record.kind != "select":
             # DML shells: inner statements already ran as inline jobs (and
             # CTAS reuses the inner stats); model them as seat occupancy
             # for as long as their real work took.
             return PoolOpaque(ctx.clock.now_ms - clock_before)
-        return outcome["result"].stats.pool_execution(
+        return run.result.stats.pool_execution(
             engine.slots, ctx.costs.slot_startup_ms, engine.shuffle_partitions,
             ctx.faults, engine.speculation,
         )
@@ -503,70 +516,76 @@ class JobQueue:
         job: QueryJob,
         anchor: float,
         verdict: JobVerdict | None,
-        outcome: dict[str, Any] | None,
+        run: _Run | None,
     ) -> None:
         if verdict is None:  # defensive: the pool verdicts every arrival
             return
         end_abs = anchor + verdict.end_ms
         if verdict.state == "cancelled":
-            job.state = CANCELLED
-            job.end_ms = end_abs
-            if verdict.admitted:
-                job.start_ms = anchor + verdict.admitted_ms
-                job.queue_wait_ms = verdict.queue_wait_ms
-            self._finish_cancelled(job, end_abs=end_abs)
+            if verdict.admitted:  # else never started: start_ms stays 0
+                job.record.start_ms = anchor + verdict.admitted_ms
+                job.record.queue_wait_ms = verdict.queue_wait_ms
+            self._finish_cancelled(job, end_abs)
             return
-        if verdict.state == "done" and job.kind == "select":
-            result = outcome["result"]
+        if verdict.state == "done" and job.record.kind == "select":
+            result = run.result
             result.stats.apply_verdict(verdict)
             job.engine._record_verdict(result.stats, result.sched_span)
-        self._finish(job, outcome, end_abs)
+        self._finish(job, run, end_abs)
 
-    def _finish(self, job: QueryJob, outcome: dict[str, Any], end_ms: float) -> None:
-        """Terminal transition of a job whose statement ran: FAILED with its
-        error, or SUCCEEDED with the (already settled) result."""
-        job.end_ms = end_ms
-        costs = {
-            key: outcome[key] for key in ("metering_before", "retry_count", "degraded")
-        }
-        if "error" in outcome:
-            exc = outcome["error"]
-            job.state = FAILED
+    def _finish(self, job: QueryJob, run: _Run, end_ms: float) -> None:
+        """Terminal transition of a job whose statement ran: its costs land
+        on the record, then FAILED with the error or SUCCEEDED with the
+        (already settled) result."""
+        record = job.record
+        record.retry_count = run.retry_count
+        record.degraded = run.degraded
+        record.bytes_read = run.bytes_read
+        record.bytes_written = run.bytes_written
+        record.bytes_egressed = run.bytes_egressed
+        record.trace = run.trace
+        record_from_trace(record)
+        self._close(job, end_ms, run.error)
+        result = run.result
+        if result is not None:
+            # The caller-facing copy. The record keeps its own: a CTAS shell
+            # and its inner SELECT hold one stats object between them.
+            result.stats.retry_count = run.retry_count
+            result.stats.degraded = run.degraded
+            record.stats = result.stats
+            record.rows_produced = result.num_rows
+            job._result = result
+            self._observe_query_metrics(job, result)
+
+    def _close(
+        self, job: QueryJob, end_ms: float, exc: BaseException | None
+    ) -> None:
+        """→ SUCCEEDED, or → FAILED with ``exc``, at ``end_ms``."""
+        record = job.record
+        record.state = SUCCEEDED if exc is None else FAILED
+        record.end_ms = end_ms
+        if exc is not None:
+            record.error = str(exc)
+            record.error_code = error_code(exc)
             job._error = exc
-            self._record_terminal(
-                job, error=str(exc), exc=exc, trace=outcome["trace"], **costs
-            )
-            return
-        result = outcome["result"]
-        result.stats.retry_count = outcome["retry_count"]
-        result.stats.degraded = outcome["degraded"]
-        job.state = SUCCEEDED
-        job._result = result
-        self._observe_query_metrics(job, result)
-        self._record_terminal(job, result=result, trace=result.trace, **costs)
 
-    def _finish_cancelled(self, job: QueryJob, end_abs: float) -> None:
-        job._error = None
-        job._result = None
+    def _finish_cancelled(self, job: QueryJob, end_ms: float) -> None:
+        """→ CANCELLED at ``end_ms``."""
+        record = job.record
+        record.state = CANCELLED
+        record.end_ms = end_ms
+        record.error = "job cancelled"
+        record.error_code = "CANCELLED"
         engine = job.engine
         engine.ctx.metrics.counter(
             "repro_jobs_cancelled_total", "jobs cancelled before completion"
         ).inc(engine=engine.name)
-        if job.record is not None:
-            record = job.record
-            record.state = CANCELLED
-            record.error = "job cancelled"
-            record.error_code = "CANCELLED"
-            record.start_ms = job.start_ms
-            record.end_ms = end_abs
-            record.queue_wait_ms = job.queue_wait_ms
-            record.total_ms = max(0.0, end_abs - record.start_ms) if job.start_ms else 0.0
 
     def _observe_query_metrics(self, job: QueryJob, result: "QueryResult") -> None:
         engine = job.engine
         metrics = engine.ctx.metrics
         metrics.counter("queries_total", "statements executed").inc(
-            engine=engine.name, kind=job.kind
+            engine=engine.name, kind=job.record.kind
         )
         metrics.counter(
             "query_bytes_scanned_total", "bytes scanned on behalf of queries"
@@ -576,7 +595,7 @@ class JobQueue:
         ).observe(result.stats.elapsed_ms, engine=engine.name)
         metrics.histogram(
             "repro_job_queue_wait_ms", "admission-control queue wait per job"
-        ).observe(job.queue_wait_ms, engine=engine.name)
+        ).observe(job.record.queue_wait_ms, engine=engine.name)
 
     # -- inline (nested / blocking) execution --------------------------------
 
@@ -587,93 +606,10 @@ class JobQueue:
         queue wait, and the job ends where the sim clock stands."""
         engine = job.engine
         clock = engine.ctx.clock
-        outcome = self._run_statement(job, clock.now_ms)
-        if job.kind == "select" and "result" in outcome:
-            result = outcome["result"]
-            engine._settle_solo(result.stats, result.sched_span)
-        self._finish(job, outcome, clock.now_ms)
-
-    # -- history ------------------------------------------------------------
-
-    def _record_pending(self, job: QueryJob) -> JobRecord | None:
-        if self.history is None:
-            return None
-        record = JobRecord(
-            job_id=job.job_id,
-            principal=str(job.principal),
-            sql=job.sql,
-            kind=job.kind,
-            engine=job.engine.name,
-            state=PENDING,
-            creation_ms=job.creation_ms,
-            transaction_id=job.transaction_id,
-        )
-        return self.history.record(record)
-
-    def _record_terminal(
-        self,
-        job: QueryJob,
-        *,
-        result: "QueryResult | None" = None,
-        error: str = "",
-        exc: BaseException | None = None,
-        trace: Any | None = None,
-        metering_before: Any | None = None,
-        retry_count: int = 0,
-        degraded: bool = False,
-    ) -> None:
-        if self.history is None:
-            return
-        ctx = job.engine.ctx
-        delta = (
-            ctx.metering.delta_since(metering_before)
-            if metering_before is not None
-            else None
-        )
-        stats = result.stats if result is not None else None
-        record = job.record
-        if record is None:
-            # Validation failures land here before a PENDING record exists.
-            record = JobRecord(
-                job_id=job.job_id, principal=str(job.principal), sql=job.sql,
-                kind=job.kind, engine=job.engine.name, state=job.state,
-                creation_ms=job.creation_ms,
-            )
-            job.record = self.history.record(record)
-        record.kind = job.kind
-        record.state = job.state
-        record.error = error
-        record.error_code = error_code(exc)
-        record.transaction_id = job.transaction_id
-        record.start_ms = job.start_ms
-        record.end_ms = job.end_ms
-        record.queue_wait_ms = job.queue_wait_ms
-        record.total_ms = (
-            stats.elapsed_ms if stats is not None else job.end_ms - job.start_ms
-        )
-        record.slot_ms = stats.slot_ms if stats is not None else 0.0
-        record.bytes_scanned = stats.bytes_scanned if stats is not None else 0
-        record.rows_scanned = stats.rows_scanned if stats is not None else 0
-        record.rows_produced = result.num_rows if result is not None else 0
-        record.files_read = stats.files_read if stats is not None else 0
-        record.files_total = stats.files_total if stats is not None else 0
-        record.shuffle_partitions = stats.shuffle_partitions if stats is not None else 0
-        record.compute_parallelism = (
-            stats.compute_parallelism if stats is not None else 0
-        )
-        record.bytes_read = delta.bytes_read if delta is not None else 0
-        record.bytes_written = delta.bytes_written if delta is not None else 0
-        record.bytes_egressed = delta.total_egress() if delta is not None else 0
-        record.retry_count = retry_count
-        record.degraded = degraded
-        record.cache_hit_bytes = stats.cache_hit_bytes if stats is not None else 0
-        record.cache_hit_ratio = stats.cache_hit_ratio if stats is not None else 0.0
-        record.cache_hit = stats.cache_hit if stats is not None else False
-        record.task_skew = stats.task_skew if stats is not None else 1.0
-        record.speculative_count = stats.speculative_count if stats is not None else 0
-        record.task_timeline = list(stats.task_timeline) if stats is not None else []
-        record.trace = trace
-        record_from_trace(record)
+        run = self._run_statement(job, clock.now_ms)
+        if job.record.kind == "select" and run.result is not None:
+            engine._settle_solo(run.result.stats, run.result.sched_span)
+        self._finish(job, run, clock.now_ms)
 
 
 class JobsApi:

@@ -6,9 +6,10 @@ bench of analyst principals (project ``DATA_VIEWER`` + ``JOB_USER`` plus
 mixed workload through the async jobs API: jobs arrive with seeded
 inter-arrival gaps, queue under admission control, and share the slot
 pool fairly across principals. The report — per-principal p50/p99 queue
-wait and the workload makespan — is *tied out* against
-``INFORMATION_SCHEMA.JOBS`` (and ``JOBS_TIMELINE`` for the task rows):
-the SQL surface is the ground truth, the in-memory handles must agree.
+wait and the workload makespan — is read from the jobs' records and *tied
+out* against ``INFORMATION_SCHEMA.JOBS`` (and ``JOBS_TIMELINE`` for the
+task rows): what SQL returns — planner, scan, projection, rounding — must
+be what the records hold.
 
 Everything runs on the deterministic sim clock, so a seeded run — chaos
 plan included — replays byte-identically; ``scripts/check.sh`` diffs two
@@ -217,7 +218,7 @@ def run_serve(
             ).single_value()
         except ReproError as exc:  # pragma: no cover - defensive
             tie_out_errors.append(f"timeline query failed: {exc}")
-        timeline_expected = len(platform.job(first_ok.job_id).task_timeline)
+        timeline_expected = len(first_ok.record.stats.task_timeline)
         if timeline_rows != timeline_expected:
             tie_out_errors.append(
                 f"{first_ok.job_id} timeline rows {timeline_rows} != "

@@ -5,10 +5,43 @@ from __future__ import annotations
 from typing import Any
 
 from repro.data.batch import RecordBatch
-from repro.data.types import Schema
+from repro.data.types import DataType, Schema
 from repro.formats import pqs
 from repro.metastore.bigmeta import ColumnStats, FileEntry
+from repro.metastore.catalog import TableInfo
 from repro.objectstore import ObjectStore
+from repro.sql.dates import parse_date_to_days
+from repro.tableformats.hive_layout import parse_partition_from_key
+
+
+def partition_values(table: TableInfo, key: str) -> dict[str, Any]:
+    """The partition values an object key carries for a hive-partitioned
+    table (``prefix/col=value/.../file``), coerced to the partition columns'
+    schema dtypes — the one decoder every reader that builds a
+    :class:`FileEntry` from a listing calls, so a partition value compares
+    with a predicate literal the way a column value would."""
+    if not table.partition_columns:
+        return {}
+    raw = parse_partition_from_key(table.storage.prefix, key)
+    values: dict[str, Any] = {}
+    for name in table.partition_columns:
+        if name not in raw:
+            continue
+        dtype = table.schema.field(name).dtype if table.schema.has_field(name) else DataType.STRING
+        values[name] = _coerce_partition_value(raw[name], dtype)
+    return values
+
+
+def _coerce_partition_value(raw: str, dtype: DataType):
+    if dtype is DataType.INT64:
+        return int(raw)
+    if dtype is DataType.FLOAT64:
+        return float(raw)
+    if dtype is DataType.DATE:
+        return parse_date_to_days(raw)
+    if dtype is DataType.BOOL:
+        return raw.lower() in ("true", "1")
+    return raw
 
 
 def entry_from_footer(

@@ -45,14 +45,12 @@ from repro.security.policies import EffectiveAccess
 from repro.simtime import MIB, SimContext
 from repro.sql import ast_nodes as ast
 from repro.sql.analysis import extract_constraints
-from repro.sql.dates import parse_date_to_days
 from repro.sql.expressions import FunctionRegistry
 from repro.sql.parser import parse_expression
 from repro.sql.printer import to_sql
-from repro.storageapi.fileutil import entry_from_footer, read_remote_footer
+from repro.storageapi.fileutil import entry_from_footer, partition_values, read_remote_footer
 from repro.storageapi.managed import ManagedStorage
 from repro.storageapi.superluminal import Superluminal
-from repro.tableformats.hive_layout import parse_partition_from_key
 
 _session_ids = itertools.count(1)
 
@@ -683,7 +681,7 @@ class ReadApi:
             if not meta.key.endswith(".pqs"):
                 continue
             total += 1
-            partition = self._partition_values(table, meta.key)
+            partition = partition_values(table, meta.key)
             # Partition pruning from the key path alone avoids the footer
             # read; anything else needs the footer statistics.
             if not self._partition_admits(partition, constraints):
@@ -704,24 +702,12 @@ class ReadApi:
 
     @staticmethod
     def _partition_admits(partition: dict[str, Any], constraints: ConstraintSet) -> bool:
-        for column, constraint in constraints:
-            if column in {k.lower() for k in partition}:
-                value = {k.lower(): v for k, v in partition.items()}[column]
-                if not constraint.admits_value(value):
-                    return False
-        return True
-
-    def _partition_values(self, table: TableInfo, key: str) -> dict[str, Any]:
-        if not table.partition_columns:
-            return {}
-        raw = parse_partition_from_key(table.storage.prefix, key)
-        values: dict[str, Any] = {}
-        for name in table.partition_columns:
-            if name not in raw:
-                continue
-            dtype = table.schema.field(name).dtype if table.schema.has_field(name) else DataType.STRING
-            values[name] = _coerce_partition_value(raw[name], dtype)
-        return values
+        lowered = {name.lower(): value for name, value in partition.items()}
+        return all(
+            constraint.admits_value(lowered[column])
+            for column, constraint in constraints
+            if column in lowered
+        )
 
     def _require_delegated_access(
         self, table: TableInfo, store, listing: bool = False
@@ -809,7 +795,7 @@ class ReadApi:
                     continue
                 footer, size = read_remote_footer(store, bucket, meta.key)
                 observed[path] = entry_from_footer(
-                    path, size, footer, self._partition_values(table, meta.key),
+                    path, size, footer, partition_values(table, meta.key),
                     generation=meta.generation,
                 )
         added = [e for p, e in observed.items() if p not in current]
@@ -1344,18 +1330,6 @@ def _object_entries_to_batch(entries: list[FileEntry]) -> RecordBatch:
         for name in columns:
             columns[name].append(values.get(name))
     return batch_from_pydict(OBJECT_TABLE_SCHEMA, columns)
-
-
-def _coerce_partition_value(raw: str, dtype: DataType):
-    if dtype is DataType.INT64:
-        return int(raw)
-    if dtype is DataType.FLOAT64:
-        return float(raw)
-    if dtype is DataType.DATE:
-        return parse_date_to_days(raw)
-    if dtype is DataType.BOOL:
-        return raw.lower() in ("true", "1")
-    return raw
 
 
 def _dir_prefix(prefix: str) -> str:

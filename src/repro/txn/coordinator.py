@@ -118,10 +118,6 @@ class Transaction:
                 f"transaction {self.txn_id} is {self.state}, not OPEN"
             )
 
-    @property
-    def tables_written(self) -> list[str]:
-        return sorted(list(self._blmt) + list(self._iceberg))
-
     # -- reads and statements ---------------------------------------------------
 
     def execute(self, sql: str):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro import LakehousePlatform, Role
 from repro.data import DataType, Schema, batch_from_pydict
+from repro.faults import FaultSpec
 from repro.metastore.catalog import MetadataCacheMode
 from repro.storageapi.fileutil import write_data_file
 
@@ -13,6 +14,18 @@ SALES_SCHEMA = Schema.of(
     ("amount", DataType.FLOAT64),
     ("year", DataType.INT64),
 )
+
+
+def fail_store_ops(store, op_prefix: str, count: int = 1) -> None:
+    """Make the next ``count`` operations of ``store`` whose name starts with
+    ``op_prefix`` ("put", "get", "list") fail with a plain, non-transient
+    ``StorageError``: a crash, which retry policies pass straight through."""
+    store.ctx.faults.add(FaultSpec(
+        op=f"objectstore.{op_prefix}",
+        error="StorageError",
+        count=count,
+        match=(("store", store.name),),
+    ))
 
 
 def make_platform():
@@ -31,10 +44,13 @@ def setup_lake_table(
     dataset: str = "ds",
     table: str = "sales",
     cache_mode: MetadataCacheMode = MetadataCacheMode.AUTOMATIC,
+    keys: list[str] | None = None,
+    partition_columns: list[str] | None = None,
 ):
     """Write ``files`` (one column dict each) as a lake under ``table/`` and
     register a BigLake table over it; bucket, connection and dataset are
-    created on first use."""
+    created on first use. ``keys`` names each file under ``table/`` (default
+    ``part-NNNN.pqs``) — a hive layout goes with ``partition_columns``."""
     store = platform.stores.store_for(platform.config.home_region.location)
     if not store.has_bucket(bucket):
         store.create_bucket(bucket)
@@ -46,13 +62,13 @@ def setup_lake_table(
     if not platform.catalog.has_dataset(dataset):
         platform.catalog.create_dataset(dataset)
     for i, rows in enumerate(files):
+        name = keys[i] if keys else f"part-{i:04d}.pqs"
         write_data_file(
-            store, bucket, f"{table}/part-{i:04d}.pqs", schema,
-            [batch_from_pydict(schema, rows)],
+            store, bucket, f"{table}/{name}", schema, [batch_from_pydict(schema, rows)]
         )
     info = platform.tables.create_biglake_table(
         admin, dataset, table, schema, bucket, table, connection_name,
-        cache_mode=cache_mode,
+        partition_columns=partition_columns, cache_mode=cache_mode,
     )
     return info, store
 

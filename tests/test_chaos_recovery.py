@@ -16,7 +16,7 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, FaultSpec
 
-from tests.helpers import make_platform, setup_sales_lake
+from tests.helpers import fail_store_ops, make_platform, setup_sales_lake
 
 SALES_SQL = "SELECT region, COUNT(*) AS n, SUM(amount) AS total FROM ds.sales GROUP BY region ORDER BY region"
 
@@ -194,10 +194,10 @@ class TestRetrySafeScanAccounting:
         assert "repro.retry" not in platform.ctx.metering.op_counts
 
     def test_legacy_injected_fault_still_fatal(self, lake):
-        # inject_fault raises plain (non-transient) StorageError: the retry
+        # A plain (non-transient) StorageError is a crash: the retry
         # layer must pass it through untouched.
         platform, admin, _, store = lake
-        store.inject_fault("get", 1)
+        fail_store_ops(store, "get", 1)
         with pytest.raises(StorageError) as err:
             platform.home_engine.execute(SALES_SQL, admin)
         assert not isinstance(err.value, UnavailableError)

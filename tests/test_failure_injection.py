@@ -6,7 +6,7 @@ from repro import DataType, Schema, batch_from_pydict
 from repro.errors import StorageError
 from repro.security.iam import Role
 
-from tests.helpers import make_platform, setup_sales_lake
+from tests.helpers import fail_store_ops, make_platform, setup_sales_lake
 
 SCHEMA = Schema.of(("id", DataType.INT64), ("v", DataType.FLOAT64))
 
@@ -29,13 +29,13 @@ def blmt_env():
 
 class TestFaultInjectionMechanism:
     def test_injected_fault_fires_once(self, store):
-        store.inject_fault("put", 1)
+        fail_store_ops(store, "put", 1)
         with pytest.raises(StorageError):
             store.put_object("lake", "a", b"x")
         store.put_object("lake", "a", b"x")  # next attempt succeeds
 
     def test_fault_counts_accumulate(self, store):
-        store.inject_fault("get", 2)
+        fail_store_ops(store, "get", 2)
         store.put_object("lake", "a", b"x")
         for _ in range(2):
             with pytest.raises(StorageError):
@@ -43,7 +43,7 @@ class TestFaultInjectionMechanism:
         assert store.get_object("lake", "a") == b"x"
 
     def test_prefix_scoping(self, store):
-        store.inject_fault("list", 1)
+        fail_store_ops(store, "list", 1)
         store.put_object("lake", "a", b"x")  # puts unaffected
         with pytest.raises(StorageError):
             list(store.list_objects("lake"))
@@ -54,7 +54,7 @@ class TestBlmtCrashSafety:
         """A crash while writing the data file commits nothing."""
         platform, admin, table, store = blmt_env
         before = platform.bigmeta.snapshot(table.table_id)
-        store.inject_fault("put", 1)
+        fail_store_ops(store, "put", 1)
         with pytest.raises(StorageError):
             platform.tables.blmt.insert(
                 table, [batch_from_pydict(SCHEMA, {"id": [9], "v": [9.0]})]
@@ -76,7 +76,7 @@ class TestBlmtCrashSafety:
             "SELECT SUM(v) FROM ds.t", admin
         ).single_value()
         # Fail the second data-file write of the copy-on-write pass.
-        store.inject_fault("put", 1)
+        fail_store_ops(store, "put", 1)
         # First put consumed by... make the first rewrite file succeed, the
         # second fail: inject after one successful put by using count on a
         # fresh fault AFTER the first write would happen. Simplest robust
@@ -100,7 +100,7 @@ class TestBlmtCrashSafety:
     def test_transaction_abort_after_fault(self, blmt_env):
         platform, admin, table, store = blmt_env
         txn = platform.tables.blmt.begin_transaction()
-        store.inject_fault("put", 1)
+        fail_store_ops(store, "put", 1)
         with pytest.raises(StorageError):
             txn.insert(table, batch_from_pydict(SCHEMA, {"id": [5], "v": [5.0]}))
         txn.abort()
@@ -115,7 +115,7 @@ class TestReadPathFaults:
         table, store = setup_sales_lake(
             platform, admin, cache_mode=MetadataCacheMode.DISABLED
         )
-        store.inject_fault("list", 1)
+        fail_store_ops(store, "list", 1)
         with pytest.raises(StorageError):
             platform.read_api.create_read_session(admin, table)
         # Recovery: the next attempt succeeds.
@@ -126,7 +126,7 @@ class TestReadPathFaults:
         platform, admin = make_platform()
         table, store = setup_sales_lake(platform, admin)
         platform.read_api.create_read_session(admin, table)  # prime
-        store.inject_fault("list", 5)
+        fail_store_ops(store, "list", 5)
         session = platform.read_api.create_read_session(admin, table)
         assert session.stats.files_after_pruning == 4  # no LIST needed
 
@@ -134,7 +134,7 @@ class TestReadPathFaults:
         platform, admin = make_platform()
         table, store = setup_sales_lake(platform, admin)
         session = platform.read_api.create_read_session(admin, table)
-        store.inject_fault("get", 1)
+        fail_store_ops(store, "get", 1)
         with pytest.raises(StorageError):
             for i in range(len(session.streams)):
                 list(platform.read_api.read_rows(session, i))
