@@ -225,6 +225,28 @@ class ChunkTier(CacheTier):
             self.object_bytes.pop(key[:3], None)
 
 
+@dataclass
+class Tally:
+    """Lookups of one tier not yet counted into the registry: hits, misses,
+    bytes served, and the tier's resident bytes at the latest lookup — what
+    a gauge set at every lookup would read."""
+
+    tier: CacheTier
+    hits: int = 0
+    misses: int = 0
+    hit_bytes: int = 0
+    resident_bytes: int = 0
+
+    def add(self, nbytes: int | None) -> None:
+        """One lookup: a hit serving ``nbytes``, or a miss (None)."""
+        if nbytes is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self.hit_bytes += nbytes
+        self.resident_bytes = self.tier.resident_bytes
+
+
 def eviction_counter(metrics) -> Any:
     """Tier eviction callback: one metric, split by tier and by why the
     entry left (``lru`` pressure vs ``ttl``/``idle`` age bounds). Closed over
@@ -294,17 +316,31 @@ class DataCache:
 
     # -- metrics ------------------------------------------------------------
 
-    def _count(self, tier: CacheTier, hit: bool, nbytes: int = 0) -> None:
-        metrics = self.ctx.metrics
-        if hit:
-            metrics.counter("repro_cache_hits_total", HITS_HELP).inc(tier=tier.name)
+    def _count(self, tier: CacheTier, nbytes: int | None, tally: Tally | None = None) -> None:
+        """Count one lookup of ``tier`` — a hit serving ``nbytes``, or a miss
+        (None) — into the registry now, or into ``tally`` for :meth:`count`."""
+        if tally is not None:
+            tally.add(nbytes)
+            return
+        tally = Tally(tier)
+        tally.add(nbytes)
+        self.count(tally)
+
+    def count(self, tally: Tally) -> None:
+        """Add a tally's lookups to the registry: the counters and gauge one
+        count per lookup would have left."""
+        if not (tally.hits or tally.misses):
+            return
+        metrics, name = self.ctx.metrics, tally.tier.name
+        if tally.hits:
+            metrics.counter("repro_cache_hits_total", HITS_HELP).inc(tally.hits, tier=name)
             metrics.counter("repro_cache_bytes_total", HIT_BYTES_HELP).inc(
-                nbytes, tier=tier.name
+                tally.hit_bytes, tier=name
             )
-        else:
-            metrics.counter("repro_cache_misses_total", MISSES_HELP).inc(tier=tier.name)
+        if tally.misses:
+            metrics.counter("repro_cache_misses_total", MISSES_HELP).inc(tally.misses, tier=name)
         metrics.gauge("repro_cache_resident_bytes", RESIDENT_HELP).set(
-            tier.resident_bytes, tier=tier.name
+            tally.resident_bytes, tier=name
         )
 
     # -- footer tier --------------------------------------------------------
@@ -320,10 +356,10 @@ class DataCache:
             return None
         entry = self.footers.get((bucket, key, generation))
         if entry is None:
-            self._count(self.footers, hit=False)
+            self._count(self.footers, None)
             return None
         self.ctx.charge("data_cache.hit", self.ctx.costs.cache_lookup_ms)
-        self._count(self.footers, hit=True, nbytes=entry[1])
+        self._count(self.footers, entry[1])
         return entry[0]
 
     def admit_footer(
@@ -342,26 +378,28 @@ class DataCache:
     # -- chunk tier ---------------------------------------------------------
 
     def lookup_chunk(
-        self, bucket: str, key: str, generation: int, rg_index: int, column: str
+        self, bucket: str, key: str, generation: int, rg_index: int, column: str,
+        tally: Tally | None = None,
     ) -> "tuple[Column | DictionaryColumn, int] | None":
         """Cached decoded chunk as ``(column, source_bytes)`` or None.
-        Hits charge the cheap memory-bandwidth cost, not GET + decode."""
+        Hits charge the cheap memory-bandwidth cost, not GET + decode.
+
+        The lookup is counted into the registry now, or into ``tally`` (of
+        :attr:`chunks`) for the caller to :meth:`count` once — a scan looks
+        up every chunk of a file and counts the file."""
         if not self.enabled or generation <= 0:
             return None
         if not self._guard("cache.get", self.chunks):
             return None
         entry = self.chunks.get((bucket, key, generation, rg_index, column))
-        if entry is None:
-            self._count(self.chunks, hit=False)
-            return None
-        value, nbytes = entry
-        self.ctx.charge(
-            "data_cache.hit",
-            self.ctx.costs.cache_lookup_ms
-            + (nbytes / MIB) * self.ctx.costs.cache_hit_per_mib_ms,
-        )
-        self._count(self.chunks, hit=True, nbytes=nbytes)
-        return value, nbytes
+        if entry is not None:
+            self.ctx.charge(
+                "data_cache.hit",
+                self.ctx.costs.cache_lookup_ms
+                + (entry[1] / MIB) * self.ctx.costs.cache_hit_per_mib_ms,
+            )
+        self._count(self.chunks, None if entry is None else entry[1], tally)
+        return entry
 
     def admit_chunk(
         self, bucket: str, key: str, generation: int, rg_index: int, column: str,
@@ -411,9 +449,9 @@ class DataCache:
         if self._guard("cache.get", self.dictionaries):
             entry = self.dictionaries.get(digest)
             if entry is not None:
-                self._count(self.dictionaries, hit=True, nbytes=entry[1])
+                self._count(self.dictionaries, entry[1])
                 return DictionaryColumn(dtype, decoded.codes, entry[0])
-            self._count(self.dictionaries, hit=False)
+            self._count(self.dictionaries, None)
         if self._guard("cache.put", self.dictionaries):
             self.dictionaries.put(digest, decoded.dictionary, dict_len)
         return decoded

@@ -228,12 +228,13 @@ class DictionaryColumn:
         validity = None if bool(valid.all()) else valid
         return Column(self.dtype, values, validity)
 
-    def gather(self, per_entry: list[Any]) -> list[Any]:
+    def gather(self, per_entry: list[Any], null: Any = None) -> list[Any]:
         """One python value per row, picked by code from ``per_entry`` (one
-        value per dictionary entry); ``None`` at null rows."""
-        by_code = per_entry + [None]  # where code -1, the null, lands
+        value per dictionary entry); ``null`` at null rows."""
+        # The entries, then where code -1, the null, lands.
+        by_code = np.fromiter([*per_entry, null], dtype=object, count=len(per_entry) + 1)
         # Codes come from file bytes: any negative code is a null, as in decode().
-        return [by_code[code] for code in np.maximum(self.codes, -1).tolist()]
+        return by_code[np.maximum(self.codes, -1)].tolist()
 
     def to_pylist(self) -> list[Any]:
         """Python values without decoding first: each distinct value is
@@ -245,19 +246,6 @@ class DictionaryColumn:
 
     def take(self, indices: np.ndarray) -> "DictionaryColumn":
         return DictionaryColumn(self.dtype, self.codes[indices], self.dictionary)
-
-    def codes_for_predicate(self, predicate) -> np.ndarray:
-        """Codes whose dictionary value satisfies ``predicate`` (a callable).
-
-        Evaluating the predicate once per *distinct* value instead of once
-        per row is the dictionary-aware fast path.
-        """
-        hits = [
-            code
-            for code in range(len(self.dictionary))
-            if predicate(self.dictionary[code])
-        ]
-        return np.asarray(hits, dtype=np.int32)
 
     def nbytes(self) -> int:
         return int(self.codes.nbytes) + self.dictionary.nbytes()

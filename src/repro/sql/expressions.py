@@ -18,7 +18,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.data.batch import RecordBatch
-from repro.data.column import Column
+from repro.data.column import Column, DictionaryColumn
 from repro.data.types import DataType, Schema
 from repro.errors import AnalysisError, ExecutionError
 from repro.sql import ast_nodes as ast
@@ -36,6 +36,53 @@ class BoundExpr:
     """Base class for bound (resolved, typed) expressions."""
 
     dtype: DataType
+    # The one column a predicate reads when it can be answered once per
+    # dictionary entry and mapped through the codes (see _over_dictionary):
+    # set at construction by the predicate nodes, None everywhere else.
+    codes_column: int | None = None
+
+
+_COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+
+# The casts the binder inserts to compare mixed types. None of them can
+# raise, so a predicate reading a column through one may still be answered
+# per dictionary entry (see _over_dictionary).
+_SAFE_CASTS = {
+    (DataType.INT64, DataType.FLOAT64),
+    (DataType.DATE, DataType.TIMESTAMP),
+    (DataType.TIMESTAMP, DataType.DATE),
+    (DataType.INT64, DataType.DATE),
+    (DataType.INT64, DataType.TIMESTAMP),
+}
+
+
+def _column_read(expr: "BoundExpr") -> int | None:
+    """The column ``expr`` is, directly or through a cast that cannot raise."""
+    if isinstance(expr, BoundCast) and (expr.operand.dtype, expr.dtype) in _SAFE_CASTS:
+        expr = expr.operand
+    return expr.index if isinstance(expr, BoundColumn) else None
+
+
+def _scalar(expr: "BoundExpr") -> Column | None:
+    """A non-NULL literal, or a cast of one, as the one-row column a
+    comparison broadcasts against the other side: what evaluating it over a
+    batch gives, one row long. None for anything else — and for a literal
+    that does not evaluate, which then fails where it always did, when the
+    comparison is evaluated over rows."""
+    cast = None
+    if isinstance(expr, BoundCast):
+        cast, expr = expr.dtype, expr.operand
+    if not isinstance(expr, BoundLiteral) or expr.value is None:
+        return None
+    try:
+        column = Column.repeat(expr.dtype, expr.value, 1)
+        return column if cast is None else _eval_cast(column, cast)
+    except (ExecutionError, ArithmeticError, TypeError, ValueError):
+        return None  # the row path raises it
+
+
+def _is_null(expr: "BoundExpr") -> bool:
+    return isinstance(expr, BoundLiteral) and expr.value is None
 
 
 @dataclass(frozen=True)
@@ -57,6 +104,27 @@ class BoundBinary(BoundExpr):
     left: BoundExpr
     right: BoundExpr
     dtype: DataType
+    # A comparison's (left, right) literal sides as one-row columns (see
+    # _scalar); (None, None) when neither or both sides are literals.
+    scalars: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        scalars = (None, None)
+        index = None
+        if self.op in _COMPARISONS:
+            left, right = _scalar(self.left), _scalar(self.right)
+            if (left is None) != (right is None):
+                scalars = (left, right)
+            # Column against literal — NULL, or a value that evaluated above —
+            # so neither side raises, whatever the column holds.
+            if right is not None or _is_null(self.right):
+                index = _column_read(self.left)
+            if index is None and (left is not None or _is_null(self.left)):
+                index = _column_read(self.right)
+        elif self.op in ("AND", "OR") and self.left.codes_column == self.right.codes_column:
+            index = self.left.codes_column
+        object.__setattr__(self, "scalars", scalars)
+        object.__setattr__(self, "codes_column", index)
 
 
 @dataclass(frozen=True)
@@ -65,12 +133,19 @@ class BoundUnary(BoundExpr):
     operand: BoundExpr
     dtype: DataType
 
+    def __post_init__(self) -> None:
+        index = self.operand.codes_column if self.op == "NOT" else None
+        object.__setattr__(self, "codes_column", index)
+
 
 @dataclass(frozen=True)
 class BoundIsNull(BoundExpr):
     operand: BoundExpr
     negated: bool
     dtype: DataType = DataType.BOOL
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "codes_column", _column_read(self.operand))
 
 
 @dataclass(frozen=True)
@@ -85,6 +160,7 @@ class BoundInList(BoundExpr):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "probe", _membership_probe(self.operand.dtype, self.values))
+        object.__setattr__(self, "codes_column", _column_read(self.operand))
 
 
 @dataclass(frozen=True)
@@ -93,6 +169,11 @@ class BoundLike(BoundExpr):
     pattern: str
     negated: bool
     dtype: DataType = DataType.BOOL
+
+    def __post_init__(self) -> None:
+        # A string pattern raises on BYTES: only STRING reads its entries.
+        text = isinstance(self.operand, BoundColumn) and self.operand.dtype is DataType.STRING
+        object.__setattr__(self, "codes_column", self.operand.index if text else None)
 
 
 @dataclass(frozen=True)
@@ -545,6 +626,10 @@ class Binder:
 
 def evaluate(expr: BoundExpr, batch: RecordBatch) -> Column:
     """Evaluate a bound expression over a batch, returning one column."""
+    if expr.codes_column is not None:
+        column = batch.columns[expr.codes_column]
+        if isinstance(column, DictionaryColumn) and 0 < len(column.dictionary) <= len(column):
+            return _over_dictionary(expr, column)
     n = batch.num_rows
     if isinstance(expr, BoundColumn):
         return batch.column_at(expr.index)
@@ -599,6 +684,44 @@ def evaluate_predicate(expr: BoundExpr, batch: RecordBatch) -> np.ndarray:
     # May be the column's own array: a mask is for indexing, never written to.
     values = col.values.astype(bool, copy=False)
     return values if col.validity is None else values & col.validity
+
+
+class _Entries:
+    """The batch a predicate over one dictionary column is evaluated on
+    instead of the rows: that column's entries, one row each."""
+
+    __slots__ = ("columns", "num_rows")
+
+    def __init__(self, index: int, column: Column) -> None:
+        self.columns = {index: column}
+        self.num_rows = len(column)
+
+    def column_at(self, index: int) -> Column:
+        return self.columns[index]
+
+
+def _over_dictionary(expr: BoundExpr, column: DictionaryColumn) -> Column:
+    """``expr`` — a predicate reading only ``column`` beside literals, built
+    from nodes that cannot raise (see :attr:`BoundExpr.codes_column`) —
+    evaluated once per dictionary entry and gathered by code. Every node is
+    row-wise, so row ``r`` gets what the decoded column's row would: the
+    entry its code names, or, for a negative code, a null entry holding what
+    :meth:`DictionaryColumn.decode` leaves under a null (entry 0). A code
+    past the dictionary raises ``IndexError`` as decoding does. Entries no
+    row of this batch uses are evaluated too; that is why a node that can
+    raise, such as ``CAST(s AS INT64)``, never takes this path — it would
+    fail on values the batch does not show."""
+    entries = column.dictionary.values
+    codes = column.codes
+    if codes.min() >= 0:
+        domain = Column(column.dtype, entries)
+        at = codes
+    else:
+        present = np.ones(len(entries) + 1, dtype=bool)
+        present[0] = False
+        domain = Column(column.dtype, np.concatenate((entries[:1], entries)), present)
+        at = np.maximum(codes, -1) + 1
+    return evaluate(expr, _Entries(expr.codes_column, domain)).take(at)
 
 
 def _membership_probe(dtype: DataType, values: tuple) -> "frozenset | tuple[np.ndarray, ...]":
@@ -658,8 +781,10 @@ def _eval_binary(expr: BoundBinary, batch: RecordBatch) -> Column:
             valid = (lvalid & rvalid) | known_true
         return Column(DataType.BOOL, values, None if bool(valid.all()) else valid)
 
-    left = evaluate(expr.left, batch)
-    right = evaluate(expr.right, batch)
+    # A comparison's literal side stays one row; numpy broadcasts it.
+    left, right = expr.scalars
+    left = evaluate(expr.left, batch) if left is None else left
+    right = evaluate(expr.right, batch) if right is None else right
     validity = _and_validity(left, right)
 
     if op == "||":
@@ -669,11 +794,12 @@ def _eval_binary(expr: BoundBinary, batch: RecordBatch) -> Column:
         ]
         return Column(DataType.STRING, out, validity)
 
-    if op in ("=", "!=", "<", "<=", ">", ">="):
+    if op in _COMPARISONS:
         lv, rv = left.values, right.values
         if lv.dtype == np.dtype(object) and op not in ("=", "!="):
             # Ordered comparison of object (string/bytes) arrays must skip
             # null placeholders, which do not support '<'.
+            lv, rv = np.broadcast_arrays(lv, rv)
             values = np.zeros(len(lv), dtype=bool)
             cmp = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
                    ">": lambda a, b: a > b, ">=": lambda a, b: a >= b}[op]

@@ -20,7 +20,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterator
 
-from repro.cache import DataCache
+from repro.cache import DataCache, Tally
 from repro.data.batch import RecordBatch, batch_from_pydict
 from repro.data.column import Column
 from repro.data.types import DataType, Schema
@@ -910,6 +910,11 @@ class ReadApi:
             stream.rows_returned += batch.num_rows
             counter.inc(batch.num_rows, stream=str(stream.stream_id))
             yield batch
+        if all(s.exhausted for s in session.streams):
+            # Fully drained: no handle has anything left to read, so the
+            # registry lets go (a later attach is an unknown session).
+            # Whoever holds the session object keeps it.
+            self._sessions.pop(session.session_id, None)
 
     def _wire_accounted(self, session: ReadSession, batches) -> Iterator[RecordBatch]:
         for batch in batches:
@@ -1210,41 +1215,48 @@ class ReadApi:
             needed = enforcement.needed_columns
             wanted = [f.name for f in schema if f.name.lower() in needed] or schema.names()[:1]
 
-        for rg_index in keep:
-            rg = footer.row_groups[rg_index]
-            resolved: dict[str, Any] = {}
-            if data is not None:
-                fetch = [rg.column(name) for name in wanted]
-                buffers = {c.name: data[c.offset : c.offset + c.length] for c in fetch}
-            else:
-                fetch = []
-                for name in wanted:
-                    hit = cache.lookup_chunk(bucket, key, generation, rg_index, name)
-                    if hit is None:
-                        fetch.append(rg.column(name))
-                        continue
-                    resolved[name], nbytes = hit
-                    session.stats.cache_hit_bytes += nbytes
-                    self._count_cache_hit(nbytes)
-                if fetch:
-                    buffers = self._fetch_ranges(session, store, bucket, key, fetch)
-                    self._charge_decode(
-                        session, "ranged", sum(len(b) for b in buffers.values())
+        # The file's chunk-tier lookups are counted once, when the scan ends —
+        # also when the consumer stops reading before it does.
+        tally = Tally(cache.chunks)
+        try:
+            for rg_index in keep:
+                rg = footer.row_groups[rg_index]
+                resolved: dict[str, Any] = {}
+                if data is not None:
+                    fetch = [rg.column(name) for name in wanted]
+                    buffers = {c.name: data[c.offset : c.offset + c.length] for c in fetch}
+                else:
+                    fetch = []
+                    for name in wanted:
+                        hit = cache.lookup_chunk(bucket, key, generation, rg_index, name, tally)
+                        if hit is None:
+                            fetch.append(rg.column(name))
+                            continue
+                        resolved[name], nbytes = hit
+                        session.stats.cache_hit_bytes += nbytes
+                    if fetch:
+                        buffers = self._fetch_ranges(session, store, bucket, key, fetch)
+                        self._charge_decode(
+                            session, "ranged", sum(len(b) for b in buffers.values())
+                        )
+                for chunk in fetch:
+                    decoded = decode(
+                        schema.field(chunk.name).dtype, chunk.encoding, buffers[chunk.name]
                     )
-            for chunk in fetch:
-                decoded = decode(
-                    schema.field(chunk.name).dtype, chunk.encoding, buffers[chunk.name]
-                )
-                cache.admit_chunk(
-                    bucket, key, generation, rg_index, chunk.name, decoded, chunk.length
-                )
-                resolved[chunk.name] = decoded
-            columns = [
-                resolved[f.name] if f.name in resolved
-                else Column.nulls(f.dtype, rg.num_rows)
-                for f in schema
-            ]
-            yield from self._emit(session, enforcement, RecordBatch(schema, columns))
+                    cache.admit_chunk(
+                        bucket, key, generation, rg_index, chunk.name, decoded, chunk.length
+                    )
+                    resolved[chunk.name] = decoded
+                columns = [
+                    resolved[f.name] if f.name in resolved
+                    else Column.nulls(f.dtype, rg.num_rows)
+                    for f in schema
+                ]
+                yield from self._emit(session, enforcement, RecordBatch(schema, columns))
+        finally:
+            cache.count(tally)
+            if tally.hits:
+                self._count_cache_hit(tally.hit_bytes)
 
     def _coalesced_ranges(self, chunks) -> list[tuple[int, int, list]]:
         """Group offset-sorted chunks into fetch ranges, merging neighbors

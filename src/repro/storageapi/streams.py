@@ -33,6 +33,7 @@ import json
 import zlib
 from dataclasses import dataclass, field
 
+from repro.data.column import DictionaryColumn
 from repro.errors import StorageApiError
 from repro.simtime import MIB
 
@@ -219,13 +220,31 @@ class DrainReport:
 def rows_crc(batches) -> int:
     """Order-insensitive CRC32 over row contents. Consumers race, so the
     interleaving (and stream assignment, under rebalancing) is schedule-
-    dependent; the row *set* must not be."""
+    dependent; the row *set* must not be.
+
+    The digest is the sorted ``repr`` of each row tuple, built column by
+    column: every value's ``repr`` once — a dictionary column's once per
+    entry and gathered by code, unless the rows are fewer than the entries —
+    then one join per row."""
     rows: list[str] = []
     for batch in batches:
-        rows.extend(map(repr, batch.iter_rows()))
+        if not batch.num_rows:
+            continue
+        texts = [_reprs(column) for column in batch.columns]
+        if len(texts) == 1:
+            rows.extend(map("({},)".format, texts[0]))
+        else:
+            rows.extend(map("({})".format, map(", ".join, zip(*texts))))
     rows.sort()
     # CRC-32 of the concatenation is the CRC chained over the sorted rows.
     return zlib.crc32("".join(rows).encode("utf-8"))
+
+
+def _reprs(column) -> list[str]:
+    """``repr`` of each of ``column``'s python values (``to_pylist``)."""
+    if isinstance(column, DictionaryColumn) and len(column.dictionary) <= len(column):
+        return column.gather([*map(repr, column.dictionary.to_pylist())], repr(None))
+    return list(map(repr, column.to_pylist()))
 
 
 def drain_session(

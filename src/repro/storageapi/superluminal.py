@@ -13,10 +13,12 @@ import copy
 import hashlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.data.batch import RecordBatch
 from repro.data.column import Column, DictionaryColumn
 from repro.data.types import DataType, Field, Schema
-from repro.errors import AccessDeniedError
+from repro.errors import AccessDeniedError, AnalysisError
 from repro.obs.trace import NOOP_TRACER, Tracer
 from repro.security.policies import EffectiveAccess, MaskingKind
 from repro.sql import ast_nodes as ast
@@ -97,20 +99,42 @@ class Superluminal:
         elif security is not None:
             self._security_filter = binder.bind(security)
         self._user_filter: BoundExpr | None = None
+        refs = collect_column_refs(security) if security is not None else set()
         if row_restriction is not None:
-            self._user_filter = binder.bind(row_restriction)
+            restriction_refs = collect_column_refs(row_restriction)
+            self._bind_restriction(binder, row_restriction, restriction_refs)
+            refs |= restriction_refs
         # Lower-cased names of the columns a scan must materialize for this
         # pipeline: the projection plus whatever either row filter reads.
         self.needed_columns = frozenset(c.lower() for c in projected) | {
-            ref.rsplit(".", 1)[-1].lower()
-            for expr in (security, row_restriction) if expr is not None
-            for ref in collect_column_refs(expr)
+            ref.rsplit(".", 1)[-1].lower() for ref in refs
         }
         self._masks = {
             name.lower(): kind
             for name, kind in access.masked_columns.items()
             if any(f.name.lower() == name.lower() for f in table_schema)
         }
+
+    def _bind_restriction(self, binder: Binder, restriction: ast.Expr, refs: set[str]) -> None:
+        """Bind the restriction against only the columns it reads: the
+        sub-batch :meth:`process` evaluates it on. Errors are the ones
+        binding against the whole table schema raises."""
+        indexes = set()
+        for ref in refs:
+            try:
+                indexes.add(binder.bind_column(ref).index)
+            except AnalysisError:
+                pass  # the whole-schema bind below raises it
+        # A column-free restriction still needs a column for its row count.
+        self._restriction_columns = sorted(indexes) or [0]
+        self._restriction_schema = Schema(
+            tuple(binder.schema.fields[i] for i in self._restriction_columns)
+        )
+        try:
+            self._user_filter = Binder(self._restriction_schema, binder.functions).bind(restriction)
+        except AnalysisError:
+            binder.bind(restriction)
+            raise
 
     def _security_predicate(self) -> ast.Expr | None:
         """OR together the row policies that apply to the principal (each
@@ -130,7 +154,15 @@ class Superluminal:
         return clone
 
     def process(self, batch: RecordBatch) -> RecordBatch:
-        """Apply the full enforcement pipeline to one batch."""
+        """Apply the full enforcement pipeline to one batch.
+
+        One selection, one gather: the security filter yields the surviving
+        row positions; the restriction runs on its own columns gathered at
+        those positions only — it never sees a row the policy hides, so an
+        expression that raises on a hidden value (``CAST(s AS INT64)``) does
+        not fail the read — and narrows them; the projected columns are then
+        gathered once (a dictionary column gathers its codes).
+        """
         with self.tracer.span(
             "superluminal.process", layer="storageapi", rows_in=batch.num_rows
         ) as span:
@@ -139,13 +171,20 @@ class Superluminal:
             if self._security_filter is _DENY_ALL:
                 span.set_tag("rows_out", 0)
                 return RecordBatch.empty(self.output_schema)
+            rows = None  # positions of the surviving rows; None while all survive
             if self._security_filter is not None:
-                mask = evaluate_predicate(self._security_filter, batch)
-                batch = batch.filter(mask)
-            if self._user_filter is not None and batch.num_rows:
-                mask = evaluate_predicate(self._user_filter, batch)
-                batch = batch.filter(mask)
+                rows = np.flatnonzero(evaluate_predicate(self._security_filter, batch))
+            if self._user_filter is not None and (batch.num_rows if rows is None else len(rows)):
+                columns = [batch.columns[i] for i in self._restriction_columns]
+                if rows is not None:
+                    columns = [column.take(rows) for column in columns]
+                mask = evaluate_predicate(
+                    self._user_filter, RecordBatch(self._restriction_schema, columns)
+                )
+                rows = np.flatnonzero(mask) if rows is None else rows[mask]
             out = batch.select(self.columns)
+            if rows is not None and len(rows) < batch.num_rows:
+                out = out.take(rows)
             if self._masks and out.num_rows:
                 out = self._apply_masks(out)
             self.stats.rows_out += out.num_rows

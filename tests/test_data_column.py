@@ -91,13 +91,6 @@ class TestDictionaryColumn:
         assert out.decode().to_pylist() == ["x", "x"]
         assert out.dictionary is dict_col.dictionary
 
-    def test_codes_for_predicate(self):
-        col = Column.from_pylist(DataType.STRING, ["aa", "b", "aa", "ccc"])
-        dict_col = DictionaryColumn.encode(col)
-        hits = dict_col.codes_for_predicate(lambda v: len(v) >= 2)
-        hit_values = {dict_col.dictionary[int(c)] for c in hits}
-        assert hit_values == {"aa", "ccc"}
-
 
 @given(
     st.lists(st.one_of(st.none(), st.integers(-(2**40), 2**40)), max_size=200)

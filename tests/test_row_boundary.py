@@ -225,10 +225,29 @@ def test_rows_crc_is_the_reference_digest_whatever_the_batching(data):
         RecordBatch(schema, [reference.dictionary_encode(c) for c in part.columns])
         for part in parts
     ]
+    # One dictionary per column shared by every part, whose entries may
+    # outnumber a part's rows — beside parts with dictionaries of their own.
+    whole_encoded = [reference.dictionary_encode(c) for c in cols]
+    shared = [
+        RecordBatch(schema, [
+            DictionaryColumn(c.dtype, c.codes[a:b], c.dictionary) for c in whole_encoded])
+        for a, b in zip([0] + cuts, cuts + [n])
+    ]
+    mixed = [data.draw(st.sampled_from(pair)) for pair in zip(shared, encoded)]
     for batches in (parts, parts[::-1], data.draw(st.permutations(parts))):
         assert streams.rows_crc(batches) == want
     # Encoding folds -0.0 into 0.0, so an encoded batch is its own input.
-    assert streams.rows_crc(encoded) == reference.rows_crc(encoded)
+    for batches in (encoded, shared, mixed):
+        assert streams.rows_crc(batches) == reference.rows_crc(batches)
+    assert streams.rows_crc(shared) == reference.rows_crc([
+        RecordBatch(schema, whole_encoded)])
+    # Codes below -1 read as NULL; a dictionary may be empty.
+    raw = data.draw(st.lists(st.integers(-3, 1), min_size=n, max_size=n))
+    entries = Column.from_pylist(DataType.INT64, [7, 8][: data.draw(st.integers(0, 2))])
+    codes = np.minimum(np.asarray(raw, dtype=np.int32), len(entries) - 1)
+    odd = RecordBatch(Schema.of(("x", DataType.INT64)), [
+        DictionaryColumn(DataType.INT64, codes, entries)])
+    assert streams.rows_crc([odd]) == reference.rows_crc([odd])
     assert streams.rows_crc([]) == reference.rows_crc([]) == 0
 
 
