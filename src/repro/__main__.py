@@ -1,99 +1,32 @@
-"""Command-line entry point: ``python -m repro <command>``.
-
-Commands:
-
-* ``demo``        — run the quickstart scenario inline (no files needed).
-* ``trace <sql>`` — run a query over the demo lake and print its
-  cross-layer span tree (``explain_analyze``) plus the metrics dump.
-* ``jobs``        — run a demo workload, then query the job history
-  *through its own SQL surface* (``INFORMATION_SCHEMA.JOBS``).
-  ``--timeline JOB_ID`` prints the per-span timeline for one job;
-  ``--chrome-trace OUT.json`` exports it for ``chrome://tracing``.
-* ``chaos [sql]`` — run a workload under seeded fault injection and report
-  per-job outcomes (state, retries, degradation) from
-  ``INFORMATION_SCHEMA.JOBS``. ``--seed N`` makes the run exactly
-  replayable; ``--plan "op:rate=0.1"`` declares faults (repeatable) or
-  ``--rate R`` installs the uniform transient mix; ``--suite`` runs the
-  TPC-H-lite suite instead of one statement; ``--no-retries`` disables
-  recovery; ``--json OUT`` writes a machine-readable report.
-* ``cache-stats`` — run the demo query cold then warm and print the
-  per-tier data-cache counters via ``INFORMATION_SCHEMA.CACHE_STATS``.
-  Exits non-zero if the warm run's rows differ from the cold run's or if
-  the warm run served no bytes from the cache; the output is
-  deterministic, so two invocations must be byte-identical.
-* ``querycache`` — plan + query-result cache walkthrough: the demo query
-  cold then warm with ``use_query_cache=True`` (the warm run must parse no
-  statement, return byte-identical rows, report ``cache_hit``, scan zero
-  bytes, and issue strictly fewer object-store GETs), then a DML leg
-  against a managed
-  table proving snapshot-keyed coherence — the INSERT makes the next run
-  a miss with fresh rows while the old entries stay resident (coherence
-  by keying, never flushing). Exits non-zero if any invariant fails; the
-  output is deterministic, so two invocations must be byte-identical
-  (the query-cache coherence gate in ``scripts/check.sh``).
-* ``serve`` — replay a seeded mixed TPC-H/TPC-DS-lite multi-principal
-  workload through the async jobs API: jobs arrive with seeded gaps,
-  queue under admission control, and share one slot pool fairly across
-  principals. Reports per-principal p50/p99 queue wait and the workload
-  makespan, tied out against ``INFORMATION_SCHEMA.JOBS`` /
-  ``JOBS_TIMELINE`` (exit non-zero on any mismatch). ``--smoke`` runs a
-  small fast variant for CI; ``--chaos`` (or explicit ``--plan`` specs)
-  runs the same workload under seeded fault injection; ``--json OUT``
-  writes the deterministic report — two invocations with the same seed
-  must be byte-identical (the serve determinism gate in
-  ``scripts/check.sh``).
-* ``monitor`` — run the ``serve`` workload under fleet telemetry: the
-  sim-time TSDB scrapes the metrics registry, every shared-pool batch is
-  sampled into ``INFORMATION_SCHEMA.RESERVATION_TIMELINE``, and the SLO
-  alert engine evaluates deterministically on the sim clock (results in
-  ``INFORMATION_SCHEMA.ALERTS``). Prints utilization/queue-depth
-  timelines, the alert log, and per-principal variance attribution;
-  exits non-zero if the reservation timeline fails to tie out against
-  ``JOBS``/``JOBS_TIMELINE`` aggregates, or if a ``--chaos`` run fires
-  no burn-rate alert. Deterministic: same seed ⇒ byte-identical
-  ``--json`` report. ``--chrome-trace OUT.json`` exports the whole run
-  (per-principal lanes) for Perfetto.
-* ``schedule [sql]`` — run a query over a deliberately skewed demo lake
-  (one fat file among small ones) under a seeded ``task.slow`` straggler
-  plan, once with speculative execution and once without, and print the
-  scheduler's per-task timeline. Self-checking: exits non-zero if the two
-  runs' rows differ or speculation made the query slower. ``--seed`` makes
-  the run exactly replayable and ``--json OUT`` writes the timeline
-  report; the output is deterministic, so two invocations with the same
-  seed must be byte-identical (the CI scheduler determinism gate).
-* ``txn`` — multi-table ACID transaction walkthrough: concurrent seeded
-  writers co-mutate ``txn.orders``/``txn.lineitems`` (every commit inserts
-  a lineitem and bumps the matching order total atomically) while the
-  torn-state oracle checks the cross-table invariant in every obtainable
-  view — mid-flight, final, and as-of each commit marker. ``--chaos``
-  injects writer crashes at every publish step plus storage/metadata
-  transients; ``--recover`` runs a crash-heavy profile that must exercise
-  the recovery sweep; ``--smoke`` is the small CI variant. Exits non-zero
-  on any invariant violation, dangling intent, or lost transaction.
-  Deterministic: same seed ⇒ byte-identical ``--json`` report (the txn
-  determinism gate in ``scripts/check.sh``).
-* ``readsession`` — serializable session handoff walkthrough: one
-  multi-stream read session over a skewed lake, serialized to a byte
-  handle and drained by one attached consumer per stream — healthy, with
-  an injected consumer lag, and with the lag plus the dynamic stream
-  rebalancer. Exits non-zero if any leg's row CRC differs or rebalancing
-  recovers none of the lag inflation. ``--chaos`` adds transient faults
-  on the read path; ``--smoke`` is the small CI variant. Deterministic:
-  same seed ⇒ byte-identical ``--json`` report (the readsession
-  determinism gate in ``scripts/check.sh``).
-* ``experiments`` — run the full E1–E12 + future-work benchmark suite.
-* ``info``        — print the module inventory and experiment index.
-"""
+"""Command-line entry point: ``python -m repro <command> [flags]``.
+Each command is one row of ``COMMANDS``; ``info`` and ``--help`` list them."""
 
 from __future__ import annotations
 
 import argparse
+import json
 import subprocess
 import sys
+from typing import Callable, NamedTuple
+
+DEMO_SQL = (
+    "SELECT region, COUNT(*) AS n, SUM(amount) AS total "
+    "FROM demo.orders WHERE id < 150 GROUP BY region ORDER BY total DESC"
+)
 
 
-def _build_demo_platform():
-    """(platform, admin) with the quickstart ``demo.orders`` lake loaded."""
+class Outcome(NamedTuple):
+    """What a command hands the runner once it has printed its report."""
+
+    report: dict | None = None  # what ``--json`` writes
+    checks: list[tuple[bool, str]] = []  # (ok, message): any failure exits 1
+    ok: str | None = None  # printed when every check passes
+
+
+def _lake(sizes=(100, 100, 100), name="demo", table="orders", period=100):
+    """(platform, admin) with ``demo.<table>`` over bucket ``<name>-lake``:
+    one file per entry of ``sizes`` (its row count), ``amount`` cycling
+    with ``period``. The defaults are the quickstart ``demo.orders`` lake."""
     from repro import (
         DataType, LakehousePlatform, MetadataCacheMode, Role, Schema,
         batch_from_pydict,
@@ -103,57 +36,63 @@ def _build_demo_platform():
     platform = LakehousePlatform()
     admin = platform.admin_user()
     store = platform.stores.store_for("gcp/us-central1")
-    store.create_bucket("demo-lake")
+    bucket, connection = f"{name}-lake", f"us.{name}"
+    store.create_bucket(bucket)
     schema = Schema.of(
         ("id", DataType.INT64), ("region", DataType.STRING), ("amount", DataType.FLOAT64)
     )
-    for part in range(3):
+    start = 0
+    for part, rows in enumerate(sizes):
         write_data_file(
-            store, "demo-lake", f"orders/part-{part}.pqs", schema,
+            store, bucket, f"{table}/part-{part}.pqs", schema,
             [batch_from_pydict(schema, {
-                "id": list(range(part * 100, part * 100 + 100)),
-                "region": [("us", "eu", "apac")[i % 3] for i in range(100)],
-                "amount": [float(i) for i in range(100)],
+                "id": list(range(start, start + rows)),
+                "region": [("us", "eu", "apac")[i % 3] for i in range(rows)],
+                "amount": [float(i % period) for i in range(rows)],
             })],
         )
-    conn = platform.connections.create_connection("us.demo")
-    platform.connections.grant_lake_access(conn, "demo-lake")
-    platform.iam.grant("connections/us.demo", Role.CONNECTION_USER, admin)
+        start += rows
+    conn = platform.connections.create_connection(connection)
+    platform.connections.grant_lake_access(conn, bucket)
+    platform.iam.grant(f"connections/{connection}", Role.CONNECTION_USER, admin)
     platform.catalog.create_dataset("demo")
     platform.tables.create_biglake_table(
-        admin, "demo", "orders", schema, "demo-lake", "orders", "us.demo",
+        admin, "demo", table, schema, bucket, table, connection,
         cache_mode=MetadataCacheMode.AUTOMATIC,
     )
     return platform, admin
 
 
-def _trace(sql: str | None) -> int:
+def _skewed_lake(sizes=(700, 80, 80, 80, 80, 80, 80, 80)):
+    """``demo.events``: one fat file among small ones, so the scheduler sees
+    an imbalanced stage before any straggler plan is installed."""
+    return _lake(sizes, "skew", "events", period=97)
+
+
+def _header(args, what: str) -> None:
+    mode = "smoke" if args.smoke else "full"
+    chaos = f", chaos={','.join(args.specs)}" if args.specs else ""
+    print(f"-- {args.command}: {what}, seed={args.seed} ({mode}{chaos})\n")
+
+
+def _trace(args) -> Outcome:
     from repro.errors import ReproError
 
-    platform, admin = _build_demo_platform()
-    if not sql:
-        sql = (
-            "SELECT region, COUNT(*) AS n, SUM(amount) AS total "
-            "FROM demo.orders WHERE id < 150 GROUP BY region ORDER BY total DESC"
-        )
+    platform, admin = _lake()
+    sql = " ".join(args.sql) or DEMO_SQL
     print(f"-- {sql}\n")
     try:
         print(platform.home_engine.explain_analyze(sql, admin))
     except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return Outcome(checks=[(False, str(exc))])
     print("\n-- metrics\n")
     print(platform.metrics_text(), end="")
-    return 0
+    return Outcome()
 
 
-def _demo() -> int:
-    platform, admin = _build_demo_platform()
-    result = platform.home_engine.execute(
-        "SELECT region, COUNT(*) AS n, SUM(amount) AS total "
-        "FROM demo.orders WHERE id < 150 GROUP BY region ORDER BY total DESC",
-        admin,
-    )
+def _demo(args) -> Outcome:
+    platform, admin = _lake()
+    result = platform.home_engine.execute(DEMO_SQL, admin)
     print("region  orders  total")
     for region, n, total in result.rows():
         print(f"{region:<7} {n:>6}  {total:>8,.1f}")
@@ -162,15 +101,14 @@ def _demo() -> int:
         f"({result.stats.files_pruned} pruned by the metadata cache); "
         f"simulated latency {result.stats.elapsed_ms:.1f} ms"
     )
-    return 0
+    return Outcome()
 
 
-def _jobs(timeline: str | None, chrome_trace_path: str | None) -> int:
-    """Run a small workload, then inspect it via INFORMATION_SCHEMA."""
+def _jobs(args) -> Outcome:
     from repro.errors import ReproError
     from repro.obs.export import chrome_trace_json
 
-    platform, admin = _build_demo_platform()
+    platform, admin = _lake()
     engine = platform.home_engine
     workload = [
         "SELECT region, COUNT(*) AS n FROM demo.orders GROUP BY region",
@@ -194,21 +132,23 @@ def _jobs(timeline: str | None, chrome_trace_path: str | None) -> int:
         text = sql if len(sql) <= 48 else sql[:45] + "..."
         print(f"{job_id}  {state:<9} {total_ms:>9.2f}  {bytes_scanned:>13,}  {text}")
 
-    if timeline:
-        print(f"\n-- timeline for {timeline}\n")
+    record = platform.history.last
+    if args.timeline:
+        print(f"\n-- timeline for {args.timeline}\n")
+        # Resolve the id against history first: only a recorded job's own
+        # id ever reaches the SQL text.
         try:
-            rows = engine.execute(
-                "SELECT span_id, parent_span_id, name, layer, start_ms, "
-                "duration_ms, self_ms FROM INFORMATION_SCHEMA.JOBS_TIMELINE "
-                f"WHERE job_id = '{timeline}' ORDER BY span_id",
-                admin,
-            ).rows()
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            record = platform.job(args.timeline)
+        except ReproError:
+            record = None
+        rows = [] if record is None else engine.execute(
+            "SELECT span_id, parent_span_id, name, layer, start_ms, "
+            "duration_ms, self_ms FROM INFORMATION_SCHEMA.JOBS_TIMELINE "
+            f"WHERE job_id = '{record.job_id}' ORDER BY span_id",
+            admin,
+        ).rows()
         if not rows:
-            print(f"error: no timeline rows for {timeline!r}", file=sys.stderr)
-            return 1
+            return Outcome(checks=[(False, f"no timeline rows for {args.timeline!r}")])
         print("span  parent  layer       start_ms  dur_ms  self_ms  name")
         for span_id, parent_id, name, layer, start_ms, dur_ms, self_ms in rows:
             print(
@@ -216,62 +156,37 @@ def _jobs(timeline: str | None, chrome_trace_path: str | None) -> int:
                 f"{dur_ms:>7.2f} {self_ms:>8.2f}  {name}"
             )
 
-    if chrome_trace_path:
-        try:
-            record = platform.job(timeline) if timeline else platform.history.last
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    if args.chrome_trace:
         if record is None or record.trace is None:
-            print("error: no trace retained to export", file=sys.stderr)
-            return 1
-        with open(chrome_trace_path, "w", encoding="utf-8") as fh:
+            return Outcome(checks=[(False, "no trace retained to export")])
+        with open(args.chrome_trace, "w", encoding="utf-8") as fh:
             fh.write(chrome_trace_json(record.trace, process_name=record.job_id))
-        print(f"\nwrote Chrome trace for {record.job_id} to {chrome_trace_path}")
-    return 0
+        print(f"\nwrote Chrome trace for {record.job_id} to {args.chrome_trace}")
+    return Outcome()
 
 
-def _chaos(
-    sql: str | None,
-    seed: int,
-    plans: list[str],
-    rate: float | None,
-    no_retries: bool,
-    suite: bool,
-    repeat: int,
-    json_path: str | None,
-) -> int:
-    """Run a workload under seeded fault injection; report job outcomes."""
-    import json
-
+def _chaos(args) -> Outcome:
     from repro.errors import ReproError
     from repro.faults import FaultPlan
 
-    if suite:
+    if args.suite:
         from repro.bench.harness import build_tpch_platform
 
         platform, admin, engine, queries = build_tpch_platform(scale=0.1)
         workload = list(queries.items())
     else:
-        platform, admin = _build_demo_platform()
+        platform, admin = _lake()
         engine = platform.home_engine
-        sql = sql or (
-            "SELECT region, COUNT(*) AS n, SUM(amount) AS total "
-            "FROM demo.orders WHERE id < 150 GROUP BY region ORDER BY total DESC"
-        )
-        workload = [(f"q{i + 1:02d}", sql) for i in range(repeat)]
+        sql = " ".join(args.sql) or DEMO_SQL
+        workload = [(f"q{i + 1:02d}", sql) for i in range(args.repeat)]
 
     ctx = platform.ctx
-    try:
-        if plans:
-            plan = FaultPlan.parse(plans, seed=seed)
-        else:
-            plan = FaultPlan.uniform(rate if rate is not None else 0.05, seed=seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    ctx.faults.install(plan)
-    if no_retries:
+    rate = 0.05 if args.rate is None else args.rate
+    ctx.faults.install(
+        FaultPlan.parse(args.specs, seed=args.seed) if args.specs
+        else FaultPlan.uniform(rate, seed=args.seed)
+    )
+    if args.no_retries:
         ctx.retry.enabled = False
 
     succeeded = failed = 0
@@ -317,38 +232,29 @@ def _chaos(
             f"{str(row['degraded']):<8} {row['total_ms']:>9.2f}  {text}"
         )
     print(
-        f"\nseed={seed} queries={len(workload)} succeeded={succeeded} "
+        f"\nseed={args.seed} queries={len(workload)} succeeded={succeeded} "
         f"failed={failed} faults_injected={faults_fired} retries={retries} "
-        f"degraded={degraded} retries_enabled={not no_retries}"
+        f"degraded={degraded} retries_enabled={not args.no_retries}"
     )
-    if json_path:
-        report = {
-            "seed": seed,
-            "plan": plans or [f"uniform:rate={rate if rate is not None else 0.05}"],
-            "retries_enabled": not no_retries,
-            "jobs": jobs,
-            "totals": {
-                "queries": len(workload),
-                "succeeded": succeeded,
-                "failed": failed,
-                "faults_injected": faults_fired,
-                "retries": retries,
-                "degraded": degraded,
-                "sim_elapsed_ms": round(ctx.clock.now_ms, 3),
-            },
-        }
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"chaos report written to {json_path}")
-    return 0
+    return Outcome(report={
+        "seed": args.seed,
+        "plan": args.specs or [f"uniform:rate={rate}"],
+        "retries_enabled": not args.no_retries,
+        "jobs": jobs,
+        "totals": {
+            "queries": len(workload),
+            "succeeded": succeeded,
+            "failed": failed,
+            "faults_injected": faults_fired,
+            "retries": retries,
+            "degraded": degraded,
+            "sim_elapsed_ms": round(ctx.clock.now_ms, 3),
+        },
+    })
 
 
-def _cache_stats() -> int:
-    """Cold run, warm run, then the CACHE_STATS table — a self-checking
-    walkthrough of the data cache (byte-identical results, warm hits > 0).
-    Deterministic output: ``scripts/check.sh`` diffs two invocations."""
-    platform, admin = _build_demo_platform()
+def _cache_stats(args) -> Outcome:
+    platform, admin = _lake()
     engine = platform.home_engine
     sql = (
         "SELECT region, COUNT(*) AS n, SUM(amount) AS total "
@@ -357,12 +263,6 @@ def _cache_stats() -> int:
     print(f"-- {sql}\n")
     cold = engine.execute(sql, admin)
     warm = engine.execute(sql, admin)
-    if warm.rows() != cold.rows():
-        print("error: warm run returned different rows than cold run", file=sys.stderr)
-        return 1
-    if warm.stats.cache_hit_bytes <= 0:
-        print("error: warm run served no bytes from the data cache", file=sys.stderr)
-        return 1
     for label, result in (("cold", cold), ("warm", warm)):
         stats = result.stats
         print(
@@ -383,13 +283,13 @@ def _cache_stats() -> int:
             f"{tier:<11} {entries:>7} {resident:>11,} {capacity:>11,} "
             f"{hits:>6} {misses:>7} {ratio:>10.3f}"
         )
-    return 0
+    return Outcome(checks=[
+        (warm.rows() == cold.rows(), "warm run returned different rows than cold run"),
+        (warm.stats.cache_hit_bytes > 0, "warm run served no bytes from the data cache"),
+    ])
 
 
-def _querycache() -> int:
-    """Plan + result cache walkthrough: cold/warm identity, zero-scan warm
-    hits that parse nothing, and snapshot-keyed DML coherence.
-    Deterministic output: ``scripts/check.sh`` diffs two invocations."""
+def _querycache(args) -> Outcome:
     import zlib
     from unittest import mock
 
@@ -397,7 +297,7 @@ def _querycache() -> int:
     from repro.engine import engine as engine_module
     from repro.serving import jobs as jobs_module
 
-    platform, admin = _build_demo_platform()
+    platform, admin = _lake()
     engine = platform.home_engine
     metering = platform.ctx.metering
 
@@ -435,26 +335,6 @@ def _querycache() -> int:
             f"gets={n_gets} elapsed={result.stats.elapsed_ms:.2f} ms"
         )
     print(f"warm: statements parsed={parsed}")
-    failures = 0
-    if parsed:
-        print("error: the warm hit parsed a statement", file=sys.stderr)
-        failures += 1
-    if warm.rows() != cold.rows():
-        print("error: warm run returned different rows than cold run", file=sys.stderr)
-        failures += 1
-    if not warm.stats.cache_hit or cold.stats.cache_hit:
-        print("error: expected cold miss then warm hit", file=sys.stderr)
-        failures += 1
-    if warm.stats.bytes_scanned != 0:
-        print("error: warm hit still scanned bytes", file=sys.stderr)
-        failures += 1
-    if not warm_gets < cold_gets:
-        print(
-            f"error: warm run did not issue strictly fewer GETs "
-            f"({warm_gets} vs {cold_gets})",
-            file=sys.stderr,
-        )
-        failures += 1
 
     # DML coherence leg: a managed (writable) table. The INSERT bumps the
     # table version, so the cached entry stops being addressed — the next
@@ -478,19 +358,6 @@ def _querycache() -> int:
         f"after INSERT:  cache_hit={second.stats.cache_hit} rows={second.rows()} "
         f"(entries resident before re-run: {entries_before})"
     )
-    if second.stats.cache_hit or second.rows() == first.rows():
-        print(
-            "error: DML did not invalidate the cached result (stale served)",
-            file=sys.stderr,
-        )
-        failures += 1
-    if entries_before < 1:
-        print(
-            "error: DML flushed the result tier (coherence must be by "
-            "keying, not flushing)",
-            file=sys.stderr,
-        )
-        failures += 1
 
     print("\ntier    entries  hits  misses  evictions  hit_ratio")
     rows = engine.execute(
@@ -504,53 +371,43 @@ def _querycache() -> int:
             f"{tier:<7} {entries:>7} {hits:>5} {misses:>7} {evictions:>10} "
             f"{ratio:>10.3f}"
         )
-    if failures:
-        return 1
-    print("\nquery-cache coherence: OK")
-    return 0
+    return Outcome(checks=[
+        (not parsed, "the warm hit parsed a statement"),
+        (warm.rows() == cold.rows(), "warm run returned different rows than cold run"),
+        (warm.stats.cache_hit and not cold.stats.cache_hit,
+         "expected cold miss then warm hit"),
+        (warm.stats.bytes_scanned == 0, "warm hit still scanned bytes"),
+        (warm_gets < cold_gets,
+         f"warm run did not issue strictly fewer GETs ({warm_gets} vs {cold_gets})"),
+        (not second.stats.cache_hit and second.rows() != first.rows(),
+         "DML did not invalidate the cached result (stale served)"),
+        (entries_before >= 1,
+         "DML flushed the result tier (coherence must be by keying, not flushing)"),
+    ], ok="\nquery-cache coherence: OK")
 
 
-# The default `serve --chaos` profile: transient object-store faults hot
-# enough to leave FAILED jobs in history, plus stragglers for speculation.
-SERVE_CHAOS_PLAN = [
-    "objectstore.get:rate=0.25:max=40",
-    "task.slow:rate=0.15:factor=4",
-]
+#: serve / monitor workload size, keyed by ``--smoke``.
+SERVE_SIZES = {
+    True: dict(jobs=6, scale=0.05, analysts=2, mean_gap_ms=30.0),
+    False: dict(jobs=20, scale=0.1, analysts=4, mean_gap_ms=40.0),
+}
 
 
-def _serve(
-    seed: int,
-    smoke: bool,
-    chaos: bool,
-    plans: list[str],
-    json_path: str | None,
-) -> int:
-    """Concurrent multi-query serving walkthrough: shared slot pool +
-    async jobs API over a seeded multi-principal TPC-H/TPC-DS-lite mix.
-    Self-checking (SQL ground truth must tie out) and deterministic."""
-    import json
+def _serve_mix(args) -> dict:
+    """Print the serve / monitor header; return the workload size."""
+    sizes = SERVE_SIZES[args.smoke]
+    _header(args, f"{sizes['jobs']} jobs, {sizes['analysts']} principals, 4 concurrent")
+    return sizes
 
+
+def _tie_out(report: dict) -> list[tuple[bool, str]]:
+    return [(False, f"tie-out failed: {line}") for line in report["tie_out_errors"]]
+
+
+def _serve(args) -> Outcome:
     from repro.serving.workload import run_serve
 
-    specs = plans or (SERVE_CHAOS_PLAN if chaos else [])
-    kwargs = (
-        dict(jobs=6, scale=0.05, analysts=2, mean_gap_ms=30.0)
-        if smoke
-        else dict(jobs=20, scale=0.1, analysts=4, mean_gap_ms=40.0)
-    )
-    try:
-        report = run_serve(seed=seed, chaos=specs or None, **kwargs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    mode = "smoke" if smoke else "full"
-    print(
-        f"-- serve: {kwargs['jobs']} jobs, {kwargs['analysts']} principals, "
-        f"4 concurrent, seed={seed} ({mode}"
-        + (f", chaos={','.join(specs)})" if specs else ")")
-        + "\n"
-    )
+    report = run_serve(seed=args.seed, chaos=args.specs or None, **_serve_mix(args))
     print("job_id      principal   state      arrive_ms  wait_ms  end_ms    query")
     for row in report["jobs"]:
         print(
@@ -569,22 +426,8 @@ def _serve(
         f"\nmakespan {report['makespan_ms']:.2f} ms  {states}  "
         f"timeline_task_rows={report['timeline_task_rows']}"
     )
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"serve report written to {json_path}")
-    if not report["tie_out_ok"]:
-        for line in report["tie_out_errors"]:
-            print(f"error: tie-out failed: {line}", file=sys.stderr)
-        return 1
-    print("INFORMATION_SCHEMA.JOBS tie-out: OK")
-    return 0
+    return Outcome(report, _tie_out(report), "INFORMATION_SCHEMA.JOBS tie-out: OK")
 
-
-# The default `monitor --chaos` profile: the serve plan plus data-cache
-# faults, so the cache-bypass burn-rate rule has bad events to burn.
-MONITOR_CHAOS_PLAN = SERVE_CHAOS_PLAN + ["cache.get:rate=0.35:max=30"]
 
 #: ASCII intensity ramp for the CLI timeline renders (0.0 → 1.0+).
 _RAMP = " .:-=+*#%@"
@@ -601,44 +444,15 @@ def _ramp_line(points: list[list[float]], peak: float) -> str:
     return "".join(out)
 
 
-def _monitor(
-    seed: int,
-    smoke: bool,
-    chaos: bool,
-    plans: list[str],
-    json_path: str | None,
-    chrome_trace_path: str | None,
-) -> int:
-    """Fleet-telemetry walkthrough: the serve workload under scraping +
-    reservation timelines + SLO alerting. Self-checking (reservation
-    timeline must tie out against JOBS/JOBS_TIMELINE; a chaos run must
-    fire a burn-rate alert) and deterministic."""
-    import json
-
+def _monitor(args) -> Outcome:
     from repro.obs.export import serve_chrome_trace_json
     from repro.serving.workload import run_monitor
 
-    specs = plans or (MONITOR_CHAOS_PLAN if chaos else [])
-    kwargs = (
-        dict(jobs=6, scale=0.05, analysts=2, mean_gap_ms=30.0)
-        if smoke
-        else dict(jobs=20, scale=0.1, analysts=4, mean_gap_ms=40.0)
-    )
     keep: dict = {}
-    try:
-        report = run_monitor(seed=seed, chaos=specs or None, keep=keep, **kwargs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    mon = report["monitor"]
-
-    mode = "smoke" if smoke else "full"
-    print(
-        f"-- monitor: {kwargs['jobs']} jobs, {kwargs['analysts']} principals, "
-        f"seed={seed} ({mode}"
-        + (f", chaos={','.join(specs)})" if specs else ")")
-        + "\n"
+    report = run_monitor(
+        seed=args.seed, chaos=args.specs or None, keep=keep, **_serve_mix(args)
     )
+    mon = report["monitor"]
     print(
         f"telemetry: {mon['batches_observed']} batches observed, "
         f"{mon['scrapes']} scrapes, {mon['reservation_rows']} reservation rows, "
@@ -678,131 +492,46 @@ def _monitor(
             f"{var['degraded_ms']:>12.2f} {var['execute_ms']:>11.2f}"
         )
 
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nmonitor report written to {json_path}")
-    if chrome_trace_path:
-        with open(chrome_trace_path, "w", encoding="utf-8") as fh:
+    if args.chrome_trace:
+        with open(args.chrome_trace, "w", encoding="utf-8") as fh:
             fh.write(serve_chrome_trace_json(keep["platform"].jobs()))
-        print(f"serve Chrome trace written to {chrome_trace_path}")
+        print(f"\nserve Chrome trace written to {args.chrome_trace}")
 
-    failures = 0
-    if not report["tie_out_ok"]:
-        for line in report["tie_out_errors"]:
-            print(f"error: tie-out failed: {line}", file=sys.stderr)
-        failures += 1
-    if mon["batches_observed"] <= 0 or mon["scrapes"] <= 0:
-        print("error: monitor observed no batches or scrapes", file=sys.stderr)
-        failures += 1
-    if specs and not mon["burn_alerts_fired"]:
-        print(
-            "error: chaos run fired no burn-rate alert (expected the error "
-            "budget to burn deterministically)",
-            file=sys.stderr,
-        )
-        failures += 1
-    if failures:
-        return 1
-    burned = (
-        f"  burn_alerts={','.join(mon['burn_alerts_fired'])}"
-        if mon["burn_alerts_fired"]
-        else ""
-    )
-    print(f"\nRESERVATION_TIMELINE tie-out: OK{burned}")
-    return 0
+    burned = mon["burn_alerts_fired"]
+    return Outcome(report, _tie_out(report) + [
+        (mon["batches_observed"] > 0 and mon["scrapes"] > 0,
+         "monitor observed no batches or scrapes"),
+        (bool(burned or not args.specs),
+         "chaos run fired no burn-rate alert (expected the error budget to "
+         "burn deterministically)"),
+    ], "\nRESERVATION_TIMELINE tie-out: OK"
+        + (f"  burn_alerts={','.join(burned)}" if burned else ""))
 
 
-def _build_skewed_platform(sizes: list[int] | None = None):
-    """(platform, admin) with ``demo.events``: one fat file among small ones.
-
-    The deliberate size skew (part-0 holds ~half the rows) gives the
-    scheduler a naturally imbalanced stage even before any ``task.slow``
-    straggler plan is installed. ``sizes`` overrides the per-file row
-    counts (used by the ``readsession`` walkthrough).
-    """
-    from repro import (
-        DataType, LakehousePlatform, MetadataCacheMode, Role, Schema,
-        batch_from_pydict,
-    )
-    from repro.storageapi.fileutil import write_data_file
-
-    platform = LakehousePlatform()
-    admin = platform.admin_user()
-    store = platform.stores.store_for("gcp/us-central1")
-    store.create_bucket("skew-lake")
-    schema = Schema.of(
-        ("id", DataType.INT64), ("region", DataType.STRING), ("amount", DataType.FLOAT64)
-    )
-    sizes = sizes or [700, 80, 80, 80, 80, 80, 80, 80]
-    start = 0
-    for part, rows in enumerate(sizes):
-        write_data_file(
-            store, "skew-lake", f"events/part-{part}.pqs", schema,
-            [batch_from_pydict(schema, {
-                "id": list(range(start, start + rows)),
-                "region": [("us", "eu", "apac")[i % 3] for i in range(rows)],
-                "amount": [float(i % 97) for i in range(rows)],
-            })],
-        )
-        start += rows
-    conn = platform.connections.create_connection("us.skew")
-    platform.connections.grant_lake_access(conn, "skew-lake")
-    platform.iam.grant("connections/us.skew", Role.CONNECTION_USER, admin)
-    platform.catalog.create_dataset("demo")
-    platform.tables.create_biglake_table(
-        admin, "demo", "events", schema, "skew-lake", "events", "us.skew",
-        cache_mode=MetadataCacheMode.AUTOMATIC,
-    )
-    return platform, admin
-
-
-def _schedule(sql: str | None, seed: int, plans: list[str], json_path: str | None) -> int:
-    """Skew/straggler walkthrough: the same seeded query with and without
-    speculative execution. Self-checking (identical rows, speculation never
-    slower) and deterministic: ``scripts/check.sh`` diffs two invocations."""
-    import json
-
+def _schedule(args) -> Outcome:
     from repro.engine.scheduler import SpeculationConfig
     from repro.errors import ReproError
     from repro.faults import FaultPlan
 
-    sql = sql or (
+    sql = " ".join(args.sql) or (
         "SELECT region, COUNT(*) AS n, SUM(amount) AS total "
         "FROM demo.events GROUP BY region ORDER BY region"
     )
-    specs = plans or ["task.slow:rate=0.3:factor=8"]
 
     def run(speculation: bool):
-        platform, admin = _build_skewed_platform()
+        platform, admin = _skewed_lake()
         engine = platform.home_engine
         if not speculation:
             engine.speculation = SpeculationConfig(enabled=False)
-        platform.ctx.faults.install(FaultPlan.parse(specs, seed=seed))
+        platform.ctx.faults.install(FaultPlan.parse(args.specs, seed=args.seed))
         return engine.execute(sql, admin)
 
-    print(f"-- {sql}\n-- plan={','.join(specs)} seed={seed}\n")
+    print(f"-- {sql}\n-- plan={','.join(args.specs)} seed={args.seed}\n")
     try:
         on = run(speculation=True)
         off = run(speculation=False)
-    except (ReproError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if on.rows() != off.rows():
-        print(
-            "error: speculation changed the query's rows (must be result-"
-            "invariant)",
-            file=sys.stderr,
-        )
-        return 1
-    if on.stats.elapsed_ms > off.stats.elapsed_ms + 1e-6:
-        print(
-            "error: speculation made the query slower "
-            f"({on.stats.elapsed_ms:.3f} ms > {off.stats.elapsed_ms:.3f} ms)",
-            file=sys.stderr,
-        )
-        return 1
+    except ReproError as exc:
+        return Outcome(checks=[(False, str(exc))])
 
     print("stage   task  slot  start_ms   end_ms  slow  flags")
     for t in on.stats.task_timeline:
@@ -829,30 +558,32 @@ def _schedule(sql: str | None, seed: int, plans: list[str], json_path: str | Non
     recovered = off.stats.elapsed_ms - on.stats.elapsed_ms
     print(f"speculation recovered {recovered:.3f} ms of makespan")
 
-    if json_path:
-        report = {
-            "seed": seed,
-            "plan": specs,
-            "sql": sql,
-            "rows_identical": True,
-            "speculation_on": {
-                "elapsed_ms": round(on.stats.elapsed_ms, 6),
-                "task_skew": round(on.stats.task_skew, 6),
-                "speculative_launched": on.stats.speculative_count,
-                "speculative_wins": on.stats.speculative_wins,
-                "timeline": [t.to_dict() for t in on.stats.task_timeline],
-            },
-            "speculation_off": {
-                "elapsed_ms": round(off.stats.elapsed_ms, 6),
-                "task_skew": round(off.stats.task_skew, 6),
-                "timeline": [t.to_dict() for t in off.stats.task_timeline],
-            },
-        }
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"schedule report written to {json_path}")
-    return 0
+    rows_identical = on.rows() == off.rows()
+    report = {
+        "seed": args.seed,
+        "plan": args.specs,
+        "sql": sql,
+        "rows_identical": rows_identical,
+        "speculation_on": {
+            "elapsed_ms": round(on.stats.elapsed_ms, 6),
+            "task_skew": round(on.stats.task_skew, 6),
+            "speculative_launched": on.stats.speculative_count,
+            "speculative_wins": on.stats.speculative_wins,
+            "timeline": [t.to_dict() for t in on.stats.task_timeline],
+        },
+        "speculation_off": {
+            "elapsed_ms": round(off.stats.elapsed_ms, 6),
+            "task_skew": round(off.stats.task_skew, 6),
+            "timeline": [t.to_dict() for t in off.stats.task_timeline],
+        },
+    }
+    return Outcome(report, [
+        (rows_identical,
+         "speculation changed the query's rows (must be result-invariant)"),
+        (on.stats.elapsed_ms <= off.stats.elapsed_ms + 1e-6,
+         "speculation made the query slower "
+         f"({on.stats.elapsed_ms:.3f} ms > {off.stats.elapsed_ms:.3f} ms)"),
+    ])
 
 
 # The default `txn --chaos` profile is built by repro.txn.workload.chaos_plan:
@@ -864,41 +595,25 @@ TXN_CHAOS_RATE = 0.08
 TXN_RECOVER_RATE = 0.25
 
 
-def _txn(
-    seed: int,
-    smoke: bool,
-    recover: bool,
-    chaos: bool,
-    plans: list[str],
-    rate: float | None,
-    json_path: str | None,
-) -> int:
-    """Multi-table ACID transaction walkthrough: concurrent order/lineitem
-    writers under seeded faults, checked by the torn-state oracle at every
-    view a reader can obtain. Self-checking (zero violations, zero dangling
-    intents, every transaction eventually commits) and deterministic: same
-    seed ⇒ byte-identical ``--json`` report."""
-    import json
-
+def _txn(args) -> Outcome:
     from repro.txn.workload import run_txn_workload
 
+    rate = args.rate
     if rate is None:
-        rate = TXN_RECOVER_RATE if recover else (TXN_CHAOS_RATE if chaos else 0.0)
+        rate = TXN_RECOVER_RATE if args.recover else (TXN_CHAOS_RATE if args.chaos else 0.0)
     kwargs = (
         dict(writers=2, txns_per_writer=2, orders=3)
-        if smoke
+        if args.smoke
         else dict(writers=4, txns_per_writer=3, orders=4)
     )
-    try:
-        report = run_txn_workload(seed=seed, rate=rate, plans=plans or None, **kwargs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = run_txn_workload(
+        seed=args.seed, rate=rate, plans=args.specs or None, **kwargs
+    )
 
-    mode = "smoke" if smoke else ("recover" if recover else "full")
+    mode = "smoke" if args.smoke else ("recover" if args.recover else "full")
     print(
         f"-- txn: {kwargs['writers']} writers x {kwargs['txns_per_writer']} txns, "
-        f"{kwargs['orders']} orders, seed={seed} rate={rate:g} ({mode})\n"
+        f"{kwargs['orders']} orders, seed={args.seed} rate={rate:g} ({mode})\n"
     )
     print("txn_id      writer        order  amount  commit_ms")
     for entry in report["commit_timeline"]:
@@ -926,78 +641,33 @@ def _txn(
             report["final_totals"].items(), key=lambda kv: int(kv[0])
         )
     ))
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"txn report written to {json_path}")
 
-    failures = 0
-    for violation in report["violations"]:
-        print(f"error: invariant violated: {violation}", file=sys.stderr)
-        failures += 1
-    if report["dangling_intents"]:
-        print(
-            f"error: {report['dangling_intents']} dangling intent(s) survived "
-            "the final recovery sweep",
-            file=sys.stderr,
-        )
-        failures += 1
     expected = kwargs["writers"] * kwargs["txns_per_writer"]
-    if report["commits"] != expected or report["gave_up"]:
-        print(
-            f"error: {report['commits']}/{expected} transactions committed "
-            f"({report['gave_up']} gave up)",
-            file=sys.stderr,
-        )
-        failures += 1
-    if recover and rec["rolled_forward"] + rec["rolled_back"] == 0:
-        print(
-            "error: --recover run exercised no recovery (no crash landed "
-            "mid-publish; raise the rate or change the seed)",
-            file=sys.stderr,
-        )
-        failures += 1
-    if failures:
-        return 1
-    print("torn-state oracle: OK")
-    return 0
+    return Outcome(report, [
+        (False, f"invariant violated: {violation}") for violation in report["violations"]
+    ] + [
+        (not report["dangling_intents"],
+         f"{report['dangling_intents']} dangling intent(s) survived the final "
+         "recovery sweep"),
+        (report["commits"] == expected and not report["gave_up"],
+         f"{report['commits']}/{expected} transactions committed "
+         f"({report['gave_up']} gave up)"),
+        (not args.recover or rec["rolled_forward"] + rec["rolled_back"] > 0,
+         "--recover run exercised no recovery (no crash landed mid-publish; "
+         "raise the rate or change the seed)"),
+    ], "torn-state oracle: OK")
 
 
-# The default `readsession --chaos` profile: transient faults on the
-# governed read path, all recoverable, so the drain still ties out.
-READSESSION_CHAOS_PLAN = [
-    "objectstore.get:rate=0.2:max=20",
-    "read_api.read_rows:rate=0.1:max=8",
-]
-
-
-def _readsession(
-    seed: int,
-    smoke: bool,
-    chaos: bool,
-    plans: list[str],
-    json_path: str | None,
-) -> int:
-    """Serializable session handoff + rebalancing walkthrough: create one
-    multi-stream session over a skewed lake, serialize it, and drain it
-    with one attached consumer per stream — healthy, with an injected
-    consumer lag, and with the lag plus the rebalancer. Self-checking
-    (row CRCs identical across all three legs, rebalancing must recover
-    some of the lag inflation) and deterministic: same seed ⇒
-    byte-identical ``--json`` report."""
-    import json
-
+def _readsession(args) -> Outcome:
     from repro.faults import FaultPlan
     from repro.storageapi.streams import drain_session
 
-    sizes = [300] + [60] * 7 if smoke else [600] + [90] * 11
+    sizes = [300] + [60] * 7 if args.smoke else [600] + [90] * 11
     n_streams = 4
     lag_factor = 4.0
-    specs = plans or (READSESSION_CHAOS_PLAN if chaos else [])
 
     def leg(lag_stream: int | None = None, rebalance: bool = False):
-        platform, admin = _build_skewed_platform(sizes)
+        platform, admin = _skewed_lake(sizes)
         info = platform.catalog.get_table("demo", "events")
         session = platform.read_api.create_read_session(
             admin, info, max_streams=n_streams
@@ -1006,12 +676,8 @@ def _readsession(
         # Chaos targets the consumers: the session is established, then
         # the drain's governed reads run under the fault plan (transient,
         # so every leg still ties out after retries).
-        try:
-            if specs:
-                platform.ctx.faults.install(FaultPlan.parse(specs, seed=seed))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(1) from None
+        if args.specs:
+            platform.ctx.faults.install(FaultPlan.parse(args.specs, seed=args.seed))
         lag = {lag_stream: lag_factor} if lag_stream is not None else None
         report = drain_session(platform.read_api, blob, lag=lag, rebalance=rebalance)
         return blob, session, report
@@ -1026,13 +692,7 @@ def _readsession(
     _, _, off = leg(lag_stream, rebalance=False)
     _, _, on = leg(lag_stream, rebalance=True)
 
-    mode = "smoke" if smoke else "full"
-    print(
-        f"-- readsession: {len(sizes)} files over {n_streams} streams, "
-        f"seed={seed} ({mode}"
-        + (f", chaos={','.join(specs)})" if specs else ")")
-        + "\n"
-    )
+    _header(args, f"{len(sizes)} files over {n_streams} streams")
     print(f"serialized handle ({len(blob)} bytes): {blob[:64].decode()}...")
     print(f"lagged consumer: worker-{lag_stream} (x{lag_factor:g} slower)\n")
     for label, report in (
@@ -1063,186 +723,219 @@ def _readsession(
         f"\nlag inflated the makespan by {inflation:.3f} ms; rebalancing "
         f"recovered {recovered:.1%} of it"
     )
-
-    if json_path:
-        payload = {
-            "seed": seed,
-            "plan": specs,
-            "files": len(sizes),
-            "streams": n_streams,
-            "lag_stream": lag_stream,
-            "lag_factor": lag_factor,
-            "crc_identical": crc_identical,
-            "rows_identical": rows_identical,
-            "recovered_fraction": round(recovered, 6),
-            "legs": {
-                "healthy": healthy.to_dict(),
-                "rebalancer_off": off.to_dict(),
-                "rebalancer_on": on.to_dict(),
-            },
-        }
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"readsession report written to {json_path}")
-
-    failures = 0
-    if not crc_identical or not rows_identical:
-        print(
-            "error: rebalancing or lag changed the returned rows (must be "
-            "result-invariant)",
-            file=sys.stderr,
-        )
-        failures += 1
-    if inflation <= 0:
-        print("error: injected lag did not inflate the makespan", file=sys.stderr)
-        failures += 1
-    if recovered <= 0:
-        print("error: rebalancing recovered none of the lag inflation", file=sys.stderr)
-        failures += 1
-    if failures:
-        return 1
-    print("handoff round-trip + rebalance invariance: OK")
-    return 0
+    return Outcome({
+        "seed": args.seed,
+        "plan": args.specs,
+        "files": len(sizes),
+        "streams": n_streams,
+        "lag_stream": lag_stream,
+        "lag_factor": lag_factor,
+        "crc_identical": crc_identical,
+        "rows_identical": rows_identical,
+        "recovered_fraction": round(recovered, 6),
+        "legs": {
+            "healthy": healthy.to_dict(),
+            "rebalancer_off": off.to_dict(),
+            "rebalancer_on": on.to_dict(),
+        },
+    }, [
+        (crc_identical and rows_identical,
+         "rebalancing or lag changed the returned rows (must be result-invariant)"),
+        (inflation > 0, "injected lag did not inflate the makespan"),
+        (recovered > 0, "rebalancing recovered none of the lag inflation"),
+    ], "handoff round-trip + rebalance invariance: OK")
 
 
-def _experiments(extra: list[str]) -> int:
-    command = [
+def _experiments(args) -> Outcome:
+    code = subprocess.call([
         sys.executable, "-m", "pytest", "benchmarks/", "--benchmark-only",
-        "-p", "no:warnings", "-s", "-q", *extra,
-    ]
-    return subprocess.call(command)
+        "-p", "no:warnings", "-s", "-q", *args.pytest_args,
+    ])
+    return Outcome(checks=[(code == 0, f"the benchmark suite exited with status {code}")])
 
 
-def _info() -> int:
+def _info(args) -> Outcome:
     import repro
 
-    print(f"repro {repro.__version__} — BigLake reproduction (SIGMOD 2024)")
-    print(__doc__)
-    print("Subsystems: data, formats, objectstore, cloud, security, metastore,")
+    print(f"repro {repro.__version__} — BigLake reproduction (SIGMOD 2024)\n")
+    print("Commands (`python -m repro <command> --help` lists its flags):")
+    for command in COMMANDS:
+        print(f"  {command.name:<12} {command.help}")
+    print("\nSubsystems: data, formats, objectstore, cloud, security, metastore,")
     print("  tableformats, sql, engine, storageapi, core, objects, ml, omni,")
     print("  external, workloads, bench")
     print("Experiments: see DESIGN.md (index) and EXPERIMENTS.md (results).")
+    return Outcome()
+
+
+class Command(NamedTuple):
+    name: str
+    help: str
+    flags: tuple[str, ...]  # keys of FLAGS; argparse rejects any other
+    run: Callable[[argparse.Namespace], Outcome]
+
+
+#: Every flag and positional, declared once; a command owns the ones its row names.
+FLAGS = {
+    "sql": dict(nargs="*", help="SQL statement (default: the built-in query)"),
+    "pytest_args": dict(nargs=argparse.REMAINDER, help="extra pytest arguments"),
+    "--timeline": dict(metavar="JOB_ID", help="print the per-span timeline of one job"),
+    "--chrome-trace": dict(
+        metavar="OUT.json", help="write the trace in Chrome trace-event format"
+    ),
+    "--seed": dict(
+        type=int, default=0,
+        help="RNG seed (same seed => same faults and arrivals)",
+    ),
+    "--plan": dict(
+        action="append", default=[], metavar="SPEC",
+        help="fault spec 'op:key=val:...' e.g. 'objectstore.get:rate=0.1' or "
+        "'task.slow:rate=0.3:factor=8', in place of the built-in plan (repeatable)",
+    ),
+    "--rate": dict(
+        type=float, help="fault rate of the built-in plan when no --plan is given"
+    ),
+    "--no-retries": dict(
+        action="store_true", help="disable the retry policy (faults without recovery)"
+    ),
+    "--suite": dict(
+        action="store_true", help="run the TPC-H-lite suite instead of one statement"
+    ),
+    "--repeat": dict(
+        type=int, default=8, help="times to run the statement (without --suite)"
+    ),
+    "--json": dict(
+        metavar="OUT.json", dest="json_path", help="write the machine-readable report"
+    ),
+    "--smoke": dict(action="store_true", help="small fast variant for CI"),
+    "--chaos": dict(
+        action="store_true",
+        help="run under the built-in seeded fault plan (or give explicit --plan specs)",
+    ),
+    "--recover": dict(
+        action="store_true",
+        help="crash-heavy profile that must exercise the recovery sweep "
+        "(exit non-zero if it never runs)",
+    ),
+}
+
+_WORKLOAD = ("--seed", "--smoke", "--chaos", "--plan", "--json")
+
+COMMANDS = (
+    Command("demo", "run the quickstart aggregate over the demo lake (the default)",
+            (), _demo),
+    Command("trace", "run SQL over the demo lake; print its span tree and the "
+            "metrics dump", ("sql",), _trace),
+    Command("jobs", "run a demo workload, then report it from "
+            "INFORMATION_SCHEMA.JOBS / JOBS_TIMELINE",
+            ("--timeline", "--chrome-trace"), _jobs),
+    Command("chaos", "run SQL or the TPC-H-lite suite under seeded fault "
+            "injection; report per-job retries and degradation",
+            ("sql", "--seed", "--plan", "--rate", "--no-retries", "--suite",
+             "--repeat", "--json"), _chaos),
+    Command("cache-stats", "run an aggregate cold then warm; print "
+            "INFORMATION_SCHEMA.CACHE_STATS (warm must hit, rows must match)",
+            (), _cache_stats),
+    Command("querycache", "plan + result cache: the warm hit parses and scans "
+            "nothing, and an INSERT re-keys the entry instead of flushing",
+            (), _querycache),
+    Command("schedule", "run SQL over a skewed lake under stragglers with and "
+            "without speculation; print the task timeline",
+            ("sql", "--seed", "--plan", "--json"), _schedule),
+    Command("serve", "replay a multi-principal TPC-H/DS-lite mix through the "
+            "async jobs API; tie out against INFORMATION_SCHEMA.JOBS",
+            _WORKLOAD, _serve),
+    Command("monitor", "the serve mix under fleet telemetry: reservation "
+            "timeline, SLO burn-rate alerts, variance attribution",
+            _WORKLOAD + ("--chrome-trace",), _monitor),
+    Command("txn", "concurrent multi-table transactions under seeded writer "
+            "crashes, checked by the torn-state oracle",
+            _WORKLOAD + ("--recover", "--rate"), _txn),
+    Command("readsession", "serialize one read session and drain it per "
+            "stream: healthy, with a lagging consumer, and rebalanced",
+            _WORKLOAD, _readsession),
+    Command("experiments", "run the E1-E12 + future-work benchmark suite",
+            ("pytest_args",), _experiments),
+    Command("info", "print this command list and the subsystem inventory",
+            (), _info),
+)
+
+_SERVE_CHAOS = ["objectstore.get:rate=0.25:max=40", "task.slow:rate=0.15:factor=4"]
+
+#: The plan a command installs when no ``--plan`` is given: under
+#: ``--chaos`` where the command owns that flag, always otherwise.
+DEFAULT_PLANS = {
+    # Stragglers on the skewed lake, for speculation to beat.
+    "schedule": ["task.slow:rate=0.3:factor=8"],
+    # Transient object-store faults hot enough to leave FAILED jobs in
+    # history, plus stragglers for speculation.
+    "serve": _SERVE_CHAOS,
+    # Plus data-cache faults, so the cache-bypass burn-rate rule has bad
+    # events to burn.
+    "monitor": _SERVE_CHAOS + ["cache.get:rate=0.35:max=30"],
+    # Transient faults on the governed read path, all recoverable, so the
+    # drain still ties out.
+    "readsession": [
+        "objectstore.get:rate=0.2:max=20", "read_api.read_rows:rate=0.1:max=8",
+    ],
+}
+
+
+def _resolve_plan(command: Command, args) -> None:
+    """Set ``args.specs`` and reject a malformed plan or rate before anything
+    is built (raises ``ValueError``)."""
+    if "--plan" not in command.flags:
+        return
+    from repro.faults import FaultPlan
+
+    chaos = getattr(args, "chaos", True)
+    args.specs = args.plan or (DEFAULT_PLANS.get(command.name, []) if chaos else [])
+    FaultPlan.parse(args.specs, seed=args.seed)
+    if getattr(args, "rate", None) is not None:
+        FaultPlan.uniform(args.rate)
+
+
+def _run(command: Command, args) -> int:
+    """One command, end to end: the fault plan, the body, ``--json``, then
+    its checks — each failure one ``error:`` line on stderr and exit 1."""
+    try:
+        _resolve_plan(command, args)
+    except ValueError as exc:
+        outcome = Outcome(checks=[(False, str(exc))])
+    else:
+        outcome = command.run(args)
+    json_path = getattr(args, "json_path", None)
+    if json_path and outcome.report is not None:
+        with open(json_path, "w", encoding="utf-8") as fh:
+            json.dump(outcome.report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"{command.name} report written to {json_path}")
+    failures = [message for ok, message in outcome.checks if not ok]
+    for message in failures:
+        print(f"error: {message}", file=sys.stderr)
+    if failures:
+        return 1
+    if outcome.ok:
+        print(outcome.ok)
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
-    parser.add_argument(
-        "command",
-        choices=[
-            "demo", "trace", "jobs", "chaos", "cache-stats", "querycache",
-            "schedule", "serve", "monitor", "txn", "readsession",
-            "experiments", "info",
-        ],
-        nargs="?", default="demo",
-    )
-    parser.add_argument(
-        "extra", nargs="*",
-        help="SQL for 'trace'/'chaos'; extra pytest args for 'experiments'",
-    )
-    parser.add_argument(
-        "--timeline", metavar="JOB_ID",
-        help="for 'jobs': print the per-span timeline of one job",
-    )
-    parser.add_argument(
-        "--chrome-trace", metavar="OUT.json", dest="chrome_trace",
-        help="for 'jobs': write the job's trace in Chrome trace-event "
-        "format; for 'monitor': export the whole serve run with "
-        "per-principal lanes",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="for 'chaos'/'schedule'/'serve': RNG seed (same seed => "
-        "same faults and arrivals)",
-    )
-    parser.add_argument(
-        "--plan", action="append", default=[], metavar="SPEC",
-        help="for 'chaos'/'schedule'/'serve': fault spec 'op:key=val:...' e.g. "
-        "'objectstore.get:rate=0.1' or 'task.slow:rate=0.3:factor=8' "
-        "(repeatable)",
-    )
-    parser.add_argument(
-        "--rate", type=float, default=None,
-        help="for 'chaos': uniform transient-fault rate when no --plan "
-        "is given (default 0.05)",
-    )
-    parser.add_argument(
-        "--no-retries", action="store_true", dest="no_retries",
-        help="for 'chaos': disable the retry policy (chaos without recovery)",
-    )
-    parser.add_argument(
-        "--suite", action="store_true",
-        help="for 'chaos': run the TPC-H-lite suite instead of one statement",
-    )
-    parser.add_argument(
-        "--repeat", type=int, default=8,
-        help="for 'chaos': times to run the statement (non-suite mode)",
-    )
-    parser.add_argument(
-        "--json", metavar="OUT.json", dest="json_path",
-        help="for 'chaos'/'schedule'/'serve': write the machine-readable "
-        "report",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="for 'serve'/'monitor'/'txn'/'readsession': small fast "
-        "variant for CI",
-    )
-    parser.add_argument(
-        "--chaos", action="store_true", dest="serve_chaos",
-        help="for 'serve'/'monitor'/'txn'/'readsession': replay the "
-        "workload under the default seeded fault plan (or give explicit "
-        "--plan specs)",
-    )
-    parser.add_argument(
-        "--recover", action="store_true",
-        help="for 'txn': crash-heavy profile that must exercise the "
-        "recovery sweep (exit non-zero if it never runs)",
-    )
-    args = parser.parse_args(argv)
-    if args.command == "demo":
-        return _demo()
-    if args.command == "trace":
-        return _trace(" ".join(args.extra) if args.extra else None)
-    if args.command == "jobs":
-        return _jobs(args.timeline, args.chrome_trace)
-    if args.command == "chaos":
-        return _chaos(
-            " ".join(args.extra) if args.extra else None,
-            args.seed, args.plan, args.rate, args.no_retries,
-            args.suite, args.repeat, args.json_path,
+    commands = parser.add_subparsers(dest="command", metavar="command")
+    for command in COMMANDS:
+        sub = commands.add_parser(
+            command.name, help=command.help, description=command.help
         )
-    if args.command == "cache-stats":
-        return _cache_stats()
-    if args.command == "querycache":
-        return _querycache()
-    if args.command == "serve":
-        return _serve(
-            args.seed, args.smoke, args.serve_chaos, args.plan, args.json_path
-        )
-    if args.command == "monitor":
-        return _monitor(
-            args.seed, args.smoke, args.serve_chaos, args.plan,
-            args.json_path, args.chrome_trace,
-        )
-    if args.command == "txn":
-        return _txn(
-            args.seed, args.smoke, args.recover, args.serve_chaos,
-            args.plan, args.rate, args.json_path,
-        )
-    if args.command == "readsession":
-        return _readsession(
-            args.seed, args.smoke, args.serve_chaos, args.plan, args.json_path
-        )
-    if args.command == "schedule":
-        return _schedule(
-            " ".join(args.extra) if args.extra else None,
-            args.seed, args.plan, args.json_path,
-        )
-    if args.command == "experiments":
-        return _experiments(args.extra)
-    return _info()
+        for flag in command.flags:
+            sub.add_argument(flag, **FLAGS[flag])
+    parser.set_defaults(command="demo")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    return _run({c.name: c for c in COMMANDS}[args.command], args)
 
 
 if __name__ == "__main__":

@@ -48,6 +48,72 @@ class TestCli:
 
         assert main([]) == 0
 
+    def test_commands_table_names_the_thirteen_commands(self):
+        from repro.__main__ import COMMANDS
+
+        assert [c.name for c in COMMANDS] == [
+            "demo", "trace", "jobs", "chaos", "cache-stats", "querycache",
+            "schedule", "serve", "monitor", "txn", "readsession",
+            "experiments", "info",
+        ]
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--suite"],
+        ["readsession", "--recover"],
+        ["demo", "--seed", "1"],
+        ["serve", "--smoke", "--suite", "--no-retries", "--recover", "--seed", "1"],
+    ])
+    def test_a_flag_another_command_owns_is_a_usage_error(self, argv, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["schedule", "serve", "txn", "readsession", "chaos"])
+    def test_a_bad_fault_plan_is_one_error_line_before_anything_runs(self, command, capsys):
+        from repro.__main__ import main
+
+        assert main([command, "--plan", "nope"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: fault spec 'nope' can never fire: set rate= or count=\n"
+
+    def test_every_documented_invocation_parses(self, capsys):
+        """Drift guard: each ``python -m repro …`` in the gate, CI and README
+        (and each ``repro …`` row of ``scripts/check.sh``) is a valid command
+        line for ``main``'s parser."""
+        import re
+        import shlex
+        from pathlib import Path
+
+        from repro.__main__ import _parser
+
+        # An inline-code span may wrap onto one more line before its backtick.
+        python_m = r"python -m repro\b([^`\n]*(?:\n[^`\n]*(?=`))?)"
+        patterns = {
+            "scripts/check.sh": r"\s+repro ([a-z].*)$",  # rows call its `repro` function
+            ".github/workflows/ci.yml": python_m,
+            "README.md": python_m,
+        }
+        root = Path(__file__).resolve().parent.parent
+        invocations = [
+            (name, args.replace("\n", " "))
+            for name, pattern in patterns.items()
+            for args in re.findall(
+                pattern,
+                (root / name).read_text(encoding="utf-8").replace("\\\n", " "),
+                flags=re.MULTILINE,
+            )
+        ]
+        assert len(invocations) >= 45
+        parser = _parser()
+        for name, args in invocations:
+            try:
+                parser.parse_args(shlex.split(args))
+            except SystemExit as exc:  # `--help` exits 0
+                assert exc.code == 0, f"{name}: `python -m repro {args}` does not parse"
+
 
 class TestQueryResultHelpers:
     @pytest.fixture

@@ -214,3 +214,12 @@ class TestJobsCli:
 
         assert main(["jobs", "--timeline", "job_999999"]) == 1
         assert "no timeline rows" in capsys.readouterr().err
+
+    def test_jobs_timeline_id_never_reaches_the_sql_text(self, capsys):
+        from repro.__main__ import main
+
+        injected = "job_000002' OR job_id = 'job_000001"
+        assert main(["jobs", "--timeline", injected]) == 1
+        captured = capsys.readouterr()
+        assert "no timeline rows" in captured.err
+        assert "span  parent" not in captured.out
