@@ -403,7 +403,7 @@ class TableManager:
         from repro.engine.planner import _split_join_condition
 
         equi, residual = _split_join_condition(statement.on)
-        if not equi or residual is not None:
+        if not equi or residual:
             raise AnalysisError("MERGE requires a pure equi-join ON clause")
         target_binder = Binder(target_schema, engine.functions)
         source_binder = Binder(source_schema, engine.functions)

@@ -266,10 +266,7 @@ def _scan_restriction(node: ScanNode, ctx: ExecContext) -> ast.Expr | None:
             clauses.append(ast.BinaryOp(">=", column, ast.Literal(constraint.lo)))
         if constraint.hi is not None:
             clauses.append(ast.BinaryOp("<=", column, ast.Literal(constraint.hi)))
-    restriction = None
-    for clause in clauses:
-        restriction = clause if restriction is None else ast.BinaryOp("AND", restriction, clause)
-    return restriction
+    return ast.conjoin(clauses)
 
 
 # --------------------------------------------------------------------------

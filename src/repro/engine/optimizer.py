@@ -66,12 +66,12 @@ def push_filters(plan: PlanNode) -> PlanNode:
     if isinstance(plan, FilterNode):
         child = push_filters(plan.child)
         remaining: list[ast.Expr] = []
-        for conjunct in _flatten_and(plan.predicate):
+        for conjunct in ast.conjuncts(plan.predicate):
             if not _try_push(child, conjunct):
                 remaining.append(conjunct)
         if not remaining:
             return child
-        return FilterNode(child=child, predicate=_join_and(remaining), schema=child.schema)
+        return FilterNode(child=child, predicate=ast.conjoin(remaining), schema=child.schema)
     return plan.map_children(push_filters)
 
 
@@ -112,19 +112,6 @@ def _binds(schema: Schema, refs: set[str]) -> bool:
         except AnalysisError:
             return False
     return True
-
-
-def _flatten_and(expr: ast.Expr) -> list[ast.Expr]:
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        return _flatten_and(expr.left) + _flatten_and(expr.right)
-    return [expr]
-
-
-def _join_and(conjuncts: list[ast.Expr]) -> ast.Expr:
-    expr = conjuncts[0]
-    for clause in conjuncts[1:]:
-        expr = ast.BinaryOp("AND", expr, clause)
-    return expr
 
 
 # --------------------------------------------------------------------------

@@ -37,7 +37,7 @@ class _AggState:
     """Aggregates and group keys discovered while rewriting expressions."""
 
     specs: list[AggSpec] = field(default_factory=list)
-    by_signature: dict[str, str] = field(default_factory=dict)  # sig -> output name
+    by_signature: dict[tuple, str] = field(default_factory=dict)  # ast.key -> output name
 
 
 class Planner:
@@ -118,7 +118,7 @@ class Planner:
         if agg_state.specs or group_exprs:
             plan, key_names = self._plan_aggregate(plan, group_exprs, agg_state)
             # Replace group expressions appearing verbatim with key refs.
-            substitutions = dict(zip(map(_expr_key, group_exprs), key_names))
+            substitutions = dict(zip(map(ast.key, group_exprs), key_names))
             rewritten_items = [
                 ast.SelectItem(self._substitute_exprs(i.expr, substitutions), i.alias)
                 if not isinstance(i.expr, ast.Star)
@@ -153,16 +153,14 @@ class Planner:
         """Split the WHERE conjunction: IN-subquery conjuncts become
         semi/anti joins; everything else stays a filter."""
         regular: list[ast.Expr] = []
-        for conjunct in _flatten_where(where):
+        for conjunct in ast.conjuncts(where):
             subquery = _as_in_subquery(conjunct)
             if subquery is not None:
                 plan = self._plan_in_subquery(plan, subquery)
             else:
                 regular.append(conjunct)
-        if regular:
-            predicate = regular[0]
-            for clause in regular[1:]:
-                predicate = ast.BinaryOp("AND", predicate, clause)
+        predicate = ast.conjoin(regular)
+        if predicate is not None:
             plan = FilterNode(child=plan, predicate=predicate, schema=plan.schema)
         return plan
 
@@ -204,13 +202,9 @@ class Planner:
             oriented, extra_residual = _orient_equi_keys(
                 equi, left.schema, right.schema, self.functions
             )
-            for clause in extra_residual:
-                residual = (
-                    clause if residual is None else ast.BinaryOp("AND", residual, clause)
-                )
             return JoinNode(
                 kind=item.kind, left=left, right=right, schema=schema,
-                equi_keys=oriented, residual=residual,
+                equi_keys=oriented, residual=ast.conjoin(residual + extra_residual),
             )
         raise AnalysisError(f"unsupported FROM item {item!r}")
 
@@ -309,7 +303,7 @@ class Planner:
     def _substitute_aliases(self, expr: ast.Expr | None, alias_map: dict) -> ast.Expr | None:
         if expr is None or not alias_map:
             return expr
-        return _rewrite(expr, lambda e: (
+        return ast.rewrite(expr, lambda e: (
             alias_map.get(e.parts[0].lower())
             if isinstance(e, ast.ColumnRef) and len(e.parts) == 1
             and e.parts[0].lower() in alias_map
@@ -321,7 +315,7 @@ class Planner:
 
         def visit(e: ast.Expr) -> ast.Expr | None:
             if isinstance(e, ast.FunctionCall) and e.name in AGGREGATE_FUNCTIONS:
-                signature = str(e)
+                signature = ast.key(e)
                 existing = state.by_signature.get(signature)
                 if existing is not None:
                     return ast.ColumnRef((existing,))
@@ -336,7 +330,7 @@ class Planner:
                 return ast.ColumnRef((output,))
             return None
 
-        return _rewrite(expr, visit)
+        return ast.rewrite(expr, visit)
 
     def _plan_aggregate(
         self, child: PlanNode, group_exprs: list[ast.Expr], state: _AggState
@@ -362,12 +356,10 @@ class Planner:
 
     def _substitute_exprs(self, expr: ast.Expr, substitutions: dict) -> ast.Expr:
         def visit(e: ast.Expr) -> ast.Expr | None:
-            key = _expr_key(e)
-            if key in substitutions:
-                return ast.ColumnRef((substitutions[key],))
-            return None
+            name = substitutions.get(ast.key(e))
+            return None if name is None else ast.ColumnRef((name,))
 
-        return _rewrite(expr, visit)
+        return ast.rewrite(expr, visit)
 
     # -- projection / ordering -----------------------------------------------
 
@@ -470,13 +462,11 @@ def _qualify(plan: PlanNode, alias: str) -> ProjectNode:
 
 def _split_join_condition(
     condition: ast.Expr | None,
-) -> tuple[list[tuple[ast.Expr, ast.Expr]], ast.Expr | None]:
-    """Separate equi-key conjuncts from the residual condition."""
-    if condition is None:
-        return [], None
+) -> tuple[list[tuple[ast.Expr, ast.Expr]], list[ast.Expr]]:
+    """Separate equi-key conjuncts from the residual ones."""
     equi: list[tuple[ast.Expr, ast.Expr]] = []
     residual: list[ast.Expr] = []
-    for clause in _flatten_where(condition):
+    for clause in ast.conjuncts(condition) if condition is not None else ():
         if (
             isinstance(clause, ast.BinaryOp)
             and clause.op == "="
@@ -486,18 +476,7 @@ def _split_join_condition(
             equi.append((clause.left, clause.right))
         else:
             residual.append(clause)
-    residual_expr: ast.Expr | None = None
-    for clause in residual:
-        residual_expr = (
-            clause if residual_expr is None else ast.BinaryOp("AND", residual_expr, clause)
-        )
-    return equi, residual_expr
-
-
-def _flatten_where(expr: ast.Expr) -> list[ast.Expr]:
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        return _flatten_where(expr.left) + _flatten_where(expr.right)
-    return [expr]
+    return equi, residual
 
 
 def _as_in_subquery(expr: ast.Expr) -> ast.InSubquery | None:
@@ -544,53 +523,6 @@ def _orient_equi_keys(
         else:
             residuals.append(ast.BinaryOp("=", a, b))
     return oriented, residuals
-
-
-def _rewrite(expr: ast.Expr, visit) -> ast.Expr:
-    """Bottom-up rewrite: ``visit`` returns a replacement or None."""
-    replacement = visit(expr)
-    if replacement is not None:
-        return replacement
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(expr.op, _rewrite(expr.left, visit), _rewrite(expr.right, visit))
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, _rewrite(expr.operand, visit))
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(_rewrite(expr.operand, visit), expr.negated)
-    if isinstance(expr, ast.InList):
-        return ast.InList(
-            _rewrite(expr.operand, visit),
-            tuple(_rewrite(i, visit) for i in expr.items),
-            expr.negated,
-        )
-    if isinstance(expr, ast.Between):
-        return ast.Between(
-            _rewrite(expr.operand, visit),
-            _rewrite(expr.low, visit),
-            _rewrite(expr.high, visit),
-            expr.negated,
-        )
-    if isinstance(expr, ast.Like):
-        return ast.Like(_rewrite(expr.operand, visit), expr.pattern, expr.negated)
-    if isinstance(expr, ast.Case):
-        return ast.Case(
-            tuple((_rewrite(c, visit), _rewrite(v, visit)) for c, v in expr.whens),
-            _rewrite(expr.default, visit) if expr.default is not None else None,
-        )
-    if isinstance(expr, ast.Cast):
-        return ast.Cast(_rewrite(expr.operand, visit), expr.target_type)
-    if isinstance(expr, ast.FunctionCall):
-        return ast.FunctionCall(
-            expr.name,
-            tuple(_rewrite(a, visit) for a in expr.args),
-            expr.distinct,
-            expr.is_star,
-        )
-    return expr
-
-
-def _expr_key(expr: ast.Expr) -> str:
-    return str(expr)
 
 
 def _derive_name(expr: ast.Expr, index: int) -> str:

@@ -5,13 +5,11 @@ row groups, per-column chunks with PLAIN or DICTIONARY(+RLE) encoding, and a
 footer carrying the schema plus per-chunk min/max/null-count statistics.
 Files are real byte strings round-tripped through real encode/decode.
 
-Two readers are provided, mirroring §3.4:
-
-* :class:`RowReader` — the initial row-oriented scan path (decode
-  everything, then iterate row by row in Python).
-* :class:`VectorizedReader` — emits columnar :class:`~repro.data.RecordBatch`
-  objects, keeping dictionary encoding intact so downstream operators can
-  work on codes.
+Two scan paths mirror §3.4: :class:`RowReader`, the initial row-oriented
+one (decode everything, then iterate row by row in Python), and
+:func:`read_row_group`, which emits columnar :class:`~repro.data.RecordBatch`
+objects with dictionary encoding intact so downstream operators can work on
+codes.
 """
 
 from repro.formats.pqs import (
@@ -22,7 +20,7 @@ from repro.formats.pqs import (
     read_row_group,
     write_table,
 )
-from repro.formats.readers import RowReader, VectorizedReader
+from repro.formats.readers import RowReader
 
 __all__ = [
     "ColumnChunkMeta",
@@ -32,5 +30,4 @@ __all__ = [
     "read_row_group",
     "write_table",
     "RowReader",
-    "VectorizedReader",
 ]

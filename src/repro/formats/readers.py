@@ -1,11 +1,13 @@
-"""Row-oriented and vectorized scan paths over pqs files.
+"""The row-oriented scan path over pqs files, and row-group pruning.
 
 §3.4 of the paper: the initial Read API prototype reused a row-oriented
 Parquet reader (decode to rows, re-columnarize), which was simple but slow;
 a vectorized reader that emits columnar batches directly — operating on
 dictionary/RLE data without decoding — doubled read throughput and improved
-server CPU efficiency by an order of magnitude. Both paths are implemented
-here so experiment E2 can measure the gap.
+server CPU efficiency by an order of magnitude. :class:`RowReader` is the
+prototype's path, kept so experiment E2 can measure the gap; the vectorized
+path is :func:`repro.formats.pqs.read_row_group`, which the Read API's
+columnar scan calls per surviving row group.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator
 
 from repro.data.batch import RecordBatch, batch_from_rows
-from repro.data.types import Schema
 from repro.formats import pqs
 
 
@@ -65,47 +66,6 @@ class RowReader:
                 buffer = []
         if buffer:
             yield batch_from_rows(schema, buffer)
-
-
-class VectorizedReader:
-    """The vectorized scan path: columnar batches straight from chunks.
-
-    Dictionary-encoded chunks stay dictionary-encoded in the output, so
-    downstream vectorized evaluation (Superluminal) can filter on codes.
-    """
-
-    def __init__(self, data: bytes, footer: pqs.FileFooter | None = None) -> None:
-        self._data = data
-        self.footer = footer if footer is not None else pqs.read_footer(data)
-
-    @property
-    def schema(self) -> Schema:
-        return self.footer.schema
-
-    def read_batches(
-        self,
-        columns: list[str] | None = None,
-        keep_dictionary: bool = True,
-    ) -> Iterator[RecordBatch]:
-        """Yield one batch per row group, projected to ``columns``."""
-        for rg_index in range(len(self.footer.row_groups)):
-            yield pqs.read_row_group(
-                self._data,
-                self.footer,
-                rg_index,
-                columns=columns,
-                keep_dictionary=keep_dictionary,
-            )
-
-    def prunable_row_groups(
-        self, column: str, lo: Any = None, hi: Any = None
-    ) -> list[int]:
-        """Row groups that *may* contain values of ``column`` within
-        ``[lo, hi]``, using footer min/max stats (block skipping)."""
-        return [
-            i for i, rg in enumerate(self.footer.row_groups)
-            if _may_match(rg, column, lo, hi)
-        ]
 
 
 def _may_match(rg: pqs.RowGroupMeta, column: str, lo: Any, hi: Any) -> bool:

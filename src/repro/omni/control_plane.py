@@ -101,30 +101,14 @@ class JobServer:
     # ------------------------------------------------------------------
 
     def _referenced_tables(self, select: ast.Select) -> list[TableInfo]:
+        """Every table the query reads: FROM items and joins, subqueries in
+        FROM and in WHERE, TVF inputs and UNION ALL arms."""
         tables: list[TableInfo] = []
-
-        def walk_from(item) -> None:
-            if item is None:
-                return
-            if isinstance(item, ast.TableRef):
-                tables.append(self.platform.catalog.resolve(item.path))
-            elif isinstance(item, ast.SubqueryRef):
-                walk_select(item.query)
-            elif isinstance(item, ast.TvfRef):
-                if item.input_table is not None:
-                    tables.append(self.platform.catalog.resolve(item.input_table))
-                if item.input_query is not None:
-                    walk_select(item.input_query)
-            elif isinstance(item, ast.Join):
-                walk_from(item.left)
-                walk_from(item.right)
-
-        def walk_select(select: ast.Select) -> None:
-            walk_from(select.from_item)
-            if select.union_all is not None:
-                walk_select(select.union_all)
-
-        walk_select(select)
+        for node in ast.walk(select):
+            if isinstance(node, ast.TableRef):
+                tables.append(self.platform.catalog.resolve(node.path))
+            elif isinstance(node, ast.TvfRef) and node.input_table is not None:
+                tables.append(self.platform.catalog.resolve(node.input_table))
         return tables
 
     def _downscope_credentials(self, tables: list[TableInfo]) -> list[ScopedCredential]:

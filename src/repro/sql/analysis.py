@@ -51,17 +51,12 @@ def _column_name(expr: ast.Expr) -> str | None:
 def extract_constraints(expr: ast.Expr | None) -> ConstraintSet:
     """Constraints implied by ``expr`` (sound under-approximation)."""
     constraints = ConstraintSet()
-    if expr is None:
-        return constraints
-    _walk_conjunct(expr, constraints)
+    for conjunct in ast.conjuncts(expr) if expr is not None else ():
+        _add_conjunct(conjunct, constraints)
     return constraints
 
 
-def _walk_conjunct(expr: ast.Expr, out: ConstraintSet) -> None:
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        _walk_conjunct(expr.left, out)
-        _walk_conjunct(expr.right, out)
-        return
+def _add_conjunct(expr: ast.Expr, out: ConstraintSet) -> None:
     if isinstance(expr, ast.BinaryOp) and expr.op in _COMPARISONS:
         _comparison(expr, out)
         return

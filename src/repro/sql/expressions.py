@@ -912,39 +912,17 @@ def _like_to_regex(pattern: str) -> re.Pattern:
 
 def collect_column_refs(expr: ast.Expr) -> set[str]:
     """All column names referenced by a syntactic expression (for pruning
-    and projection pushdown analysis)."""
+    and projection pushdown analysis); a subquery's columns are its own."""
     refs: set[str] = set()
-    _collect_refs(expr, refs)
-    return refs
-
-
-def _collect_refs(e: ast.Expr, refs: set[str]) -> None:
-    # Module-level, not a closure inside collect_column_refs: a recursive
-    # local function is a function <-> cell cycle per call, which pins the
-    # whole AST until a garbage collection.
-    if isinstance(e, ast.ColumnRef):
-        refs.add(e.name)
-    elif isinstance(e, ast.BinaryOp):
-        _collect_refs(e.left, refs)
-        _collect_refs(e.right, refs)
-    elif isinstance(e, (ast.UnaryOp, ast.IsNull, ast.Like, ast.Cast)):
-        _collect_refs(e.operand, refs)
-    elif isinstance(e, ast.InList):
-        _collect_refs(e.operand, refs)
-        for item in e.items:
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, ast.ColumnRef):
+            refs.add(e.name)
+        elif isinstance(e, ast.InList):
             # Pushed-down pruning lists are thousands of bare literals.
-            if not isinstance(item, ast.Literal):
-                _collect_refs(item, refs)
-    elif isinstance(e, ast.Between):
-        _collect_refs(e.operand, refs)
-        _collect_refs(e.low, refs)
-        _collect_refs(e.high, refs)
-    elif isinstance(e, ast.Case):
-        for c, v in e.whens:
-            _collect_refs(c, refs)
-            _collect_refs(v, refs)
-        if e.default is not None:
-            _collect_refs(e.default, refs)
-    elif isinstance(e, ast.FunctionCall):
-        for a in e.args:
-            _collect_refs(a, refs)
+            stack.append(e.operand)
+            stack.extend(item for item in e.items if not isinstance(item, ast.Literal))
+        elif not isinstance(e, ast.InSubquery):
+            stack.extend(ast.children(e))
+    return refs

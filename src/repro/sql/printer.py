@@ -94,41 +94,10 @@ def strip_qualifiers(expr: ast.Expr) -> ast.Expr:
     schema (``o.amount``) into a single-table read session whose schema has
     plain names (``amount``).
     """
-    if isinstance(expr, ast.ColumnRef):
-        return ast.ColumnRef((expr.parts[-1],))
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(expr.op, strip_qualifiers(expr.left), strip_qualifiers(expr.right))
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, strip_qualifiers(expr.operand))
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(strip_qualifiers(expr.operand), expr.negated)
-    if isinstance(expr, ast.InList):
-        return ast.InList(
-            strip_qualifiers(expr.operand),
-            tuple(strip_qualifiers(i) for i in expr.items),
-            expr.negated,
-        )
-    if isinstance(expr, ast.Between):
-        return ast.Between(
-            strip_qualifiers(expr.operand),
-            strip_qualifiers(expr.low),
-            strip_qualifiers(expr.high),
-            expr.negated,
-        )
-    if isinstance(expr, ast.Like):
-        return ast.Like(strip_qualifiers(expr.operand), expr.pattern, expr.negated)
-    if isinstance(expr, ast.Case):
-        return ast.Case(
-            tuple((strip_qualifiers(c), strip_qualifiers(v)) for c, v in expr.whens),
-            strip_qualifiers(expr.default) if expr.default is not None else None,
-        )
-    if isinstance(expr, ast.Cast):
-        return ast.Cast(strip_qualifiers(expr.operand), expr.target_type)
-    if isinstance(expr, ast.FunctionCall):
-        return ast.FunctionCall(
-            expr.name,
-            tuple(strip_qualifiers(a) for a in expr.args),
-            expr.distinct,
-            expr.is_star,
-        )
-    return expr
+    return ast.rewrite(expr, _unqualified)
+
+
+def _unqualified(expr: ast.Expr) -> ast.Expr | None:
+    if isinstance(expr, ast.ColumnRef) and len(expr.parts) > 1:
+        return ast.ColumnRef(expr.parts[-1:])
+    return None

@@ -139,11 +139,8 @@ class Superluminal:
     def _security_predicate(self) -> ast.Expr | None:
         """OR together the row policies that apply to the principal (each
         distinct filter text parsed once)."""
-        combined: ast.Expr | None = None
-        for filter_sql in dict.fromkeys(self.access.row_filters):
-            clause = parse_expression(filter_sql)
-            combined = clause if combined is None else ast.BinaryOp("OR", combined, clause)
-        return combined
+        clauses = [parse_expression(sql) for sql in dict.fromkeys(self.access.row_filters)]
+        return ast.conjoin(clauses, "OR")
 
     def fresh(self) -> "Superluminal":
         """The same compiled pipeline with counters of its own — one per

@@ -1,5 +1,7 @@
 """Engine correctness tests: SQL semantics end to end over managed tables."""
 
+import sqlite3
+
 import pytest
 
 from repro import DataType, Schema, batch_from_pydict
@@ -251,3 +253,37 @@ class TestExplain:
             "JOIN ds.customers AS c ON o.customer_id = c.customer_id"
         )
         assert "INNERJoin" in text
+
+
+class TestAggregateIdentity:
+    """``COUNT(x)`` and ``COUNT(DISTINCT x)`` are two aggregates — in either
+    order, beside GROUP BY and in ORDER BY — with the answers stdlib sqlite3
+    gives for the same rows."""
+
+    DATA = {"x": [1, 1, 2, 2, 3], "s": ["a", "a", "b", "c", None]}
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        platform, admin = make_platform()
+        platform.catalog.create_dataset("agg")
+        schema = Schema.of(("x", DataType.INT64), ("s", DataType.STRING))
+        table = platform.tables.create_managed_table("agg", "dup", schema)
+        platform.managed.append(table.table_id, batch_from_pydict(schema, self.DATA))
+        db = sqlite3.connect(":memory:")
+        db.execute("CREATE TABLE dup (x INTEGER, s TEXT)")
+        db.executemany("INSERT INTO dup VALUES (?, ?)", zip(self.DATA["x"], self.DATA["s"]))
+        yield platform, admin, db
+        db.close()
+
+    @pytest.mark.parametrize("sql, expected", [
+        ("SELECT COUNT(x), COUNT(DISTINCT x) FROM agg.dup", [(5, 3)]),
+        ("SELECT COUNT(DISTINCT x), COUNT(x) FROM agg.dup", [(3, 5)]),
+        ("SELECT x, COUNT(DISTINCT s), COUNT(s) FROM agg.dup GROUP BY x ORDER BY x",
+         [(1, 1, 2), (2, 2, 2), (3, 0, 0)]),
+        ("SELECT x, COUNT(s) AS n FROM agg.dup GROUP BY x ORDER BY COUNT(DISTINCT s) DESC, x",
+         [(2, 2), (1, 2), (3, 0)]),
+    ])
+    def test_distinct_and_plain_counts_stay_apart(self, engines, sql, expected):
+        platform, admin, db = engines
+        assert platform.home_engine.execute(sql, admin).rows() == expected
+        assert db.execute(sql.replace("agg.dup", "dup")).fetchall() == expected

@@ -1,9 +1,13 @@
-"""Tests for the row-oriented and vectorized readers."""
+"""Tests for the row-oriented reader and the vectorized path:
+``pqs.read_row_group`` per row group, and footer-stat pruning with
+``surviving_row_groups``."""
 
 import pytest
 
 from repro.data import DataType, DictionaryColumn, Schema, batch_from_pydict
-from repro.formats import RowReader, VectorizedReader, write_table
+from repro.formats import RowReader, pqs, write_table
+from repro.formats.readers import surviving_row_groups
+from repro.metastore.constraints import ColumnConstraint, ConstraintSet
 
 
 @pytest.fixture
@@ -20,6 +24,18 @@ def file_bytes():
         },
     )
     return write_table(schema, [batch], row_group_rows=4)
+
+
+def row_groups(data, **kwargs):
+    """Every row group of the file, decoded as the Read API's columnar scan does."""
+    footer = pqs.read_footer(data)
+    return [pqs.read_row_group(data, footer, i, **kwargs) for i in range(len(footer.row_groups))]
+
+
+def surviving(data, **bounds):
+    constraints = ConstraintSet()
+    constraints.add("id", ColumnConstraint(**bounds))
+    return surviving_row_groups(pqs.read_footer(data), constraints)
 
 
 class TestRowReader:
@@ -47,33 +63,25 @@ class TestRowReader:
 
 class TestVectorizedReader:
     def test_batches_per_row_group(self, file_bytes):
-        reader = VectorizedReader(file_bytes)
-        batches = list(reader.read_batches())
-        assert [b.num_rows for b in batches] == [4, 4, 2]
+        assert [b.num_rows for b in row_groups(file_bytes)] == [4, 4, 2]
 
     def test_keeps_dictionary_encoding(self, file_bytes):
-        reader = VectorizedReader(file_bytes)
-        batch = next(iter(reader.read_batches(columns=["color"])))
+        batch = row_groups(file_bytes, columns=["color"])[0]
         assert isinstance(batch.raw_column("color"), DictionaryColumn)
 
     def test_flat_mode(self, file_bytes):
-        reader = VectorizedReader(file_bytes)
-        batch = next(iter(reader.read_batches(columns=["color"], keep_dictionary=False)))
+        batch = row_groups(file_bytes, columns=["color"], keep_dictionary=False)[0]
         assert not isinstance(batch.raw_column("color"), DictionaryColumn)
 
     def test_same_data_both_paths(self, file_bytes):
-        vec_rows = []
-        for batch in VectorizedReader(file_bytes).read_batches():
-            vec_rows.extend(batch.iter_rows())
+        vec_rows = [row for batch in row_groups(file_bytes) for row in batch.iter_rows()]
         assert vec_rows == list(RowReader(file_bytes).iter_rows())
 
     def test_row_group_pruning_by_stats(self, file_bytes):
-        reader = VectorizedReader(file_bytes)
         # ids 0-3 / 4-7 / 8-9 per row group.
-        assert reader.prunable_row_groups("id", lo=8) == [2]
-        assert reader.prunable_row_groups("id", hi=3) == [0]
-        assert reader.prunable_row_groups("id", lo=2, hi=5) == [0, 1]
+        assert surviving(file_bytes, lo=8) == [2]
+        assert surviving(file_bytes, hi=3) == [0]
+        assert surviving(file_bytes, lo=2, hi=5) == [0, 1]
 
     def test_pruning_without_bounds_keeps_all(self, file_bytes):
-        reader = VectorizedReader(file_bytes)
-        assert reader.prunable_row_groups("id") == [0, 1, 2]
+        assert surviving(file_bytes) == [0, 1, 2]

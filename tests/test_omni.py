@@ -239,6 +239,40 @@ class TestCrossCloudQueries:
         assert pushed.rows() and sorted(pushed.rows()) == sorted(naive.rows())
         assert pushed.cross_cloud["bytes_moved"] < naive.cross_cloud["bytes_moved"]
 
+    def test_in_subquery_routes_like_the_join(self, env):
+        """The ``IN (SELECT …)`` form of Listing 3 is a cross-cloud job like
+        the JOIN form — same locations, routing and credential paths —
+        moves no more bytes, and answers as the home engine does."""
+        platform, admin, _, _ = env
+        self._setup_local_ads(platform, admin)
+        join_sql = """
+            SELECT o.order_id, o.order_total, ads.id
+            FROM local_dataset.ads AS ads
+            JOIN aws_dataset.customer_orders AS o ON o.customer_id = ads.customer_id
+            WHERE o.order_total > 150
+        """
+        in_sql = """
+            SELECT id FROM local_dataset.ads WHERE customer_id IN (
+                SELECT customer_id FROM aws_dataset.customer_orders WHERE order_total > 150)
+        """
+        runs = {}
+        for form, sql in (("join", join_sql), ("in", in_sql)):
+            before = platform.ctx.metering.snapshot()
+            result = platform.job_server.submit(sql, admin)
+            delta = platform.ctx.metering.delta_since(before)
+            egress = sum(n for (src, _), n in delta.egress_bytes.items() if src.startswith("aws"))
+            runs[form] = (platform.job_server.jobs[-1], egress, result)
+        (join_job, join_egress, _), (in_job, in_egress, in_result) = runs["join"], runs["in"]
+        assert in_job.locations == join_job.locations and len(in_job.locations) == 2
+        assert in_job.cross_cloud and join_job.cross_cloud
+        assert in_job.routed_engine == join_job.routed_engine
+        paths = [sorted(c.allowed_paths) for c in in_job.scoped_credentials]
+        assert paths == [sorted(c.allowed_paths) for c in join_job.scoped_credentials]
+        assert paths == [["orders-s3/orders/"]]
+        assert 0 < in_egress <= join_egress
+        direct = platform.home_engine.execute(in_sql, admin)
+        assert in_result.rows() and sorted(in_result.rows()) == sorted(direct.rows())
+
 
 class TestCcmv:
     def test_incremental_refresh(self, env):

@@ -66,26 +66,55 @@ class TestStripQualifiers:
 # -- property: any generated expression survives print -> parse ---------------
 
 _names = st.sampled_from(["a", "b", "c", "col1"])
+_refs = st.one_of(
+    _names.map(lambda n: ast.ColumnRef((n,))),
+    st.tuples(st.sampled_from(["t", "u"]), _names).map(ast.ColumnRef),
+)
 _literals = st.one_of(
     st.integers(-1000, 1000).map(ast.Literal),
+    st.sampled_from([0.5, -2.25, 1000.0]).map(ast.Literal),
     st.booleans().map(ast.Literal),
-    st.text(alphabet="abcxyz ", max_size=6).map(ast.Literal),
+    st.none().map(ast.Literal),
+    st.text(alphabet="abcxyz' ", max_size=6).map(ast.Literal),
+    st.sampled_from(["DATE", "TIMESTAMP"]).map(lambda t: ast.Literal("2023-11-01", t)),
 )
-_leaves = st.one_of(_literals, _names.map(lambda n: ast.ColumnRef((n,))))
+_leaves = st.one_of(_literals, _refs)
 
 
 def _exprs(children):
+    """Every expression kind ``to_sql`` prints, each flag included."""
     binary = st.tuples(
         st.sampled_from(["+", "-", "*", "=", "<", ">=", "AND", "OR"]),
         children, children,
     ).map(lambda t: ast.BinaryOp(*t))
     unary = children.map(lambda e: ast.UnaryOp("NOT", e))
     is_null = st.tuples(children, st.booleans()).map(lambda t: ast.IsNull(*t))
-    in_list = st.tuples(children, st.lists(_literals, min_size=1, max_size=3)).map(
-        lambda t: ast.InList(t[0], tuple(t[1]))
+    in_list = st.tuples(
+        children, st.lists(st.one_of(_literals, children), min_size=1, max_size=3),
+        st.booleans(),
+    ).map(lambda t: ast.InList(t[0], tuple(t[1]), t[2]))
+    between = st.tuples(children, children, children, st.booleans()).map(
+        lambda t: ast.Between(*t)
     )
-    return st.one_of(binary, unary, is_null, in_list)
-
+    like = st.tuples(children, st.text(alphabet="ab%_'", max_size=4), st.booleans()).map(
+        lambda t: ast.Like(*t)
+    )
+    case = st.tuples(
+        st.lists(st.tuples(children, children), min_size=1, max_size=2),
+        st.none() | children,
+    ).map(lambda t: ast.Case(tuple(t[0]), t[1]))
+    cast = st.tuples(children, st.sampled_from(["INT64", "FLOAT64", "STRING"])).map(
+        lambda t: ast.Cast(*t)
+    )
+    call = st.tuples(
+        st.sampled_from(["COALESCE", "UPPER", "COUNT", "SUM"]),
+        st.lists(children, min_size=1, max_size=2),
+        st.booleans(),
+    ).map(lambda t: ast.FunctionCall(t[0], tuple(t[1]), distinct=t[2]))
+    count_star = st.just(ast.FunctionCall("COUNT", (), is_star=True))
+    return st.one_of(
+        binary, unary, is_null, in_list, between, like, case, cast, call, count_star
+    )
 
 expression_strategy = st.recursive(_leaves, _exprs, max_leaves=12)
 
