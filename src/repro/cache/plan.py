@@ -54,13 +54,13 @@ from repro.cache import (
 )
 from repro.engine.plan import ScanNode, SystemTableNode, TvfNode
 from repro.errors import ReproError
+from repro.security.iam import IamService, Permission, Principal
 
 if TYPE_CHECKING:
     from repro.data.batch import RecordBatch
     from repro.data.types import Schema
     from repro.engine.plan import PlanNode
     from repro.metastore.catalog import Catalog, TableInfo
-    from repro.security.iam import IamService, Principal
     from repro.simtime import SimContext
 
 
@@ -82,22 +82,17 @@ class QueryCacheConfig:
 # -- snapshot digests ---------------------------------------------------------
 
 
-def policy_digest(table: "TableInfo", principal: "Principal") -> tuple:
-    """A stable fingerprint of what ``principal`` may see of ``table``."""
-    access = table.policies.resolve(principal)
-    return (
-        tuple(access.row_filters),
-        access.row_policies_exist,
-        tuple(sorted(access.denied_columns)),
-        tuple(sorted((c, k.value) for c, k in access.masked_columns.items())),
-    )
-
-
 def table_digest(table: "TableInfo", principal: "Principal") -> tuple:
     """One table's contribution to a cache key: identity, data version,
-    schema shape, and the principal's effective policy view."""
-    schema_fp = tuple((f.name, f.dtype.name) for f in table.schema)
-    return (table.table_id, table.version, schema_fp, policy_digest(table, principal))
+    schema shape, and the principal's effective policy view. The last two
+    are memoised on the objects they come from (the frozen schema, and the
+    policy set until its next change), so a warm key costs lookups."""
+    return (
+        table.table_id,
+        table.version,
+        table.schema.fingerprint,
+        table.policies.resolve(principal).digest,
+    )
 
 
 def _plan_refs(plan: "PlanNode") -> tuple[list["TableInfo"], bool] | None:
@@ -366,8 +361,6 @@ class QueryCache:
         (which raises the ordinary access error)."""
         if self.iam is None:
             return True
-        from repro.security.iam import Permission
-
         return all(
             self.iam.is_allowed(
                 principal, Permission.TABLES_GET_DATA, table.resource_name

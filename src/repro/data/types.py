@@ -74,6 +74,9 @@ class Schema:
 
     fields: tuple[Field, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _fingerprint: tuple | None = field(
+        init=False, repr=False, compare=False, hash=False, default=None
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fields", tuple(self.fields))
@@ -98,6 +101,16 @@ class Schema:
 
     def names(self) -> list[str]:
         return [f.name for f in self.fields]
+
+    @property
+    def fingerprint(self) -> tuple[tuple[str, str], ...]:
+        """``(name, type name)`` per field — the shape a cache key records —
+        computed on first use and kept, since the schema never changes."""
+        fingerprint = self._fingerprint
+        if fingerprint is None:
+            fingerprint = tuple((f.name, f.dtype.name) for f in self.fields)
+            object.__setattr__(self, "_fingerprint", fingerprint)
+        return fingerprint
 
     def has_field(self, name: str) -> bool:
         return name.lower() in self._index

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.data.types import Schema
@@ -71,11 +72,13 @@ class TableInfo:
     options: dict[str, Any] = field(default_factory=dict)
     version: int = 0  # bumped by every data commit
 
-    @property
+    # An entry's project, dataset and name never change, and every governed
+    # read keys on its id and IAM path: both are derived once.
+    @cached_property
     def table_id(self) -> str:
         return f"{self.project}.{self.dataset}.{self.name}"
 
-    @property
+    @cached_property
     def resource_name(self) -> str:
         """IAM resource path."""
         return f"projects/{self.project}/datasets/{self.dataset}/tables/{self.name}"
@@ -93,6 +96,9 @@ class Dataset:
     name: str
     location: str = "gcp/us-central1"
     tables: dict[str, TableInfo] = field(default_factory=dict)
+    # name -> version of the last dropped table of that name, which a
+    # re-created table continues (see Catalog.create_table).
+    dropped_versions: dict[str, int] = field(default_factory=dict)
 
     @property
     def resource_name(self) -> str:
@@ -144,10 +150,16 @@ class Catalog:
             if table.storage is None:
                 raise CatalogError(f"{table.kind.value} table requires a storage descriptor")
         replaced = ds.tables.get(table.name)
-        if replaced is not None:
-            # Same table_id, different contents: continue the replaced
-            # entry's version line so nothing cached against it is addressed.
-            table.version = replaced.version + 1
+        last = (
+            replaced.version if replaced is not None
+            else ds.dropped_versions.pop(table.name, None)
+        )
+        if last is not None:
+            # Same table_id, different contents: continue the replaced (or
+            # dropped) entry's version line so nothing cached against it is
+            # addressed — a re-created table never climbs back to a version
+            # an old cache key recorded.
+            table.version = last + 1
         ds.tables[table.name] = table
         return table
 
@@ -173,7 +185,7 @@ class Catalog:
         ds = self.dataset(dataset)
         if name not in ds.tables:
             raise NotFoundError(f"table {dataset}.{name} not found")
-        del ds.tables[name]
+        ds.dropped_versions[name] = ds.tables.pop(name).version
 
     def list_tables(self, dataset: str) -> list[TableInfo]:
         return list(self.dataset(dataset).tables.values())

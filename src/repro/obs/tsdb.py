@@ -60,13 +60,16 @@ class _Series:
     """One series: parallel (sorted) time and value arrays holding the
     newest samples. Trimming is amortised — at ``2 * RETENTION_SAMPLES`` the
     older half is dropped — so the arrays stay plain lists ``bisect`` can
-    window over and an append stays O(1)."""
+    window over and an append stays O(1). ``stale`` counts the staleness
+    markers the arrays hold, exactly, so a window over a series with none
+    can skip looking for them."""
 
-    __slots__ = ("times", "values")
+    __slots__ = ("times", "values", "stale")
 
     def __init__(self) -> None:
         self.times: list[float] = []
         self.values: list[float] = []
+        self.stale = 0
 
     def append(self, t_ms: float, value: float) -> None:
         if self.times and t_ms < self.times[-1]:
@@ -75,10 +78,17 @@ class _Series:
                 f"(got {t_ms} after {self.times[-1]})"
             )
         if len(self.times) >= 2 * RETENTION_SAMPLES:
+            if self.stale:
+                self.stale -= sum(
+                    1 for v in self.values[:RETENTION_SAMPLES] if _is_stale(v)
+                )
             del self.times[:RETENTION_SAMPLES]
             del self.values[:RETENTION_SAMPLES]
+        value = float(value)
+        if value != value:  # NaN: a staleness marker
+            self.stale += 1
         self.times.append(t_ms)
-        self.values.append(float(value))
+        self.values.append(value)
 
 
 class TimeSeriesStore:
@@ -138,6 +148,8 @@ class TimeSeriesStore:
             return []
         lo = bisect_right(series.times, at_ms - window_ms)
         hi = bisect_right(series.times, at_ms)
+        if not series.stale:  # no marker anywhere in the series
+            return series.values[lo:hi]
         return [v for v in series.values[lo:hi] if not _is_stale(v)]
 
     def avg_over_time(

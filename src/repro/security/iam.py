@@ -21,6 +21,15 @@ class Principal:
     kind: PrincipalKind
     name: str
 
+    def __post_init__(self) -> None:
+        # Every governed read hashes its principal into the IAM and policy
+        # memos and prints it into the result-cache key; the text is fixed
+        # at construction, so both are derived from it once.
+        object.__setattr__(self, "_text", f"{self.kind.value}:{self.name}")
+
+    def __hash__(self) -> int:
+        return hash(self._text)
+
     @staticmethod
     def user(name: str) -> "Principal":
         return Principal(PrincipalKind.USER, name)
@@ -34,7 +43,7 @@ class Principal:
         return Principal(PrincipalKind.GROUP, name)
 
     def __str__(self) -> str:
-        return f"{self.kind.value}:{self.name}"
+        return self._text
 
 
 class Permission(enum.Enum):
@@ -129,8 +138,17 @@ class AccessDecision:
 
 @dataclass
 class _Binding:
+    # Every field here must reach the decision memo's key (or clear the
+    # memo when it changes): a decision is a function of the bindings, the
+    # group memberships and the (principal, permission, resource) asked.
     role: Role
     members: set[Principal] = field(default_factory=set)
+
+
+#: Bound on :class:`IamService`'s decision memo, in decisions. Past it the
+#: oldest decision is dropped (it is recomputed if asked again), so a stream
+#: of distinct resources cannot grow the memo without limit.
+DECISION_MEMO_CAPACITY = 4096
 
 
 class IamService:
@@ -139,14 +157,22 @@ class IamService:
     Resources are slash-separated paths (``projects/p/datasets/d/tables/t``
     or ``buckets/b``); a binding on a prefix grants access to everything
     beneath it, like real IAM resource hierarchies.
+
+    Decisions are memoised per ``(principal, permission, resource)``: the
+    answer is a function of the bindings and group memberships alone, and
+    :meth:`grant`, :meth:`revoke` and :meth:`add_group_member` — their only
+    mutators — clear the memo. Every check still asks :meth:`is_allowed`;
+    an unchanged policy just answers it with one dict lookup.
     """
 
     def __init__(self) -> None:
         self._bindings: dict[str, list[_Binding]] = {}
         self._group_members: dict[Principal, set[Principal]] = {}
+        self._decisions: dict[tuple[Principal, Permission, str], AccessDecision] = {}
 
     def grant(self, resource: str, role: Role, principal: Principal) -> None:
         """Grant ``role`` on ``resource`` to ``principal``."""
+        self._decisions.clear()
         for binding in self._bindings.setdefault(resource, []):
             if binding.role is role:
                 binding.members.add(principal)
@@ -154,6 +180,7 @@ class IamService:
         self._bindings[resource].append(_Binding(role=role, members={principal}))
 
     def revoke(self, resource: str, role: Role, principal: Principal) -> None:
+        self._decisions.clear()
         for binding in self._bindings.get(resource, []):
             if binding.role is role:
                 binding.members.discard(principal)
@@ -161,6 +188,7 @@ class IamService:
     def add_group_member(self, group: Principal, member: Principal) -> None:
         if group.kind is not PrincipalKind.GROUP:
             raise ValueError(f"{group} is not a group")
+        self._decisions.clear()
         self._group_members.setdefault(group, set()).add(member)
 
     def _expanded_identities(self, principal: Principal) -> set[Principal]:
@@ -176,6 +204,18 @@ class IamService:
     ) -> AccessDecision:
         """Check whether ``principal`` holds ``permission`` on ``resource``
         via a binding on the resource or any ancestor prefix."""
+        key = (principal, permission, resource)
+        decision = self._decisions.get(key)
+        if decision is None:
+            decision = self._decide(principal, permission, resource)
+            if len(self._decisions) >= DECISION_MEMO_CAPACITY:
+                del self._decisions[next(iter(self._decisions))]
+            self._decisions[key] = decision
+        return decision
+
+    def _decide(
+        self, principal: Principal, permission: Permission, resource: str
+    ) -> AccessDecision:
         identities = self._expanded_identities(principal)
         # Walk the resource and its ancestors.
         parts = resource.split("/")

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import enum
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any
 
 from repro.security.iam import Principal
@@ -100,18 +102,36 @@ def apply_mask_value(kind: MaskingKind, value: Any) -> Any:
     raise ValueError(f"unknown masking kind {kind}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EffectiveAccess:
-    """What one principal may see of one table, after policy resolution."""
+    """What one principal may see of one table, after policy resolution.
 
-    # SQL predicates whose union admits the visible rows; empty list with
+    Immutable, so :meth:`TablePolicySet.resolve` can hand every caller the
+    same memoised view: the fields are normalised to a tuple, a frozenset
+    and a read-only mapping however they were passed in."""
+
+    # SQL predicates whose union admits the visible rows; empty with
     # row_policies_exist=False means "all rows".
-    row_filters: list[str] = field(default_factory=list)
+    row_filters: tuple[str, ...] = ()
     row_policies_exist: bool = False
     # Columns the principal must not see at all.
-    denied_columns: set[str] = field(default_factory=set)
+    denied_columns: frozenset[str] = frozenset()
     # Columns the principal sees through a mask.
-    masked_columns: dict[str, MaskingKind] = field(default_factory=dict)
+    masked_columns: Mapping[str, MaskingKind] = field(default_factory=dict, hash=False)
+    # A stable fingerprint of the view: what a cache key records of it.
+    digest: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        masked = MappingProxyType(dict(self.masked_columns))
+        object.__setattr__(self, "row_filters", tuple(self.row_filters))
+        object.__setattr__(self, "denied_columns", frozenset(self.denied_columns))
+        object.__setattr__(self, "masked_columns", masked)
+        object.__setattr__(self, "digest", (
+            self.row_filters,
+            self.row_policies_exist,
+            tuple(sorted(self.denied_columns)),
+            tuple(sorted((c, k.value) for c, k in masked.items())),
+        ))
 
     @property
     def sees_no_rows(self) -> bool:
@@ -120,44 +140,68 @@ class EffectiveAccess:
 
 @dataclass
 class TablePolicySet:
-    """All fine-grained policies attached to one table."""
+    """All fine-grained policies attached to one table.
+
+    ``generation`` counts the policy changes; the three ``add_*`` methods
+    are the only mutators, and each bumps it and clears the memo of
+    resolved views, so :meth:`resolve` re-derives a principal's view once
+    per change instead of once per read. The memo holds one view per
+    principal that has read the table since the last change.
+    """
 
     row_policies: list[RowAccessPolicy] = field(default_factory=list)
     column_acls: list[ColumnAcl] = field(default_factory=list)
     masking_rules: list[DataMaskingRule] = field(default_factory=list)
+    generation: int = field(default=0, init=False, compare=False)
+    _views: dict[Principal, EffectiveAccess] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _changed(self) -> None:
+        self.generation += 1
+        self._views.clear()
 
     def add_row_policy(self, policy: RowAccessPolicy) -> None:
         if any(p.name == policy.name for p in self.row_policies):
             raise ValueError(f"row access policy {policy.name!r} already exists")
+        self._changed()
         self.row_policies.append(policy)
 
     def add_column_acl(self, acl: ColumnAcl) -> None:
+        self._changed()
         self.column_acls.append(acl)
 
     def add_masking_rule(self, rule: DataMaskingRule) -> None:
+        self._changed()
         self.masking_rules.append(rule)
 
     def resolve(self, principal: Principal) -> EffectiveAccess:
-        """Compute the principal's effective access to the table.
+        """The principal's effective access to the table, memoised until
+        the next policy change.
 
         Masking takes precedence over column denial (a masked reader gets
         masked values rather than an error), matching BigQuery behaviour.
         """
-        access = EffectiveAccess()
-        if self.row_policies:
-            access.row_policies_exist = True
-            access.row_filters = [
-                p.filter_sql for p in self.row_policies if p.applies_to(principal)
-            ]
-        for rule in self.masking_rules:
-            if rule.applies_to(principal):
-                access.masked_columns[rule.column] = rule.kind
-        for acl in self.column_acls:
-            if acl.column in access.masked_columns:
-                continue
-            if not acl.allows(principal):
-                access.denied_columns.add(acl.column)
+        access = self._views.get(principal)
+        if access is None:
+            access = self._views[principal] = self._resolve(principal)
         return access
+
+    def _resolve(self, principal: Principal) -> EffectiveAccess:
+        row_filters = [
+            p.filter_sql for p in self.row_policies if p.applies_to(principal)
+        ]
+        masked = {
+            rule.column: rule.kind
+            for rule in self.masking_rules
+            if rule.applies_to(principal)
+        }
+        denied = {
+            acl.column
+            for acl in self.column_acls
+            if acl.column not in masked and not acl.allows(principal)
+        }
+        return EffectiveAccess(row_filters, bool(self.row_policies), denied, masked)
 
     @property
     def is_empty(self) -> bool:

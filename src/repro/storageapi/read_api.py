@@ -867,7 +867,11 @@ class ReadApi:
         property, not overhead: table access revoked or policies changed
         since create must bind the very next read, exactly as they would a
         freshly created session. The compile is what is reused — while the
-        resolved access still equals the one it was built against."""
+        resolved access still equals the one it was built against. Both
+        answers are memoised until the next grant / revoke / group change
+        (:class:`IamService`) or policy change (:class:`TablePolicySet`), so
+        an unchanged session's recheck is two lookups and an identity-equal
+        comparison."""
         table = session.table
         decision = self.iam.is_allowed(
             session.principal, Permission.TABLES_GET_DATA, table.resource_name

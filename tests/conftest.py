@@ -12,7 +12,9 @@ from repro.simtime import SimContext
 
 # `--hypothesis-profile=oracles` (ci.yml's check job): many more examples for
 # the tests that leave max_examples to the profile — the lexer and IN-list
-# kernels against the loops they replaced, which tier-1 runs at the default.
+# kernels against the loops they replaced, the governance memos and the
+# TSDB's marker count against the code that recomputed every time — which
+# tier-1 runs at the default.
 settings.register_profile("oracles", max_examples=5000, deadline=None)
 
 GCP_US = Region(Cloud.GCP, "us-central1")

@@ -16,8 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.obs import tsdb
 from repro.obs.alerts import AlertEngine, AlertRule
-from repro.obs.metrics import MetricsRegistry, _label_key
-from repro.obs.tsdb import MetricsScraper, TimeSeriesStore, _Series
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tsdb import MetricsScraper, TimeSeriesStore
+
+from tests.reference_tsdb import UnboundedStore as _UnboundedStore
 
 
 class TestTimeSeriesStore:
@@ -183,15 +185,6 @@ class TestGaugeErgonomics:
 # -- bounded retention --------------------------------------------------------
 
 
-class _UnboundedStore(TimeSeriesStore):
-    """The reference: the same store with the trim taken out."""
-
-    def record(self, name, t_ms, value, **labels):
-        series = self._series.setdefault((name, _label_key(labels)), _Series())
-        series.times.append(t_ms)
-        series.values.append(float(value))
-
-
 #: Shrunk retention for the property tests, so short random series cross
 #: many trims.
 _SMALL_N = 8
@@ -315,4 +308,97 @@ class TestBoundedRetention:
         values = [
             [e.value for e in engine.events] for engine in engines
         ]
+        assert all(_same(g, w) for g, w in zip(*values))
+
+
+# -- the marker count: plain slices where a series holds no marker --------------
+
+#: Series shapes for the differential: no markers at all (the plain-slice
+#: path throughout), rare markers, and markers as likely as values.
+_MARKER_SERIES = st.sampled_from([0.0, 0.05, 0.5]).flatmap(
+    lambda share: st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),  # gap to the previous sample
+            st.floats(0.0, 1.0),  # below ``share``: a marker
+            st.integers(-50, 50),
+        ).map(lambda s: (s[0], math.nan if s[1] < share else float(s[2]))),
+        min_size=1,
+        max_size=90,
+    )
+)
+
+
+class TestStalenessMarkerCount:
+    """``_Series.stale`` against the verbatim filtering store of
+    tests/reference_tsdb.py, which never reads it. Tier-1 runs these at
+    the default example count; ci.yml's ``oracles`` profile runs more."""
+
+    @settings(deadline=None)
+    @given(series=st.lists(_MARKER_SERIES, min_size=1, max_size=3),
+           windows=st.lists(st.integers(1, 30), min_size=1, max_size=3))
+    def test_count_is_exact_and_windows_equal_the_reference(self, series, windows):
+        bounded, reference = TimeSeriesStore(), _UnboundedStore()
+        with _small_retention():
+            for index, samples in enumerate(series):
+                name, t = f"s{index}", 0.0
+                for gap, value in samples:
+                    t += gap
+                    bounded.record(name, t, value)
+                    reference.record(name, t, value)
+                    held = bounded._series[(name, ())]
+                    assert held.stale == sum(1 for v in held.values if math.isnan(v))
+                    for window_ms in windows:
+                        times = reference._series[(name, ())].times
+                        if sum(1 for when in times if when > t - window_ms) > _SMALL_N:
+                            continue  # reaches past the guaranteed tail
+                        got = _window_answers(bounded, name, t, float(window_ms))
+                        want = _window_answers(reference, name, t, float(window_ms))
+                        assert all(_same(g, w) for g, w in zip(got, want)), (got, want)
+
+    @settings(deadline=None)
+    @given(
+        bad=st.lists(
+            st.one_of(st.just(math.nan), st.sampled_from([0.0, 0.0, 1.0])),
+            min_size=1, max_size=120,
+        ),
+        latency=st.lists(
+            st.one_of(st.just(math.nan), st.integers(0, 100).map(float)),
+            min_size=120, max_size=120,
+        ),
+    )
+    def test_alert_transitions_with_markers_equal_the_reference(self, bad, latency):
+        # One sample per 10 ms: the longest window (60 ms) spans 6 <= N.
+        rules = [
+            AlertRule(name="burn", kind="burn_rate", series="bad", window_ms=60.0,
+                      short_window_ms=20.0, error_budget=0.3),
+            AlertRule(name="p99", kind="threshold", series="lat", fn="quantile",
+                      q=0.99, threshold=80.0, window_ms=50.0, for_ms=20.0),
+            AlertRule(name="max", kind="threshold", series="lat", fn="max",
+                      threshold=90.0, window_ms=40.0),
+            AlertRule(name="min", kind="threshold", series="lat", fn="min",
+                      comparator="<", threshold=5.0, window_ms=30.0),
+            AlertRule(name="sum", kind="threshold", series="lat", fn="sum",
+                      threshold=250.0, window_ms=40.0),
+            AlertRule(name="climb", kind="threshold", series="lat", fn="rate",
+                      threshold=500.0, window_ms=30.0),
+            AlertRule(name="now", kind="threshold", series="lat", fn="last",
+                      threshold=70.0),
+            AlertRule(name="clean", kind="threshold", series="clean", fn="avg",
+                      threshold=50.0, window_ms=40.0),
+        ]
+        bounded, reference = TimeSeriesStore(), _UnboundedStore()
+        engines = [AlertEngine(rules, bounded), AlertEngine(rules, reference)]
+        with _small_retention():
+            for step, value in enumerate(bad):
+                at_ms = 10.0 * step
+                for store in (bounded, reference):
+                    store.record("bad", at_ms, value)
+                    store.record("lat", at_ms, latency[step])
+                    store.record("clean", at_ms, float(step % 97))
+                for engine in engines:
+                    engine.evaluate(at_ms)
+        assert bounded._series[("clean", ())].stale == 0
+        got, want = ([e.to_row()[:4] for e in engine.events] for engine in engines)
+        assert got == want
+        values = [[e.value for e in engine.events] for engine in engines]
         assert all(_same(g, w) for g, w in zip(*values))

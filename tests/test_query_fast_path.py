@@ -254,6 +254,15 @@ def _drop_and_recreate(env):
     env.engine.execute("INSERT INTO m.items VALUES (9, 9.0)", env.admin)
 
 
+def _drop_and_recreate_to_the_same_version(env):
+    """The cached entry was keyed at version 2; two INSERTs into the
+    re-created table would bring a restarted version line back to 2."""
+    env.platform.catalog.drop_table("m", "items")
+    env.platform.tables.create_managed_table("m", "items", ITEMS_SCHEMA)
+    for _ in range(2):
+        env.engine.execute("INSERT INTO m.items VALUES (7, 7.0)", env.admin)
+
+
 def _flip(flag):
     def mutate(env):
         setattr(env.engine, flag, not getattr(env.engine, flag))
@@ -277,6 +286,8 @@ FALL_OFF_CASES = {
     "dml on a referenced table": (ITEMS_Q, "admin", _insert, "admin", {}),
     "dml on one table of a join": (JOIN_Q, "admin", _insert, "admin", {}),
     "drop and recreate": (ITEMS_Q, "admin", _drop_and_recreate, "admin", {}),
+    "drop and recreate to the same version": (
+        ITEMS_Q, "admin", _drop_and_recreate_to_the_same_version, "admin", {}),
     "different principal": (SALES_Q, "admin", _nothing, "reader", {}),
     "different snapshot_ms": (SALES_Q, "admin", _nothing, "admin", {"snapshot_ms": 1e9}),
     "enable_dpp flipped": (JOIN_Q, "admin", _flip("enable_dpp"), "admin", {}),
@@ -371,18 +382,47 @@ class TestIamRecheck:
         assert {c[0] for c in data_checks} == {str(env.reader)}
 
     def test_every_hit_digests_the_policies_afresh(self, env, monkeypatch):
-        env.engine.execute(SALES_Q, env.reader, use_query_cache=True)
-        table = env.platform.catalog.get_table("ds", "sales")
-        resolved = []
-        original = type(table.policies).resolve
+        """Each hit keys on digests equal to ones recomputed from scratch
+        (tests/reference_plan_cache.py) — across a policy change, a
+        revoke, a re-grant and DML between the hits — and it digests
+        every table it reads, whatever the memos hold."""
+        from repro.cache import plan as plan_module
 
-        def spy(self, principal):
-            resolved.append(str(principal))
-            return original(self, principal)
+        from tests import reference_plan_cache as reference
 
-        monkeypatch.setattr(type(table.policies), "resolve", spy)
-        assert env.engine.execute(SALES_Q, env.reader, use_query_cache=True).stats.cache_hit
-        assert resolved == [str(env.reader)]
+        keyed = []
+        original = plan_module.table_digest
+
+        def spy(table, principal):
+            digest = original(table, principal)
+            keyed.append((digest, reference.table_digest(table, principal)))
+            return digest
+
+        monkeypatch.setattr(plan_module, "table_digest", spy)
+        project = f"projects/{env.platform.config.project}"
+        changes = [
+            _nothing,
+            _grant_row_policy,
+            lambda env: env.platform.iam.revoke(project, Role.DATA_VIEWER, env.reader),
+            lambda env: env.platform.iam.grant(project, Role.DATA_VIEWER, env.reader),
+            _grant_mask,
+            _insert,
+        ]
+        for change in changes:
+            change(env)
+            for sql in (SALES_Q, JOIN_Q):
+                try:
+                    env.engine.execute(sql, env.reader, use_query_cache=True)
+                except AccessDeniedError:
+                    pass
+                keyed.clear()
+                try:
+                    hit = env.engine.execute(sql, env.reader, use_query_cache=True)
+                except AccessDeniedError:
+                    continue
+                assert hit.stats.cache_hit
+                assert len(keyed) == (1 if sql == SALES_Q else 2)
+                assert all(got == want for got, want in keyed), keyed
 
     def test_refs_evicted_entry_is_a_miss_not_a_vacuous_pass(self, env):
         """The regression the ``key[:6]`` slice invited: the result entry

@@ -38,7 +38,7 @@ class TestRowPolicies:
 
     def test_single_policy(self, policies):
         access = policies.resolve(BOB)
-        assert access.row_filters == ["region = 'eu'"]
+        assert access.row_filters == ("region = 'eu'",)
 
     def test_unlisted_principal_sees_no_rows(self, policies):
         access = policies.resolve(EVE)
