@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError
 from repro.faults import record_degradation
+from repro.obs.metrics import MetricHandles
 from repro.simtime import MIB
 
 if TYPE_CHECKING:
@@ -291,6 +292,7 @@ class DataCache:
         self.dictionaries = CacheTier(
             "dictionary", self.config.dictionary_capacity_bytes, fraction, **tier_kwargs
         )
+        self._meters = MetricHandles(ctx.metrics)
 
     @property
     def enabled(self) -> bool:
@@ -331,16 +333,19 @@ class DataCache:
         count per lookup would have left."""
         if not (tally.hits or tally.misses):
             return
-        metrics, name = self.ctx.metrics, tally.tier.name
+        meters = self._meters
+        labels = (("tier", tally.tier.name),)
         if tally.hits:
-            metrics.counter("repro_cache_hits_total", HITS_HELP).inc(tally.hits, tier=name)
-            metrics.counter("repro_cache_bytes_total", HIT_BYTES_HELP).inc(
-                tally.hit_bytes, tier=name
+            meters.counter("repro_cache_hits_total", HITS_HELP, labels).inc(tally.hits)
+            meters.counter("repro_cache_bytes_total", HIT_BYTES_HELP, labels).inc(
+                tally.hit_bytes
             )
         if tally.misses:
-            metrics.counter("repro_cache_misses_total", MISSES_HELP).inc(tally.misses, tier=name)
-        metrics.gauge("repro_cache_resident_bytes", RESIDENT_HELP).set(
-            tally.resident_bytes, tier=name
+            meters.counter("repro_cache_misses_total", MISSES_HELP, labels).inc(
+                tally.misses
+            )
+        meters.gauge("repro_cache_resident_bytes", RESIDENT_HELP, labels).set(
+            tally.resident_bytes
         )
 
     # -- footer tier --------------------------------------------------------

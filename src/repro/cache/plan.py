@@ -54,6 +54,7 @@ from repro.cache import (
 )
 from repro.engine.plan import ScanNode, SystemTableNode, TvfNode
 from repro.errors import ReproError
+from repro.obs.metrics import MetricHandles
 from repro.security.iam import IamService, Permission, Principal
 
 if TYPE_CHECKING:
@@ -190,21 +191,23 @@ class QueryCache:
         # grow it unbounded.
         self._refs: "OrderedDict[tuple, tuple[tuple, bool]]" = OrderedDict()
         self._refs_capacity = max(16, 4 * self.config.plan_capacity)
+        self._meters = MetricHandles(ctx.metrics)
 
     # -- metrics ------------------------------------------------------------
 
     def _count(self, tier: CacheTier, hit: bool, nbytes: int = 0) -> None:
-        metrics = self.ctx.metrics
+        meters = self._meters
+        labels = (("tier", tier.name),)
         if hit:
-            metrics.counter("repro_cache_hits_total", HITS_HELP).inc(tier=tier.name)
+            meters.counter("repro_cache_hits_total", HITS_HELP, labels).inc()
             if nbytes:
-                metrics.counter("repro_cache_bytes_total", HIT_BYTES_HELP).inc(
-                    nbytes, tier=tier.name
+                meters.counter("repro_cache_bytes_total", HIT_BYTES_HELP, labels).inc(
+                    nbytes
                 )
         else:
-            metrics.counter("repro_cache_misses_total", MISSES_HELP).inc(tier=tier.name)
-        metrics.gauge("repro_cache_resident_bytes", RESIDENT_HELP).set(
-            tier.resident_bytes, tier=tier.name
+            meters.counter("repro_cache_misses_total", MISSES_HELP, labels).inc()
+        meters.gauge("repro_cache_resident_bytes", RESIDENT_HELP, labels).set(
+            tier.resident_bytes
         )
 
     # -- keys ---------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.data.batch import RecordBatch, concat_batches
 from repro.data.types import Schema
 from repro.errors import AnalysisError, QueryError
 from repro.metastore.catalog import Catalog, TableKind
+from repro.obs.metrics import MetricHandles
 from repro.security.iam import Principal
 # Bound as a module and read at call time: the pool builds on this package's
 # scheduler types, so when it is imported first it is still mid-import here.
@@ -290,6 +291,9 @@ class QueryEngine:
         self.shuffle_partitions = shuffle_partitions
         self.speculation = speculation or SpeculationConfig()
         self.ctx = read_api.ctx
+        # The per-job metric series the job queue writes for this engine
+        # (repro.serving.jobs.JobQueue._observe_query_metrics).
+        self.meters = MetricHandles(self.ctx.metrics)
         self._tvf_handlers: dict[str, TvfHandler] = {}
         self.dml_handler: DmlHandler | None = None
         # Platform-owned observability services (set by _wire_engine); a

@@ -15,6 +15,7 @@ for deterministic output.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Any, Iterable
 
 LabelKey = tuple[tuple[str, str], ...]
@@ -65,10 +66,16 @@ class Counter:
         self._values: dict[LabelKey, float] = {}
 
     def inc(self, value: float = 1.0, **labels: Any) -> None:
+        self._inc(_label_key(labels), value)
+
+    def _inc(self, key: LabelKey, value: float) -> None:
         if value < 0:
             raise ValueError(f"counter {self.name} cannot decrease (got {value})")
-        key = _label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + value
+
+    def bind(self, **labels: Any) -> "BoundCounter":
+        """This counter's series for ``labels``, the label key built once."""
+        return BoundCounter(self, _label_key(labels))
 
     def get(self, **labels: Any) -> float:
         return self._values.get(_label_key(labels), 0.0)
@@ -103,8 +110,14 @@ class Gauge:
         self._values[_label_key(labels)] = float(value)
 
     def add(self, delta: float, **labels: Any) -> None:
-        key = _label_key(labels)
+        self._add(_label_key(labels), delta)
+
+    def _add(self, key: LabelKey, delta: float) -> None:
         self._values[key] = self._values.get(key, 0.0) + delta
+
+    def bind(self, **labels: Any) -> "BoundGauge":
+        """This gauge's series for ``labels``, the label key built once."""
+        return BoundGauge(self, _label_key(labels))
 
     def inc(self, delta: float = 1.0, **labels: Any) -> None:
         self.add(delta, **labels)
@@ -150,19 +163,30 @@ class Histogram:
         self.buckets = tuple(buckets) if buckets else DEFAULT_BUCKETS
         if self.buckets[-1] != math.inf:
             self.buckets = self.buckets + (math.inf,)
+        if any(not lo < hi for lo, hi in zip(self.buckets, self.buckets[1:])):
+            raise ValueError(f"histogram {name} buckets must increase: {self.buckets}")
+        # The buckets never change, so neither do their ``le`` labels.
+        self._le = tuple(("le", _fmt_value(bound)) for bound in self.buckets)
         self._counts: dict[LabelKey, list[int]] = {}
         self._sums: dict[LabelKey, float] = {}
         self._totals: dict[LabelKey, int] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
-        counts = self._counts.setdefault(key, [0] * len(self.buckets))
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[i] += 1
-                break
+        self._observe(_label_key(labels), value)
+
+    def _observe(self, key: LabelKey, value: float) -> None:
+        counts = self._counts.get(key)
+        if counts is None:
+            counts = self._counts[key] = [0] * len(self.buckets)
+        if value == value:  # NaN lands in no bucket, but in sum and count
+            # The first bucket whose bound is >= value (the last is +Inf).
+            counts[bisect_left(self.buckets, value)] += 1
         self._sums[key] = self._sums.get(key, 0.0) + value
         self._totals[key] = self._totals.get(key, 0) + 1
+
+    def bind(self, **labels: Any) -> "BoundHistogram":
+        """This histogram's series for ``labels``, the label key built once."""
+        return BoundHistogram(self, _label_key(labels))
 
     def count(self, **labels: Any) -> int:
         return self._totals.get(_label_key(labels), 0)
@@ -225,17 +249,98 @@ class Histogram:
         return lower + (upper - lower) * min(max(fraction, 0.0), 1.0)
 
     def samples(self) -> Iterable[tuple[str, LabelKey, float]]:
+        bucket = f"{self.name}_bucket"
         for key in sorted(self._totals):
             cumulative = 0
-            for i, bound in enumerate(self.buckets):
-                cumulative += self._counts[key][i]
-                yield (
-                    f"{self.name}_bucket",
-                    key + (("le", _fmt_value(bound)),),
-                    float(cumulative),
-                )
+            for le, n in zip(self._le, self._counts[key]):
+                cumulative += n
+                yield bucket, key + (le,), float(cumulative)
             yield f"{self.name}_sum", key, self._sums[key]
             yield f"{self.name}_count", key, float(self._totals[key])
+
+
+class _BoundSeries:
+    """One label series of a metric: ``bind(**labels)`` builds the label
+    key once, and every write through the handle reuses it."""
+
+    __slots__ = ("metric", "key")
+
+    def __init__(self, metric: Any, key: LabelKey) -> None:
+        self.metric = metric
+        self.key = key
+
+
+class BoundCounter(_BoundSeries):
+    __slots__ = ()
+
+    def inc(self, value: float = 1.0) -> None:
+        self.metric._inc(self.key, value)
+
+
+class BoundGauge(_BoundSeries):
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        self.metric._values[self.key] = float(value)
+
+    def inc(self, delta: float = 1.0) -> None:
+        self.metric._add(self.key, delta)
+
+    def dec(self, delta: float = 1.0) -> None:
+        self.metric._add(self.key, -delta)
+
+    def remove(self) -> bool:
+        """:meth:`Gauge.remove` of this series; a later write revives it."""
+        return self.metric._values.pop(self.key, None) is not None
+
+
+class BoundHistogram(_BoundSeries):
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        self.metric._observe(self.key, value)
+
+
+class MetricHandles:
+    """One owner's bound series handles, each resolved from the registry on
+    its first write and reused for every write after it.
+
+    Resolution waits for that first write on purpose: a metric registered
+    ahead of it would add an empty ``# HELP`` / ``# TYPE`` pair to
+    :meth:`MetricsRegistry.render` and a row to
+    ``INFORMATION_SCHEMA.METRICS``. A handle never goes stale: the registry
+    drops no metric and a metric drops no series dict (a removed gauge
+    series is revived by its next write, as through the metric).
+
+    ``labels`` is a tuple of ``(name, value)`` pairs, normalised like
+    keyword labels when the handle is first resolved.
+    """
+
+    __slots__ = ("registry", "_bound")
+
+    def __init__(self, registry: "MetricsRegistry") -> None:
+        self.registry = registry
+        self._bound: dict[tuple[str, str, tuple], Any] = {}
+
+    def counter(self, name: str, help: str, labels: tuple = ()) -> BoundCounter:
+        return self._bound.get(("counter", name, labels)) or self._bind(
+            "counter", name, help, labels
+        )
+
+    def gauge(self, name: str, help: str, labels: tuple = ()) -> BoundGauge:
+        return self._bound.get(("gauge", name, labels)) or self._bind(
+            "gauge", name, help, labels
+        )
+
+    def histogram(self, name: str, help: str, labels: tuple = ()) -> BoundHistogram:
+        return self._bound.get(("histogram", name, labels)) or self._bind(
+            "histogram", name, help, labels
+        )
+
+    def _bind(self, kind: str, name: str, help: str, labels: tuple) -> Any:
+        metric = getattr(self.registry, kind)(name, help)
+        bound = self._bound[kind, name, labels] = metric.bind(**dict(labels))
+        return bound
 
 
 class MetricsRegistry:

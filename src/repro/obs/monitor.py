@@ -42,10 +42,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.alerts import AlertEngine, AlertRule
-from repro.obs.tsdb import MetricsScraper, TimeSeriesStore
+from repro.obs.metrics import LabelKey, MetricHandles
+from repro.obs.tsdb import MetricsScraper, TimeSeriesStore, _Series
 
 if TYPE_CHECKING:
     from repro.simtime import SimContext
@@ -164,6 +166,15 @@ def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
     return max(0.0, min(a1, b1) - max(a0, b0))
 
 
+def _principal_key(principal: str) -> LabelKey:
+    """The label key a ``principal=`` keyword label normalises to."""
+    return (("principal", principal if type(principal) is str else str(principal)),)
+
+
+_DEPTH = "repro_pool_queue_depth"
+_DEPTH_HELP = "avg queued jobs per principal, last batch"
+
+
 class FleetMonitor:
     """Scrapes, samples, and alerts over one platform's serving layer."""
 
@@ -193,6 +204,7 @@ class FleetMonitor:
         # Principals with a live queue-depth gauge series (diffed per
         # batch so vanished principals get staleness markers, not ghosts).
         self._gauged: set[str] = set()
+        self._meters = MetricHandles(ctx.metrics)
 
     # -- clock-timeline scraping ---------------------------------------------
 
@@ -249,7 +261,19 @@ class FleetMonitor:
                     setattr(c, attr, getattr(c, attr) + part)
                 b += 1
 
-        events: list[tuple[float, str, dict[str, str], float]] = []
+        # (end, series name, label key, value, series) per settled job; a
+        # batch takes each series handle once.
+        store = self.store
+        flags = [
+            (name, fact, store.series(name, ()))
+            for name, fact in (
+                ("job_retried", "retried"),
+                ("job_degraded", "degraded"),
+                ("job_cache_bypass", "cache_bypass"),
+            )
+        ]
+        waits: dict[str, tuple[LabelKey, _Series]] = {}
+        events: list[tuple[float, str, LabelKey, float, _Series]] = []
         for entry in sorted(entries, key=lambda e: e["verdict"].key):
             v = entry["verdict"]
             p = entry["principal"]
@@ -269,21 +293,16 @@ class FleetMonitor:
                     p, t0, t1,
                     "compute_ms" if run.stage == "compute" else "scan_ms",
                 )
+            wait = waits.get(p)
+            if wait is None:
+                key = _principal_key(p)
+                wait = waits[p] = (key, store.series("job_queue_wait_ms", key))
             events.append(
-                (v.end_ms, "job_queue_wait_ms", {"principal": p}, v.queue_wait_ms)
+                (v.end_ms, "job_queue_wait_ms", wait[0], v.queue_wait_ms, wait[1])
             )
-            events.append(
-                (v.end_ms, "job_retried", {}, 1.0 if entry.get("retried") else 0.0)
-            )
-            events.append(
-                (v.end_ms, "job_degraded", {}, 1.0 if entry.get("degraded") else 0.0)
-            )
-            events.append(
-                (
-                    v.end_ms, "job_cache_bypass", {},
-                    1.0 if entry.get("cache_bypass") else 0.0,
-                )
-            )
+            for name, fact, series in flags:
+                value = 1.0 if entry.get(fact) else 0.0
+                events.append((v.end_ms, name, (), value, series))
 
         # Reservation rows + bucket series, bucket order (time-ordered).
         batch_principals = sorted({e["principal"] for e in entries})
@@ -295,8 +314,8 @@ class FleetMonitor:
             total_slot = sum(cells[(b, p)].slot_ms for p in active)
             weight_sum = sum(max(weights.get(p, 1.0), 1e-9) for p in active)
             t_end = base + (b + 1) * step
-            self.store.record(
-                "pool_slot_busy_ratio", t_end, total_slot / (max(1, slots) * step)
+            store.series("pool_slot_busy_ratio", ()).append(
+                t_end, total_slot / (max(1, slots) * step)
             )
             for p in active:
                 c = cells[(b, p)]
@@ -321,19 +340,19 @@ class FleetMonitor:
                     attainment=attainment,
                 )
                 self.reservation.append(row)
-                self.store.record(
-                    "pool_queue_depth", t_end, row.queue_depth_avg, principal=p
+                key = _principal_key(p)
+                store.series("pool_queue_depth", key).append(
+                    t_end, row.queue_depth_avg
                 )
-                self.store.record(
-                    "pool_attainment", t_end, attainment, principal=p
-                )
+                store.series("pool_attainment", key).append(t_end, attainment)
                 depth_sum[p] = depth_sum.get(p, 0.0) + row.queue_depth_avg
 
-        # Per-job SLO event samples, time-sorted per the append contract.
-        for t, name, labels, value in sorted(
-            events, key=lambda e: (e[0], e[1], sorted(e[2].items()))
-        ):
-            self.store.record(name, base + t, value, **labels)
+        # Per-job SLO event samples, time-sorted per the append contract. The
+        # sort is stable and keyed without the value, so same-instant ties
+        # keep their job order.
+        events.sort(key=itemgetter(0, 1, 2))
+        for t, _, _, value, series in events:
+            series.append(base + t, value)
 
         # Deterministic alert sweep over the batch's grid instants.
         for b in range(1, n_buckets + 1):
@@ -348,24 +367,23 @@ class FleetMonitor:
         """Live-registry view of the last batch; vanished principals are
         remove()-d so the next scrape emits staleness markers instead of
         repeating their final values forever."""
-        metrics = self.ctx.metrics
-        depth = metrics.gauge(
-            "repro_pool_queue_depth", "avg queued jobs per principal, last batch"
-        )
+        meters = self._meters
         for p in batch_principals:
-            depth.set(depth_sum.get(p, 0.0) / max(1, buckets), principal=p)
+            meters.gauge(_DEPTH, _DEPTH_HELP, _principal_key(p)).set(
+                depth_sum.get(p, 0.0) / max(1, buckets)
+            )
         for p in sorted(self._gauged - set(batch_principals)):
-            depth.remove(principal=p)
+            meters.gauge(_DEPTH, _DEPTH_HELP, _principal_key(p)).remove()
         self._gauged = set(batch_principals)
-        metrics.counter(
+        meters.counter(
             "repro_monitor_batches_total", "shared-pool batches observed"
         ).inc()
-        gauge = metrics.gauge(
+        gauge = meters.gauge(
             "repro_monitor_observing", "1 while a batch observation is open"
         )
         gauge.inc()
         gauge.dec()
-        metrics.gauge(
+        meters.gauge(
             "repro_monitor_reservation_rows", "retained RESERVATION_TIMELINE rows"
         ).set(float(len(self.reservation)))
 

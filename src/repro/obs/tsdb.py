@@ -111,11 +111,18 @@ class TimeSeriesStore:
     # -- writes -------------------------------------------------------------
 
     def record(self, name: str, t_ms: float, value: float, **labels: Any) -> None:
-        key = (name, _label_key(labels))
-        series = self._series.get(key)
+        self.series(name, _label_key(labels)).append(t_ms, value)
+
+    def series(self, name: str, key: LabelKey) -> _Series:
+        """The series of ``(name, key)`` — created here, so take it only to
+        append to it. Writers that append to one series over and over keep
+        the handle: the store never deletes a series, so a handle stays the
+        series for the store's life (tests/test_obs_monitor_oracle.py pins
+        that no method deletes one)."""
+        series = self._series.get((name, key))
         if series is None:
-            series = self._series[key] = _Series()
-        series.append(t_ms, value)
+            series = self._series[name, key] = _Series()
+        return series
 
     def record_stale(self, name: str, t_ms: float, **labels: Any) -> None:
         """Append a staleness marker: the series stopped existing here."""
@@ -249,6 +256,11 @@ class MetricsScraper:
         # (sample_name, labels) -> kind, as of the previous scrape; used
         # to emit staleness markers for series that vanish.
         self._live: dict[tuple[str, LabelKey], str] = {}
+        # (sample_name, labels) -> (store series, rendered sample text), built
+        # the first time a scrape sees the sample. Both stay right for the
+        # scraper's life: the text is a function of the pair, and neither
+        # the registry nor the store deletes an entry.
+        self._bound: dict[tuple[str, LabelKey], tuple[_Series, str]] = {}
 
     def maybe_scrape(self, now_ms: float) -> int:
         """Scrape every due grid instant ``<= now_ms``; returns how many
@@ -260,34 +272,39 @@ class MetricsScraper:
             ran += 1
         return ran
 
+    def _handle(self, sample: tuple[str, LabelKey]) -> tuple[_Series, str]:
+        bound = self._bound.get(sample)
+        if bound is None:
+            # A histogram bucket's key ends in its ``le`` label: the store
+            # keys the series on the sorted labels, the text keeps the order.
+            name, key = sample
+            bound = self._bound[sample] = (
+                self.store.series(name, _label_key(dict(key))),
+                f"{name}{_render_labels(key)}",
+            )
+        return bound
+
     def _scrape(self, t_ms: float) -> None:
         self.scrape_count += 1
         seen: dict[tuple[str, LabelKey], str] = {}
+        rows = self.rows
         for metric_name in self.registry.names():
             metric = self.registry.get(metric_name)
+            kind = metric.kind
             for sample_name, key, value in metric.samples():
-                seen[(sample_name, key)] = metric.kind
-                self.store.record(sample_name, t_ms, value, **dict(key))
-                self.rows.append(
-                    (
-                        t_ms,
-                        metric_name,
-                        metric.kind,
-                        f"{sample_name}{_render_labels(key)}",
-                        float(value),
-                        False,
-                    )
-                )
-        for (sample_name, key), kind in self._live.items():
-            if (sample_name, key) in seen:
+                sample = (sample_name, key)
+                seen[sample] = kind
+                series, text = self._handle(sample)
+                series.append(t_ms, value)
+                rows.append((t_ms, metric_name, kind, text, float(value), False))
+        for sample, kind in self._live.items():
+            if sample in seen:
                 continue
             # The series existed last scrape and is gone now: one
             # staleness marker, then it drops out of the scrape entirely.
-            self.store.record_stale(sample_name, t_ms, **dict(key))
-            self.rows.append(
-                (t_ms, sample_name, kind, f"{sample_name}{_render_labels(key)}",
-                 math.nan, True)
-            )
+            series, text = self._handle(sample)
+            series.append(t_ms, math.nan)
+            rows.append((t_ms, sample[0], kind, text, math.nan, True))
         self._live = seen
 
     def history_rows(self) -> Iterable[tuple]:

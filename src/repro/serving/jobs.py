@@ -583,19 +583,21 @@ class JobQueue:
 
     def _observe_query_metrics(self, job: QueryJob, result: "QueryResult") -> None:
         engine = job.engine
-        metrics = engine.ctx.metrics
-        metrics.counter("queries_total", "statements executed").inc(
-            engine=engine.name, kind=job.record.kind
-        )
-        metrics.counter(
-            "query_bytes_scanned_total", "bytes scanned on behalf of queries"
-        ).inc(result.stats.bytes_scanned, engine=engine.name)
-        metrics.histogram(
-            "query_elapsed_ms", "modeled slot-limited query latency"
-        ).observe(result.stats.elapsed_ms, engine=engine.name)
-        metrics.histogram(
-            "repro_job_queue_wait_ms", "admission-control queue wait per job"
-        ).observe(job.record.queue_wait_ms, engine=engine.name)
+        meters = engine.meters
+        labels = (("engine", engine.name),)
+        meters.counter(
+            "queries_total", "statements executed",
+            (("engine", engine.name), ("kind", job.record.kind)),
+        ).inc()
+        meters.counter(
+            "query_bytes_scanned_total", "bytes scanned on behalf of queries", labels
+        ).inc(result.stats.bytes_scanned)
+        meters.histogram(
+            "query_elapsed_ms", "modeled slot-limited query latency", labels
+        ).observe(result.stats.elapsed_ms)
+        meters.histogram(
+            "repro_job_queue_wait_ms", "admission-control queue wait per job", labels
+        ).observe(job.record.queue_wait_ms)
 
     # -- inline (nested / blocking) execution --------------------------------
 

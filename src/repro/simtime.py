@@ -20,7 +20,6 @@ Three pieces:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -39,35 +38,31 @@ MIB = 1024.0 * 1024.0
 class SimClock:
     """A logical millisecond clock advanced explicitly by simulated work.
 
-    The clock is thread-safe: the distributed-execution simulator advances
-    per-worker timelines independently and merges them via :meth:`advance_to`.
+    It takes no lock: nothing in the package starts a thread. Concurrency
+    (parallel tasks on shared slots, consumers of one read session) is
+    modeled on discrete-event timelines of its own, never on this clock.
     """
 
     def __init__(self, start_ms: float = 0.0) -> None:
         self._now_ms = float(start_ms)
-        self._lock = threading.Lock()
 
     @property
     def now_ms(self) -> float:
-        """Current simulated time in milliseconds (read under the lock, so
-        cross-thread reads during distributed execution are consistent)."""
-        with self._lock:
-            return self._now_ms
+        """Current simulated time in milliseconds."""
+        return self._now_ms
 
     def advance(self, delta_ms: float) -> float:
         """Advance the clock by ``delta_ms`` and return the new time."""
         if delta_ms < 0:
             raise ValueError(f"cannot advance clock by negative {delta_ms}")
-        with self._lock:
-            self._now_ms += delta_ms
-            return self._now_ms
+        self._now_ms += delta_ms
+        return self._now_ms
 
     def advance_to(self, timestamp_ms: float) -> float:
         """Move the clock forward to ``timestamp_ms`` if it is in the future."""
-        with self._lock:
-            if timestamp_ms > self._now_ms:
-                self._now_ms = timestamp_ms
-            return self._now_ms
+        if timestamp_ms > self._now_ms:
+            self._now_ms = timestamp_ms
+        return self._now_ms
 
 
 @dataclass

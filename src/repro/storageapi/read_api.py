@@ -116,6 +116,18 @@ class SessionStats:
             setattr(self, f.name, getattr(snap, f.name))
 
 
+class _Backlog:
+    """The units not yet started on any stream of one session. Rebalancing
+    and splitting only move not-yet-started units between the session's
+    streams, so only a cursor move changes the count — and the session is
+    drained exactly when it reaches zero."""
+
+    __slots__ = ("units",)
+
+    def __init__(self) -> None:
+        self.units = 0
+
+
 @dataclass
 class ReadStream:
     """One unit of parallel consumption: a subset of the session's files."""
@@ -126,9 +138,17 @@ class ReadStream:
     batches: list[RecordBatch] = field(default_factory=list)
     # Consumption cursor: index of the next not-yet-started unit (file, or
     # batch for managed tables). Units below the cursor are started or
-    # consumed and must never be moved by the rebalancer.
+    # consumed and must never be moved by the rebalancer. It moves through
+    # :meth:`advance` and :meth:`restore_progress`, which keep the session's
+    # backlog (shared by all its streams) in step.
     offset: int = 0
     rows_returned: int = 0
+    backlog: _Backlog = field(default_factory=_Backlog, repr=False, compare=False)
+
+    def advance(self, units: int) -> None:
+        """Mark the next ``units`` units started."""
+        self.offset += units
+        self.backlog.units -= units
 
     @property
     def unit_count(self) -> int:
@@ -162,7 +182,8 @@ class ReadStream:
         return (self.offset, self.rows_returned)
 
     def restore_progress(self, snap: tuple[int, int]) -> None:
-        self.offset, self.rows_returned = snap
+        offset, self.rows_returned = snap
+        self.advance(offset - self.offset)
 
 
 @dataclass
@@ -224,6 +245,17 @@ class ReadSession:
         from repro.storageapi.streams import serialize_session
 
         return serialize_session(self)
+
+    def __post_init__(self) -> None:
+        self.backlog = backlog = _Backlog()
+        for stream in self.streams:
+            stream.backlog = backlog
+            backlog.units += stream.unit_count - stream.offset
+
+    @property
+    def drained(self) -> bool:
+        """Every stream exhausted, in O(1)."""
+        return self.backlog.units == 0
 
     def progress(self) -> list[dict[str, int]]:
         """Per-stream consumption progress (one dict per stream)."""
@@ -914,7 +946,7 @@ class ReadApi:
             stream.rows_returned += batch.num_rows
             counter.inc(batch.num_rows, stream=str(stream.stream_id))
             yield batch
-        if all(s.exhausted for s in session.streams):
+        if session.drained:
             # Fully drained: no handle has anything left to read, so the
             # registry lets go (a later attach is an unknown session).
             # Whoever holds the session object keeps it.
@@ -1023,7 +1055,7 @@ class ReadApi:
         taken = 0
         while stream.offset < len(stream.batches) and (max_units is None or taken < max_units):
             batch = stream.batches[stream.offset]
-            stream.offset += 1
+            stream.advance(1)
             taken += 1
             session.stats.bytes_scanned += batch.nbytes()
             self._count_scanned(batch.nbytes())
@@ -1050,7 +1082,7 @@ class ReadApi:
         while stream.offset < len(stream.files) and (max_units is None or taken < max_units):
             take = chunk if max_units is None else min(chunk, max_units - taken)
             entries = stream.files[stream.offset : stream.offset + take]
-            stream.offset += len(entries)
+            stream.advance(len(entries))
             taken += len(entries)
             batch = _object_entries_to_batch(entries)
             self.ctx.charge("object_table.materialize", self.ctx.costs.bigmeta_lookup_ms)
@@ -1088,7 +1120,7 @@ class ReadApi:
             # so a rebalancer can never move it mid-read. A failed read is
             # rewound by the caller's progress snapshot, not here.
             entry = stream.files[stream.offset]
-            stream.offset += 1
+            stream.advance(1)
             taken += 1
             bucket, _, key = entry.file_path.partition("/")
             if session.use_row_oriented_reader:
@@ -1304,7 +1336,9 @@ class ReadApi:
         half = len(pending) // 2
         moved = pending[half:]
         del stream.files[stream.offset + half:]
-        new_stream = ReadStream(stream_id=len(session.streams), files=moved)
+        new_stream = ReadStream(
+            stream_id=len(session.streams), files=moved, backlog=stream.backlog
+        )
         session.streams.append(new_stream)
         return new_stream.stream_id
 

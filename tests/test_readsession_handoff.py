@@ -7,7 +7,12 @@ import pytest
 
 from repro.errors import SessionExpiredError, StorageApiError
 from repro.storageapi import read_api as read_api_module
-from repro.storageapi.streams import drain_session, parse_handle, rows_crc
+from repro.storageapi.streams import (
+    StreamRebalancer,
+    drain_session,
+    parse_handle,
+    rows_crc,
+)
 from tests.helpers import make_platform, setup_sales_lake
 
 
@@ -192,6 +197,62 @@ class TestStreamProgress:
         stream.restore_progress(snap)
         assert stream.offset == 1
         assert stream.progress()["rows_returned"] == snap[1]
+
+
+class TestRegistryRelease:
+    """The registry lets a session go exactly when its last stream is
+    exhausted — checked in O(1) against the session's backlog of
+    not-yet-started units, whatever order the streams drain in."""
+
+    @staticmethod
+    def _registered(platform, blob) -> bool:
+        try:
+            platform.read_api.attach(blob)
+        except StorageApiError:
+            return False
+        return True
+
+    def _drain(self, order, rebalance=False, fail_once=False):
+        platform, admin = make_platform()
+        info, _ = setup_sales_lake(platform, admin, files=9, rows_per_file=10)
+        read_api = platform.read_api
+        session = read_api.create_read_session(admin, info, max_streams=3)
+        blob = session.serialize()
+        if rebalance:
+            # Stream 2 steals from the fullest stream, then is split again.
+            assert StreamRebalancer(session).rebalance(to_stream=2)
+            read_api.split_stream(session, 2)
+        if fail_once:
+            # A read rewound by its progress snapshot leaves the backlog
+            # where it was.
+            snap = session.streams[0].progress_snapshot()
+            list(read_api.read_rows(session, 0, max_units=2))
+            session.streams[0].restore_progress(snap)
+        indices = order(len(session.streams))
+        reads = 0
+        while not all(s.exhausted for s in session.streams):
+            for i in indices:
+                if not session.streams[i].exhausted:
+                    break
+            list(read_api.read_rows(session, i, max_units=1))
+            reads += 1
+            assert self._registered(platform, blob) == (
+                not all(s.exhausted for s in session.streams)
+            )
+        assert reads == sum(s.unit_count for s in session.streams)
+        assert session.drained and not self._registered(platform, blob)
+
+    def test_in_order(self):
+        self._drain(lambda n: list(range(n)))
+
+    def test_reversed(self):
+        self._drain(lambda n: list(reversed(range(n))))
+
+    def test_rebalanced(self):
+        self._drain(lambda n: list(reversed(range(n))), rebalance=True)
+
+    def test_rewound_read(self):
+        self._drain(lambda n: list(range(n)), fail_once=True)
 
 
 class TestDrainHarness:

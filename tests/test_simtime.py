@@ -1,7 +1,11 @@
 """Tests for the simulated clock, cost model, and metering."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.simtime import CostModel, Metering, SimClock, SimContext
 
 
@@ -26,6 +30,20 @@ class TestSimClock:
     def test_advance_to_past_is_noop(self):
         clock = SimClock(10.0)
         assert clock.advance_to(5.0) == 10.0
+
+    def test_no_module_can_start_a_thread(self):
+        """The clock takes no lock because nothing shares it across threads:
+        no module of the package imports a thread or process API."""
+        pattern = re.compile(
+            r"^\s*(import|from)\s+(threading|_thread|concurrent|multiprocessing)\b",
+            re.M,
+        )
+        root = Path(repro.__file__).parent
+        assert [
+            str(path.relative_to(root))
+            for path in sorted(root.rglob("*.py"))
+            if pattern.search(path.read_text())
+        ] == []
 
 
 class TestCostModel:
