@@ -17,7 +17,6 @@ from repro.engine.engine import QueryEngine
 from repro.errors import CatalogError
 from repro.metastore.bigmeta import BigMetadataService
 from repro.metastore.catalog import Catalog
-from repro.metastore.hivemeta import HiveMetastore
 from repro.objectstore.registry import StoreRegistry
 from repro.obs.history import JobHistory
 from repro.obs.monitor import FleetMonitor, MonitorConfig
@@ -67,7 +66,6 @@ class LakehousePlatform:
         self.audit = AuditLog(self.ctx)
         self.catalog = Catalog(self.config.project)
         self.bigmeta = BigMetadataService(self.ctx)
-        self.hivemeta = HiveMetastore(self.ctx)
         self.stores = StoreRegistry(self.ctx)
         self.connections = ConnectionManager(self.iam, self.ctx)
         self.managed = ManagedStorage(self.ctx)

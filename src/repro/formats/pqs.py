@@ -150,6 +150,14 @@ def _json_safe(value: Any) -> Any:
     return value
 
 
+def _chunk_bounds(column: Column) -> tuple[Any, Any]:
+    """A chunk's (min, max) without NaN, as the Parquet and Iceberg specs
+    require (``Column.min_max`` keeps NaN: MIN and MAX propagate it)."""
+    if column.dtype is DataType.FLOAT64:
+        column = column.filter(~np.isnan(column.values))
+    return column.min_max()
+
+
 def _encode_chunk(column: Column) -> tuple[str, bytes]:
     """Pick an encoding for a column chunk and serialize it.
 
@@ -212,7 +220,7 @@ def write_table(
         for f in schema:
             column = group.column(f.name)
             encoding, payload = _encode_chunk(column)
-            lo, hi = column.min_max()
+            lo, hi = _chunk_bounds(column)
             rg_meta.columns.append(
                 ColumnChunkMeta(
                     name=f.name,

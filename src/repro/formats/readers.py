@@ -12,10 +12,12 @@ columnar scan calls per surviving row group.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Callable, Iterator
 
 from repro.data.batch import RecordBatch, batch_from_rows
 from repro.formats import pqs
+from repro.metastore.constraints import ConstraintSet, StatsTable, can_match
 
 
 class RowReader:
@@ -68,29 +70,13 @@ class RowReader:
             yield batch_from_rows(schema, buffer)
 
 
-def _may_match(rg: pqs.RowGroupMeta, column: str, lo: Any, hi: Any) -> bool:
-    chunk = rg.column(column)
-    if chunk.min_value is None and chunk.max_value is None:
-        # An all-null group cannot match a range predicate.
-        return not (chunk.null_count == rg.num_rows and (lo is not None or hi is not None))
-    if lo is not None and chunk.max_value is not None and chunk.max_value < lo:
-        return False
-    if hi is not None and chunk.min_value is not None and chunk.min_value > hi:
-        return False
-    return True
-
-
-def surviving_row_groups(footer: pqs.FileFooter, constraints) -> list[int]:
-    """Indices of the row groups that may hold a row satisfying every
-    ``(column, constraint)`` of ``constraints`` (a
-    :class:`~repro.metastore.constraints.ConstraintSet`), by footer min/max
-    stats. Constraints on columns the file does not have prune nothing."""
-    bounds = [
-        (footer.schema.field(column).name, constraint.lo, constraint.hi)
-        for column, constraint in constraints
-        if footer.schema.has_field(column)
-    ]
-    return [
-        i for i, rg in enumerate(footer.row_groups)
-        if all(_may_match(rg, name, lo, hi) for name, lo, hi in bounds)
-    ]
+def surviving_row_groups(footer: pqs.FileFooter, constraints: ConstraintSet) -> list[int]:
+    """Indices of the row groups that may hold a row satisfying
+    ``constraints``, by footer min/max/null-count stats. Constraints on
+    columns the file does not have prune nothing."""
+    names = [footer.schema.field(c).name for c in constraints.columns if footer.schema.has_field(c)]
+    table = StatsTable.build(
+        (rg.num_rows, (), [(name, rg.column(name)) for name in names])
+        for rg in footer.row_groups
+    )
+    return list(compress(range(len(footer.row_groups)), can_match(constraints, table)))

@@ -7,10 +7,9 @@
   file-level metadata cache with a stateful transaction log (in-memory tail
   + periodically compacted columnar baselines), supporting snapshot reads,
   multi-table transactions, and high commit rates.
-* :mod:`repro.metastore.hivemeta` — the Hive-Metastore-granularity baseline
-  (partition prefixes only), used as the comparator in E1/E5.
-* :mod:`repro.metastore.constraints` — plain column-range constraints used
-  by partition/file pruning (engine-independent).
+* :mod:`repro.metastore.constraints` — plain column-range constraints and
+  the one pruning evaluator over files, row groups and partitions
+  (engine-independent).
 """
 
 from repro.metastore.catalog import (
@@ -29,7 +28,6 @@ from repro.metastore.bigmeta import (
     MetaTransaction,
     TableMetadata,
 )
-from repro.metastore.hivemeta import HiveMetastore, HivePartition
 
 __all__ = [
     "Catalog",
@@ -45,6 +43,4 @@ __all__ = [
     "FileEntry",
     "MetaTransaction",
     "TableMetadata",
-    "HiveMetastore",
-    "HivePartition",
 ]

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable
-
-import numpy as np
+from typing import Any, Container, Iterable
 
 from repro.errors import CatalogError, NotFoundError, TransactionConflictError
-from repro.metastore.constraints import ConstraintSet
+from repro.metastore.constraints import ConstraintSet, StatsTable, can_match
 from repro.simtime import SimContext
 
 
@@ -52,9 +50,6 @@ class FileEntry:
     def partition(self) -> dict[str, Any]:
         return dict(self.partition_values)
 
-    def stats(self) -> dict[str, ColumnStats]:
-        return dict(self.column_stats)
-
     def stats_for(self, column: str) -> ColumnStats | None:
         key = column.lower()
         for name, s in self.column_stats:
@@ -83,68 +78,19 @@ class LogRecord:
     txn_id: str = ""
 
 
-class ColumnarBaselineIndex:
-    """Vectorized pruning over a compacted baseline.
-
-    The paper stores baselines in *columnar* form for read efficiency;
-    here the numeric per-file min/max statistics are transposed into numpy
-    arrays at compaction time, so a pruning pass over N files is a handful
-    of vectorized comparisons instead of N python-object walks. Non-numeric
-    columns (strings, partition values) fall back to the per-entry check.
-    """
-
-    def __init__(self, entries: list[FileEntry]) -> None:
-        self.entries = entries
-        self._numeric: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        if not entries:
-            return
-        columns: set[str] = set()
-        for entry in entries:
-            for name, stats in entry.column_stats:
-                if _is_numeric_stat(stats.min_value) and _is_numeric_stat(stats.max_value):
-                    columns.add(name.lower())
-        n = len(entries)
-        for column in columns:
-            mins = np.full(n, -np.inf)
-            maxs = np.full(n, np.inf)
-            known = np.zeros(n, dtype=bool)
-            for i, entry in enumerate(entries):
-                stats = entry.stats_for(column)
-                if stats is None:
-                    continue
-                if _is_numeric_stat(stats.min_value) and _is_numeric_stat(stats.max_value):
-                    mins[i] = float(stats.min_value)
-                    maxs[i] = float(stats.max_value)
-                    known[i] = True
-            self._numeric[column] = (mins, maxs, known)
-
-    def candidate_mask(self, constraints: ConstraintSet) -> np.ndarray:
-        """Files that *may* satisfy the numeric constraints (vectorized)."""
-        mask = np.ones(len(self.entries), dtype=bool)
-        for column, constraint in constraints:
-            indexed = self._numeric.get(column)
-            if indexed is None:
-                continue
-            mins, maxs, known = indexed
-            admitted = np.ones(len(self.entries), dtype=bool)
-            if constraint.lo is not None and _is_numeric_stat(constraint.lo):
-                admitted &= maxs >= float(constraint.lo)
-            if constraint.hi is not None and _is_numeric_stat(constraint.hi):
-                admitted &= mins <= float(constraint.hi)
-            if constraint.in_set is not None:
-                values = [v for v in constraint.in_set if _is_numeric_stat(v)]
-                if len(values) == len(constraint.in_set) and values:
-                    hits = np.zeros(len(self.entries), dtype=bool)
-                    for v in values:
-                        hits |= (mins <= float(v)) & (maxs >= float(v))
-                    admitted &= hits
-            # Files without statistics for this column stay candidates.
-            mask &= admitted | ~known
-        return mask
+def entry_stats(
+    entries: list[FileEntry], columns: Container[str] | None = None
+) -> StatsTable:
+    """The :class:`StatsTable` of ``entries`` (see :meth:`StatsTable.build`)."""
+    return StatsTable.build(
+        [(e.row_count, e.partition_values, e.column_stats) for e in entries], columns
+    )
 
 
-def _is_numeric_stat(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def prune_entries(entries: list[FileEntry], constraints: ConstraintSet) -> list[FileEntry]:
+    """The entries that may hold a row satisfying ``constraints``."""
+    table = entry_stats(entries, constraints.columns)
+    return list(itertools.compress(entries, can_match(constraints, table)))
 
 
 @dataclass
@@ -152,10 +98,10 @@ class TableMetadata:
     """The Big Metadata state for one table."""
 
     table_id: str
-    # Compacted baseline: live files as of ``baseline_commit_id``.
+    # Compacted baseline: live files as of the last fold.
     baseline: dict[str, FileEntry] = field(default_factory=dict)
-    baseline_index: ColumnarBaselineIndex | None = None
-    baseline_commit_id: int = 0
+    # The baseline's stats table, in ``baseline`` order, built once per fold.
+    baseline_stats: StatsTable | None = None
     # In-memory tail of the transaction log (records after the baseline).
     tail: list[LogRecord] = field(default_factory=list)
     # Full history for audit (the log is tamper-proof: append-only, owned
@@ -386,9 +332,7 @@ class BigMetadataService:
     def _compact(self, meta: TableMetadata) -> None:
         """Fold the tail into the columnar baseline (read-optimization)."""
         meta.baseline = meta.live_entries()
-        meta.baseline_index = ColumnarBaselineIndex(list(meta.baseline.values()))
-        if meta.tail:
-            meta.baseline_commit_id = meta.tail[-1].commit_id
+        meta.baseline_stats = entry_stats(list(meta.baseline.values()))
         meta.tail.clear()
         self.ctx.metering.count("bigmeta.baseline_compaction")
 
@@ -427,14 +371,14 @@ class BigMetadataService:
         LIST + per-file footer reads of the uncached path.
 
         Current-time reads with a compacted baseline take the columnar
-        fast path: a vectorized candidate mask over the baseline index plus
-        a per-entry check of the (short) tail — the paper's "read the
-        columnar baselines and reconcile with the tail"."""
+        fast path: the baseline's stats table, built at the fold, plus the
+        (short) tail — the paper's "read the columnar baselines and
+        reconcile with the tail". Both paths ask :func:`can_match`."""
         self.ctx.faults.check("bigmeta.lookup", table=table_id)
         columnar = (
             not constraints.is_empty
             and as_of_ms is None
-            and self.table(table_id).baseline_index is not None
+            and self.table(table_id).baseline_stats is not None
         )
         path = "columnar" if columnar else "tail_replay"
         with self.ctx.tracer.span(
@@ -447,11 +391,9 @@ class BigMetadataService:
             elif columnar:
                 entries = self._prune_columnar(meta, constraints)
             else:
-                entries = [
-                    entry
-                    for entry in meta.live_entries(as_of_ms).values()
-                    if self._entry_matches(entry, constraints)
-                ]
+                entries = prune_entries(
+                    list(meta.live_entries(as_of_ms).values()), constraints
+                )
             span.set_tag("entries", len(entries))
         self.ctx.metrics.counter(
             "bigmeta_reads_total", "Big Metadata read operations by path"
@@ -461,56 +403,25 @@ class BigMetadataService:
     def _prune_columnar(
         self, meta: TableMetadata, constraints: ConstraintSet
     ) -> list[FileEntry]:
-        """Baseline via the columnar index; tail reconciled per record."""
+        """Baseline via its stats table; tail reconciled per record."""
         self.ctx.metering.count("bigmeta.columnar_prune")
-        index = meta.baseline_index
-        mask = index.candidate_mask(constraints)
-        deleted_in_tail: set[str] = set()
-        added_in_tail: dict[str, FileEntry] = {}
+        touched: set[str] = set()  # every path the visible tail deletes or adds
+        added: dict[str, FileEntry] = {}  # the tail's live additions
         for record in meta.tail:
-            visible, _ = meta.record_visibility(record)
-            if not visible:
-                continue
-            for path in record.deleted:
-                deleted_in_tail.add(path)
-                added_in_tail.pop(path, None)
-            for entry in record.added:
-                added_in_tail[entry.file_path] = entry
-                deleted_in_tail.discard(entry.file_path)
+            if meta.record_visibility(record)[0]:
+                touched.update(record.deleted)
+                for path in record.deleted:
+                    added.pop(path, None)
+                added.update((entry.file_path, entry) for entry in record.added)
+        touched.update(added)
         survivors = [
             entry
-            for entry, candidate in zip(index.entries, mask)
-            if candidate
-            and entry.file_path not in deleted_in_tail
-            and entry.file_path not in added_in_tail
-            and self._entry_matches(entry, constraints)
+            for entry in itertools.compress(
+                meta.baseline.values(), can_match(constraints, meta.baseline_stats)
+            )
+            if entry.file_path not in touched
         ]
-        survivors.extend(
-            entry
-            for entry in added_in_tail.values()
-            if self._entry_matches(entry, constraints)
-        )
-        return survivors
-
-    @staticmethod
-    def _entry_matches(entry: FileEntry, constraints: ConstraintSet) -> bool:
-        partition = {k.lower(): v for k, v in entry.partition_values}
-        for column, constraint in constraints:
-            if column in partition:
-                if not constraint.admits_value(partition[column]):
-                    return False
-                continue
-            stats = entry.stats_for(column)
-            if stats is None:
-                continue  # no statistics: cannot prune
-            if stats.min_value is None and stats.max_value is None:
-                # All-null file for this column cannot satisfy a constraint.
-                if stats.null_count >= entry.row_count and not constraint.is_trivial:
-                    return False
-                continue
-            if not constraint.admits_range(stats.min_value, stats.max_value):
-                return False
-        return True
+        return survivors + prune_entries(list(added.values()), constraints)
 
     # -- table-level statistics (for planning, §3.4) ----------------------------------
 

@@ -92,7 +92,6 @@ class CostModel:
     # Metadata services.
     bigmeta_lookup_ms: float = 4.0
     bigmeta_commit_ms: float = 1.5
-    hive_partition_lookup_ms: float = 15.0
 
     # Networking.
     in_region_rtt_ms: float = 0.5

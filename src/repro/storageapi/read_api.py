@@ -34,9 +34,9 @@ from repro.errors import (
 from repro.faults import record_degradation
 from repro.formats import pqs
 from repro.formats.readers import RowReader, surviving_row_groups
-from repro.metastore.bigmeta import BigMetadataService, ColumnStats, FileEntry
+from repro.metastore.bigmeta import BigMetadataService, ColumnStats, FileEntry, prune_entries
 from repro.metastore.catalog import MetadataCacheMode, TableInfo, TableKind
-from repro.metastore.constraints import ConstraintSet
+from repro.metastore.constraints import ConstraintSet, StatsTable, can_match
 from repro.objectstore.registry import StoreRegistry
 from repro.security.audit import AuditLog
 from repro.security.connections import ConnectionManager
@@ -642,10 +642,7 @@ class ReadApi:
                     table.storage.bucket, prefix=_dir_prefix(table.storage.prefix)
                 )
             ]
-            entries = [
-                e for e in listed
-                if BigMetadataService._entry_matches(e, constraints)
-            ]
+            entries = prune_entries(listed, constraints)
             stats.files_total += len(listed)
         stats.files_after_pruning += len(entries)
         count = max(1, min(max_streams, (len(entries) + 4095) // 4096 or 1))
@@ -716,7 +713,7 @@ class ReadApi:
             partition = partition_values(table, meta.key)
             # Partition pruning from the key path alone avoids the footer
             # read; anything else needs the footer statistics.
-            if not self._partition_admits(partition, constraints):
+            if not can_match(constraints, StatsTable.build([(0, partition.items(), ())]))[0]:
                 continue
             footer, size = self.ctx.with_retry(
                 "objectstore.get_range",
@@ -724,22 +721,11 @@ class ReadApi:
                     store, table.storage.bucket, key, caller_location=caller
                 ),
             )
-            entry = entry_from_footer(
+            entries.append(entry_from_footer(
                 f"{table.storage.bucket}/{meta.key}", size, footer, partition,
                 generation=meta.generation,
-            )
-            if BigMetadataService._entry_matches(entry, constraints):
-                entries.append(entry)
-        return entries, total
-
-    @staticmethod
-    def _partition_admits(partition: dict[str, Any], constraints: ConstraintSet) -> bool:
-        lowered = {name.lower(): value for name, value in partition.items()}
-        return all(
-            constraint.admits_value(lowered[column])
-            for column, constraint in constraints
-            if column in lowered
-        )
+            ))
+        return prune_entries(entries, constraints), total
 
     def _require_delegated_access(
         self, table: TableInfo, store, listing: bool = False

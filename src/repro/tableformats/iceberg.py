@@ -32,7 +32,8 @@ from repro.errors import (
     CommitRetryExhaustedError,
     PreconditionFailedError,
 )
-from repro.metastore.constraints import ConstraintSet
+from repro.metastore.bigmeta import ColumnStats
+from repro.metastore.constraints import ConstraintSet, StatsTable, can_match
 from repro.objectstore import ObjectStore
 
 
@@ -251,29 +252,22 @@ class IcebergTable:
         manifest_list = json.loads(
             self.store.get_object(self.bucket, snapshot["manifest_list"])
         )
-        files: list[DataFileInfo] = []
-        for manifest_key in manifest_list["manifests"]:
-            manifest = json.loads(self.store.get_object(self.bucket, manifest_key))
-            for entry in manifest["files"]:
-                info = DataFileInfo.from_dict(entry)
-                if constraints is None or self._matches(info, constraints):
-                    files.append(info)
-        return files
-
-    @staticmethod
-    def _matches(info: DataFileInfo, constraints: ConstraintSet) -> bool:
-        partition = {k.lower(): v for k, v in info.partition}
-        bounds = {c.lower(): b for c, b in info.bounds}
-        for column, constraint in constraints:
-            if column in partition:
-                if not constraint.admits_value(partition[column]):
-                    return False
-                continue
-            if column in bounds:
-                lo, hi, _nulls = bounds[column]
-                if not constraint.admits_range(lo, hi):
-                    return False
-        return True
+        files = [
+            DataFileInfo.from_dict(entry)
+            for manifest_key in manifest_list["manifests"]
+            for entry in json.loads(self.store.get_object(self.bucket, manifest_key))["files"]
+        ]
+        if constraints is None:
+            return files
+        table = StatsTable.build(
+            (
+                info.record_count,
+                info.partition,
+                ((column, ColumnStats(*bounds)) for column, bounds in info.bounds),
+            )
+            for info in files
+        )
+        return list(itertools.compress(files, can_match(constraints, table)))
 
     # -- commits ------------------------------------------------------------------
 

@@ -7,12 +7,13 @@ from repro.errors import AlreadyExistsError, CatalogError, NotFoundError
 from repro.metastore import (
     Catalog,
     ColumnConstraint,
+    ColumnStats,
     ConstraintSet,
-    HiveMetastore,
     StorageDescriptor,
     TableInfo,
     TableKind,
 )
+from repro.metastore.constraints import StatsTable, can_match
 
 SCHEMA = Schema.of(("id", DataType.INT64))
 
@@ -94,6 +95,37 @@ class TestCatalog:
             catalog.get_table("ds", "t")
 
 
+def _file(lo, hi):
+    """A ten-row unit whose column ``x`` spans ``[lo, hi]`` without nulls."""
+    return (10, (), (("x", ColumnStats(lo, hi, 0)),))
+
+
+def _partition(value):
+    """A ten-row unit whose partition column ``x`` holds ``value``."""
+    return (10, (("x", value),), ())
+
+
+#: case -> (constraint on ``x``, units, keep-mask :func:`can_match` returns).
+EVALUATOR_CASES = {
+    "admits_range_overlap": (
+        ColumnConstraint(lo=10, hi=20),
+        [_file(15, 30), _file(21, 30), _file(0, 9)],
+        [True, False, False],
+    ),
+    "unknown_bounds_admitted": (ColumnConstraint(lo=10), [_file(None, None)], [True]),
+    "in_set_range_check": (
+        ColumnConstraint(in_set=frozenset({5})),
+        [_file(0, 10), _file(6, 10)],
+        [True, False],
+    ),
+    "admits_value": (
+        ColumnConstraint(lo=1, hi=3, in_set=frozenset({2, 9})),
+        [_partition(2), _partition(9), _partition(None)],  # 9 is outside the range
+        [True, False, False],
+    ),
+}
+
+
 class TestConstraints:
     def test_merge_and_tightens_range(self):
         a = ColumnConstraint(lo=0, hi=100)
@@ -106,26 +138,12 @@ class TestConstraints:
         b = ColumnConstraint(in_set=frozenset({2, 3, 4}))
         assert a.merge_and(b).in_set == frozenset({2, 3})
 
-    def test_admits_range_overlap(self):
-        c = ColumnConstraint(lo=10, hi=20)
-        assert c.admits_range(15, 30)
-        assert not c.admits_range(21, 30)
-        assert not c.admits_range(0, 9)
-
-    def test_unknown_bounds_admitted(self):
-        c = ColumnConstraint(lo=10)
-        assert c.admits_range(None, None)
-
-    def test_in_set_range_check(self):
-        c = ColumnConstraint(in_set=frozenset({5}))
-        assert c.admits_range(0, 10)
-        assert not c.admits_range(6, 10)
-
-    def test_admits_value(self):
-        c = ColumnConstraint(lo=1, hi=3, in_set=frozenset({2, 9}))
-        assert c.admits_value(2)
-        assert not c.admits_value(9)  # outside range
-        assert not c.admits_value(None)
+    @pytest.mark.parametrize("case", sorted(EVALUATOR_CASES))
+    def test_can_match(self, case):
+        constraint, units, expected = EVALUATOR_CASES[case]
+        cs = ConstraintSet()
+        cs.add("x", constraint)
+        assert can_match(cs, StatsTable.build(units)) == expected
 
     def test_constraint_set_merges_same_column(self):
         cs = ConstraintSet()
@@ -133,30 +151,3 @@ class TestConstraints:
         cs.add("x", ColumnConstraint(hi=10))
         constraint = cs.get("x")
         assert (constraint.lo, constraint.hi) == (0, 10)
-
-
-class TestHiveMetastore:
-    def test_partition_pruning(self, ctx):
-        hive = HiveMetastore(ctx)
-        hive.register_table("t", ["region"])
-        hive.add_partition("t", {"region": "us"}, "t/region=us/")
-        hive.add_partition("t", {"region": "eu"}, "t/region=eu/")
-        cs = ConstraintSet()
-        cs.add("region", ColumnConstraint(in_set=frozenset({"us"})))
-        survivors = hive.prune_partitions("t", cs)
-        assert [p.prefix for p in survivors] == ["t/region=us/"]
-
-    def test_non_partition_constraint_cannot_prune(self, ctx):
-        hive = HiveMetastore(ctx)
-        hive.register_table("t", ["region"])
-        hive.add_partition("t", {"region": "us"}, "t/region=us/")
-        cs = ConstraintSet()
-        cs.add("amount", ColumnConstraint(lo=100))
-        assert len(hive.prune_partitions("t", cs)) == 1
-
-    def test_duplicate_partition_ignored(self, ctx):
-        hive = HiveMetastore(ctx)
-        hive.register_table("t", ["d"])
-        hive.add_partition("t", {"d": 1}, "t/d=1/")
-        hive.add_partition("t", {"d": 1}, "t/d=1/")
-        assert len(hive.partitions("t")) == 1

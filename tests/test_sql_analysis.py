@@ -93,7 +93,7 @@ class TestSoundness:
     def test_extraction_never_excludes_matching_rows(self):
         """Property: for every predicate here, any row satisfying it lies
         within the extracted constraints."""
-        from repro.metastore.constraints import ConstraintSet
+        from repro.metastore.constraints import StatsTable, can_match
 
         cases = [
             ("x > 5 AND x < 10", {"x": 7}, True),
@@ -103,9 +103,7 @@ class TestSoundness:
         ]
         for sql, row, satisfies in cases:
             cs = extract(sql)
-            admitted = all(
-                cs.get(col) is None or cs.get(col).admits_value(value)
-                for col, value in row.items()
-            )
+            # The row as a unit whose every column is a partition value.
+            admitted = can_match(cs, StatsTable.build([(1, row.items(), ())]))[0]
             if satisfies:
                 assert admitted, f"{sql} wrongly pruned {row}"
