@@ -11,7 +11,7 @@ Two concrete representations are used throughout the system:
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class Column:
     unspecified placeholders and must not be observed.
     """
 
-    __slots__ = ("dtype", "values", "validity")
+    __slots__ = ("dtype", "values", "validity", "_texts")
 
     def __init__(
         self,
@@ -64,6 +64,8 @@ class Column:
             if bool(validity.all()):
                 validity = None
         self.validity = validity
+        # fn -> [texts, done, missing], filled by texts() when first asked.
+        self._texts: dict[Callable[[Any], Any], list] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -135,6 +137,40 @@ class Column:
             for i in np.flatnonzero(~self.validity).tolist():
                 out[i] = None
         return out
+
+    def texts(self, fn: Callable[[Any], Any], positions: np.ndarray) -> np.ndarray:
+        """``fn`` of the python value (``None`` at a null) at each of
+        ``positions``, as an object array; position ``-1`` reads as a null,
+        as a dictionary code does. Each position's text is computed the
+        first time any caller asks for it and kept on this column, per
+        ``fn``.
+
+        ``fn`` must be a pure function of the value, and a stable object: it
+        is the memo's key. A column is immutable, so its memo cannot go
+        stale, and it dies with the column: a cached chunk frees it on
+        eviction, and an uncached scan's fresh column starts empty."""
+        if self._texts is None:
+            self._texts = {}
+        memo = self._texts.get(fn)
+        if memo is None:
+            # One slot per value plus the null's at the end (index -1); the
+            # nulls' slots are filled now, the values' when first asked for.
+            done = np.ones(len(self) + 1, dtype=bool)
+            done[:-1] = False if self.validity is None else ~self.validity
+            texts = np.empty(len(self) + 1, dtype=object)
+            texts[done] = fn(None)
+            memo = self._texts[fn] = [texts, done, len(self) - self.null_count()]
+        texts, done, missing = memo
+        if missing:
+            asked = np.zeros(len(done), dtype=bool)
+            asked[positions] = True
+            todo = np.flatnonzero(asked & ~done)
+            if len(todo):
+                values = self.take(todo).to_pylist()
+                texts[todo] = np.fromiter(map(fn, values), dtype=object, count=len(values))
+                done[todo] = True
+                memo[2] = missing - len(todo)
+        return texts[positions]
 
     # -- transformations ---------------------------------------------------
 
@@ -228,18 +264,21 @@ class DictionaryColumn:
         validity = None if bool(valid.all()) else valid
         return Column(self.dtype, values, validity)
 
-    def gather(self, per_entry: list[Any], null: Any = None) -> list[Any]:
-        """One python value per row, picked by code from ``per_entry`` (one
-        value per dictionary entry); ``null`` at null rows."""
-        # The entries, then where code -1, the null, lands.
-        by_code = np.fromiter([*per_entry, null], dtype=object, count=len(per_entry) + 1)
-        # Codes come from file bytes: any negative code is a null, as in decode().
-        return by_code[np.maximum(self.codes, -1)].tolist()
-
     def to_pylist(self) -> list[Any]:
         """Python values without decoding first: each distinct value is
         converted once and rows gather it by code."""
-        return self.gather(self.dictionary.to_pylist())
+        entries = self.dictionary.to_pylist()
+        # The entries, then where code -1, the null, lands.
+        by_code = np.fromiter([*entries, None], dtype=object, count=len(entries) + 1)
+        # Codes come from file bytes: any negative code is a null, as in decode().
+        return by_code[np.maximum(self.codes, -1)].tolist()
+
+    def texts(self, fn: Callable[[Any], Any]) -> np.ndarray:
+        """``fn`` of each row's python value, as an object array: the texts
+        of the shared dictionary's entries (its memo, :meth:`Column.texts`)
+        gathered by code."""
+        # Codes come from file bytes: any negative code is a null, as in decode().
+        return self.dictionary.texts(fn, np.maximum(self.codes, -1))
 
     def filter(self, mask: np.ndarray) -> "DictionaryColumn":
         return DictionaryColumn(self.dtype, self.codes[mask], self.dictionary)

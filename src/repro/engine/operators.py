@@ -691,6 +691,9 @@ def _execute_join(node: JoinNode, ctx: ExecContext) -> list[RecordBatch]:
         # non-matching probe rows are output: LEFT and ANTI.
         _apply_dynamic_partition_pruning(probe_node, probe_keys, build_key_cols, ctx)
     probe, probe_key_cols = _execute_join_side(probe_node, probe_keys, ctx)
+    if node.kind == "ANTI" and not build.num_rows:
+        # NOT IN over the empty set is TRUE for every operand, NULL included.
+        return [probe] if probe.num_rows else []
 
     # Factorize the keys to shared int codes; NULL keys match nothing.
     build_valid = _keys_valid(build_key_cols, build.num_rows)
@@ -757,7 +760,7 @@ def _semi_join_keep(
 ) -> np.ndarray:
     """Probe rows an IN (SEMI) / NOT IN (ANTI) subquery keeps. Probe rows
     with NULL keys never qualify in either mode; the caller has already
-    handled NOT IN over a build side holding a NULL."""
+    handled NOT IN over a build side holding a NULL, or over none."""
     in_set = np.isin(probe_codes, build_codes[build_valid])
     return probe_valid & (in_set if kind == "SEMI" else ~in_set)
 

@@ -481,8 +481,10 @@ class Binder:
         if isinstance(expr, ast.Case):
             whens = tuple((self.bind(c), self.bind(v)) for c, v in expr.whens)
             default = self.bind(expr.default) if expr.default is not None else None
-            dtype = whens[0][1].dtype
-            return BoundCase(whens, default, dtype)
+            # A bare NULL branch is untyped: the first typed branch decides.
+            branches = [value for _, value in whens] + [default]
+            typed = [b for b in branches if b is not None and not _is_null(b)]
+            return BoundCase(whens, default, (typed or branches)[0].dtype)
         if isinstance(expr, ast.Cast):
             try:
                 target = DataType(expr.target_type)
@@ -851,18 +853,21 @@ def _eval_case(expr: BoundCase, batch: RecordBatch) -> Column:
         values = np.empty(n, dtype=object)
     valid = np.zeros(n, dtype=bool)
     decided = np.zeros(n, dtype=bool)
-    for cond_expr, value_expr in expr.whens:
-        mask = evaluate_predicate(cond_expr, batch) & ~decided
+    branches = list(expr.whens)
+    if expr.default is not None:
+        branches.append((None, expr.default))
+    for cond_expr, value_expr in branches:
+        mask = ~decided
+        if cond_expr is not None:
+            mask &= evaluate_predicate(cond_expr, batch)
         if mask.any():
-            branch = evaluate(value_expr, batch)
-            values[mask] = branch.values[mask]
-            valid[mask] = branch.is_valid()[mask]
             decided |= mask
-    remaining = ~decided
-    if expr.default is not None and remaining.any():
-        branch = evaluate(expr.default, batch)
-        values[remaining] = branch.values[remaining]
-        valid[remaining] = branch.is_valid()[remaining]
+            if _is_null(value_expr):
+                continue  # stays NULL; a NULL's placeholder may not fit the type
+            branch = evaluate(value_expr, batch)
+            mask &= branch.is_valid()
+            values[mask] = branch.values[mask]
+            valid[mask] = True
     return Column(out_dtype, values, None if bool(valid.all()) else valid)
 
 

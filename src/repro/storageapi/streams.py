@@ -28,12 +28,18 @@ the three pieces our simulation needs for that story:
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import json
 import zlib
 from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
 
 from repro.data.column import DictionaryColumn
+from repro.data.types import DataType
 from repro.errors import StorageApiError
 from repro.simtime import MIB
 
@@ -223,28 +229,77 @@ def rows_crc(batches) -> int:
     dependent; the row *set* must not be.
 
     The digest is the sorted ``repr`` of each row tuple, built column by
-    column: every value's ``repr`` once — a dictionary column's once per
-    entry and gathered by code, unless the rows are fewer than the entries —
-    then one join per row."""
+    column with the tuple's punctuation folded into the first and last
+    column's texts, so a row is one ``", ".join``. Each column position
+    is texted across all the batches at once (:func:`_column_texts`)."""
     rows: list[str] = []
+    by_width: dict[int, list] = {}
     for batch in batches:
-        if not batch.num_rows:
-            continue
-        texts = [_reprs(column) for column in batch.columns]
-        if len(texts) == 1:
-            rows.extend(map("({},)".format, texts[0]))
-        else:
-            rows.extend(map("({})".format, map(", ".join, zip(*texts))))
+        if batch.num_rows:
+            by_width.setdefault(len(batch.columns), []).append(batch)
+    for width, group in by_width.items():
+        last = ",)" if width == 1 else ")"
+        texts = [
+            _column_texts(
+                [batch.columns[j] for batch in group],
+                _folded_repr("(" if j == 0 else "", last if j == width - 1 else ""),
+            )
+            for j in range(width)
+        ]
+        rows.extend(texts[0] if width == 1 else map(", ".join, zip(*texts)))
     rows.sort()
     # CRC-32 of the concatenation is the CRC chained over the sorted rows.
     return zlib.crc32("".join(rows).encode("utf-8"))
 
 
-def _reprs(column) -> list[str]:
-    """``repr`` of each of ``column``'s python values (``to_pylist``)."""
-    if isinstance(column, DictionaryColumn) and len(column.dictionary) <= len(column):
-        return column.gather([*map(repr, column.dictionary.to_pylist())], repr(None))
-    return list(map(repr, column.to_pylist()))
+@functools.cache
+def _folded_repr(prefix: str, suffix: str) -> Callable[[object], str]:
+    """``repr`` with the row tuple's punctuation around it: one stable
+    function per fold, since a column's text memo keys on it."""
+    if not (prefix or suffix):
+        return repr
+    return lambda value: f"{prefix}{value!r}{suffix}"
+
+
+def _column_texts(columns: list, text: Callable[[object], str]) -> list[str]:
+    """``text`` of each python value of ``columns``, one column position
+    across a drain's batches, in row order (``text(None)`` at a null).
+
+    Each distinct value is formatted once where formatting is what costs:
+    a dictionary column's entries through the text memo of its shared
+    dictionary, and the plain FLOAT64 rows of the position through one
+    ``np.unique`` over their bit patterns, so -0.0 and 0.0 stay apart, as
+    do NaN payloads. Other plain columns format per row."""
+    starts = [0, *itertools.accumulate(map(len, columns))]
+    out = np.empty(starts[-1], dtype=object)
+    floats = []
+    for i, column in enumerate(columns):
+        if isinstance(column, DictionaryColumn):
+            out[starts[i]:starts[i + 1]] = column.texts(text)
+        elif column.dtype is DataType.FLOAT64:
+            floats.append(i)
+        else:
+            out[starts[i]:starts[i + 1]] = np.fromiter(
+                map(text, column.to_pylist()), dtype=object, count=len(column))
+    if floats:
+        texts = _float_texts([columns[i] for i in floats], text)
+        if len(floats) == len(columns):
+            return texts.tolist()
+        out[np.concatenate([np.arange(starts[i], starts[i + 1]) for i in floats])] = texts
+    return out.tolist()
+
+
+def _float_texts(columns: list, text: Callable[[object], str]) -> np.ndarray:
+    """The texts of plain FLOAT64 columns, concatenated: ``text`` runs once
+    per distinct bit pattern of their values."""
+    values = np.concatenate([c.values for c in columns])
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64).tolist()
+    by_bits = np.fromiter(
+        [*map(text, distinct), text(None)], dtype=object, count=len(distinct) + 1)
+    if any(c.validity is not None for c in columns):
+        inverse[~np.concatenate([c.is_valid() for c in columns])] = len(distinct)
+    return by_bits[inverse]
 
 
 def drain_session(

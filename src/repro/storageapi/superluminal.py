@@ -10,7 +10,7 @@ the bound-expression evaluator from :mod:`repro.sql.expressions`.
 from __future__ import annotations
 
 import copy
-import hashlib
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.data.column import Column, DictionaryColumn
 from repro.data.types import DataType, Field, Schema
 from repro.errors import AccessDeniedError, AnalysisError
 from repro.obs.trace import NOOP_TRACER, Tracer
-from repro.security.policies import EffectiveAccess, MaskingKind
+from repro.security.policies import EffectiveAccess, MaskingKind, apply_mask_value
 from repro.sql import ast_nodes as ast
 from repro.sql.expressions import (
     Binder,
@@ -180,27 +180,35 @@ class Superluminal:
                 )
                 rows = np.flatnonzero(mask) if rows is None else rows[mask]
             out = batch.select(self.columns)
-            if rows is not None and len(rows) < batch.num_rows:
+            if rows is not None and len(rows) == batch.num_rows:
+                rows = None
+            if self._masks and (out.num_rows if rows is None else len(rows)):
+                out = self._apply_masks(out, rows)
+            elif rows is not None:
                 out = out.take(rows)
-            if self._masks and out.num_rows:
-                out = self._apply_masks(out)
             self.stats.rows_out += out.num_rows
             span.set_tag("rows_out", out.num_rows)
             if self.stats.values_masked > masked_before:
                 span.set_tag("masked", self.stats.values_masked - masked_before)
             return out
 
-    def _apply_masks(self, batch: RecordBatch) -> RecordBatch:
-        for name, kind in self._masks.items():
-            if not batch.schema.has_field(name):
+    def _apply_masks(self, batch: RecordBatch, rows: np.ndarray | None) -> RecordBatch:
+        """``batch`` at ``rows`` (every row when None), its masked columns
+        masked from the source column at those positions rather than from a
+        gathered copy, so the texts a cached chunk memoises serve every
+        request that reads it (:func:`mask_column`)."""
+        fields, columns = [], []
+        for field, column in zip(batch.schema, batch.columns):
+            kind = self._masks.get(field.name.lower())
+            if kind is None:
+                fields.append(field)
+                columns.append(column if rows is None else column.take(rows))
                 continue
-            field = batch.schema.field(name)
-            masked = mask_column(batch.raw_column(name), kind)
-            self.stats.values_masked += batch.num_rows
-            batch = batch.with_column(
-                Field(field.name, masked.dtype, nullable=True), masked
-            )
-        return batch
+            masked = mask_column(column, kind, rows)
+            self.stats.values_masked += len(masked)
+            fields.append(Field(field.name, masked.dtype, nullable=True))
+            columns.append(masked)
+        return RecordBatch(Schema(tuple(fields)), columns)
 
 
 class _DenyAll:
@@ -210,24 +218,37 @@ class _DenyAll:
 _DENY_ALL = _DenyAll()
 
 
-def _hash_text(value) -> str:
-    payload = value if isinstance(value, bytes) else str(value).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+#: The per-value text masks, one stable function per kind: a column's text
+#: memo is keyed by it.
+_TEXT_MASKS = {
+    kind: functools.partial(apply_mask_value, kind)
+    for kind in (MaskingKind.HASH, MaskingKind.LAST_FOUR)
+}
 
 
-def _last_four_text(value) -> str:
-    text = str(value)
-    if len(text) <= 4:
-        return "X" * len(text)
-    return "X" * (len(text) - 4) + text[-4:]
+def mask_column(
+    column: Column | DictionaryColumn, kind: MaskingKind, positions: np.ndarray | None = None
+) -> Column:
+    """The values of ``column`` at ``positions`` (every row when None)
+    masked with the semantics of
+    :func:`repro.security.policies.apply_mask_value`.
 
-
-def mask_column(column: Column | DictionaryColumn, kind: MaskingKind) -> Column:
-    """Vectorized data masking with the semantics of
-    :func:`repro.security.policies.apply_mask_value`."""
-    n = len(column)
+    HASH and LAST_FOUR texts are memoised on ``column`` (:meth:`Column.texts`)
+    — for a dictionary column, per entry of its shared dictionary — so a
+    cached chunk masks each value once however many requests read it. A
+    mask text is a function of the value alone; the output gathers only
+    the requested positions."""
     encoded = isinstance(column, DictionaryColumn)
-    validity = column.codes >= 0 if encoded else column.validity
+    if encoded:
+        if positions is not None:
+            column = column.take(positions)  # codes only
+        validity = column.codes >= 0
+        n = len(column)
+    else:
+        if positions is None:
+            positions = np.arange(len(column))
+        validity = None if column.validity is None else column.validity[positions]
+        n = len(positions)
     if kind is MaskingKind.NULLIFY:
         return Column.nulls(column.dtype, n)
     if kind is MaskingKind.DEFAULT_VALUE:
@@ -245,15 +266,8 @@ def mask_column(column: Column | DictionaryColumn, kind: MaskingKind) -> Column:
             Column.repeat(column.dtype, defaults[column.dtype], n).values,
             validity,
         )
-    if kind is MaskingKind.HASH:
-        mask = _hash_text
-    elif kind is MaskingKind.LAST_FOUR:
-        mask = _last_four_text
-    else:
+    mask = _TEXT_MASKS.get(kind)
+    if mask is None:
         raise ValueError(f"unknown masking kind {kind}")
-    if encoded and len(column.dictionary) <= n:
-        # Operate on codes: mask each distinct value once, gather per row.
-        texts = column.gather([mask(v) for v in column.dictionary.to_pylist()])
-    else:
-        texts = [None if v is None else mask(v) for v in column.to_pylist()]
+    texts = column.texts(mask) if encoded else column.texts(mask, positions)
     return Column(DataType.STRING, texts, validity)

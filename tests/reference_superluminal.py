@@ -3,7 +3,8 @@ the restriction bound against the whole table schema and each filter
 applied to every column of the batch in turn, over the decode-first
 evaluator of ``tests/reference_expressions.py``. ``process`` is kept
 verbatim (only ``evaluate_predicate`` is the reference's); compilation,
-projection and masking are ``Superluminal``'s own.
+projection and masking are ``Superluminal``'s own — ``_apply_masks`` here
+only adapts its call to a batch that is already filtered.
 
 Not collected by pytest (no ``test_`` prefix); the oracle of
 tests/test_encoded_predicates.py.
@@ -23,6 +24,9 @@ class ReferenceSuperluminal(Superluminal):
         super().__init__(table_schema, access, columns, row_restriction, functions)
         if row_restriction is not None:
             self._user_filter = Binder(table_schema, functions).bind(row_restriction)
+
+    def _apply_masks(self, batch: RecordBatch, rows=None) -> RecordBatch:
+        return super()._apply_masks(batch, rows)
 
     def process(self, batch: RecordBatch) -> RecordBatch:
         """Apply the full enforcement pipeline to one batch."""

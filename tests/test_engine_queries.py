@@ -287,3 +287,108 @@ class TestAggregateIdentity:
         platform, admin, db = engines
         assert platform.home_engine.execute(sql, admin).rows() == expected
         assert db.execute(sql.replace("agg.dup", "dup")).fetchall() == expected
+
+
+def _twin_tables(tables: dict[str, tuple[Schema, dict]]):
+    """The same literal rows as managed tables in dataset ``lj`` and as
+    stdlib sqlite3 tables (DATE stored as its day number)."""
+    platform, admin = make_platform()
+    platform.catalog.create_dataset("lj")
+    db = sqlite3.connect(":memory:")
+    sqlite_types = {DataType.INT64: "INTEGER", DataType.DATE: "INTEGER",
+                    DataType.FLOAT64: "REAL", DataType.STRING: "TEXT"}
+    for name, (schema, data) in tables.items():
+        table = platform.tables.create_managed_table("lj", name, schema)
+        platform.managed.append(table.table_id, batch_from_pydict(schema, data))
+        columns = ", ".join(f"{f.name} {sqlite_types[f.dtype]}" for f in schema)
+        db.execute(f"CREATE TABLE {name} ({columns})")
+        db.executemany(
+            f"INSERT INTO {name} VALUES ({', '.join('?' * len(schema))})",
+            zip(*(data[f.name] for f in schema)))
+    return platform, admin, db
+
+
+class TestNotInOverEachBuildSide:
+    """``x NOT IN (subquery)`` is TRUE for every ``x`` — NULL included — when
+    the subquery is empty, NULL for every row when it holds a NULL, and the
+    usual three-valued answer otherwise; ``NOT (x IN …)`` is the same
+    predicate. Literal answers, and the same answers from sqlite3."""
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        platform, admin, db = _twin_tables({
+            "l": (Schema.of(("k", DataType.INT64), ("lv", DataType.STRING)),
+                  {"k": [1, None, 2], "lv": ["a", "b", "c"]}),
+            "r": (Schema.of(("k", DataType.INT64),), {"k": [None, 2, 5]}),
+        })
+        yield platform, admin, db
+        db.close()
+
+    BUILD_SIDES = {
+        "empty": "SELECT k FROM lj.r WHERE k < 0",
+        "null only": "SELECT k FROM lj.r WHERE k IS NULL",
+        "no null": "SELECT k FROM lj.r WHERE k > 0",
+    }
+
+    @pytest.mark.parametrize("build, predicate, expected", [
+        ("empty", "k NOT IN ({})", ["a", "b", "c"]),
+        ("empty", "NOT (k IN ({}))", ["a", "b", "c"]),
+        ("empty", "k IN ({})", []),
+        ("null only", "k NOT IN ({})", []),
+        ("null only", "NOT (k IN ({}))", []),
+        ("null only", "k IN ({})", []),
+        ("no null", "k NOT IN ({})", ["a"]),
+        ("no null", "NOT (k IN ({}))", ["a"]),
+        ("no null", "k IN ({})", ["c"]),
+    ])
+    def test_answer_matches_sqlite(self, engines, build, predicate, expected):
+        platform, admin, db = engines
+        sql = f"SELECT lv FROM lj.l WHERE {predicate.format(self.BUILD_SIDES[build])}"
+        got = sorted(v for (v,) in platform.home_engine.execute(sql, admin).rows())
+        assert got == expected
+        assert sorted(v for (v,) in db.execute(sql.replace("lj.", "")).fetchall()) == expected
+
+
+class TestCaseWithNullBranches:
+    """Rows no typed branch of a CASE decides are NULL — with ``ELSE NULL``,
+    with no ELSE, and under a ``THEN NULL`` — whatever the type of the
+    branch that has a type; it also types the result."""
+
+    DATA = {
+        "id": [1, 2, 3, 4],
+        "x": [1, -1, None, 2],
+        "i": [10, 20, 30, None],
+        "f": [0.5, 1.5, 2.5, None],
+        "d": [100, 200, 300, None],
+        "s": ["p", "q", "r", None],
+    }
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        schema = Schema.of(("id", DataType.INT64), ("x", DataType.INT64),
+                           ("i", DataType.INT64),
+                           ("f", DataType.FLOAT64), ("d", DataType.DATE),
+                           ("s", DataType.STRING))
+        platform, admin, db = _twin_tables({"t": (schema, self.DATA)})
+        yield platform, admin, db
+        db.close()
+
+    @pytest.mark.parametrize("column, dtype, expected", [
+        ("i", DataType.INT64, [10, None, None, None]),
+        ("f", DataType.FLOAT64, [0.5, None, None, None]),
+        ("d", DataType.DATE, [100, None, None, None]),
+        ("s", DataType.STRING, ["p", None, None, None]),
+    ])
+    @pytest.mark.parametrize("shape", [
+        "CASE WHEN x > 0 THEN {c} ELSE NULL END",
+        "CASE WHEN x > 0 THEN {c} END",
+        "CASE WHEN x <= 0 THEN NULL WHEN x > 0 THEN {c} END",
+        "CASE WHEN x <= 0 OR x IS NULL THEN NULL ELSE {c} END",
+    ])
+    def test_unmatched_rows_are_null(self, engines, shape, column, dtype, expected):
+        platform, admin, db = engines
+        sql = f"SELECT {shape.format(c=column)} AS v FROM lj.t ORDER BY id"
+        result = platform.home_engine.execute(sql, admin)
+        assert result.schema.field("v").dtype is dtype
+        want = [v for (v,) in db.execute(sql.replace("lj.", "")).fetchall()]
+        assert result.column("v") == want == expected

@@ -17,6 +17,7 @@ Two things are pinned here (DESIGN.md §13, "row boundary"):
 from __future__ import annotations
 
 import operator
+import struct
 import sys
 
 import numpy as np
@@ -105,7 +106,7 @@ def assert_same_column(got: Column, want: Column) -> None:
 
 def encoded_variants(column: Column, draw) -> list[DictionaryColumn]:
     """``column`` dictionary-encoded, and a filtered copy whose dictionary
-    may outnumber its rows (the case that is masked per row, not per entry)."""
+    may outnumber its rows."""
     encoded = reference.dictionary_encode(column)
     keep = np.array(draw(st.lists(
         st.booleans(), min_size=len(column), max_size=len(column))), dtype=bool)
@@ -249,6 +250,117 @@ def test_rows_crc_is_the_reference_digest_whatever_the_batching(data):
         DictionaryColumn(DataType.INT64, codes, entries)])
     assert streams.rows_crc([odd]) == reference.rows_crc([odd])
     assert streams.rows_crc([]) == reference.rows_crc([]) == 0
+
+
+# Values a mask or the digest must tell apart: signed zeros, NaNs with
+# different payloads, infinities, ints that float64 cannot hold, and text.
+_NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+_EDGES = {
+    DataType.FLOAT64: [-0.0, 0.0, float("nan"), _NAN_PAYLOAD, float("inf"), float("-inf")],
+    DataType.INT64: [2**53, 2**53 + 1, -(2**53) - 1, INT64_MAX, INT64_MIN],
+    DataType.STRING: ["", "abcd", "abcde", "é"],
+    DataType.BYTES: [b"", b"\x00", b"abcdef"],
+}
+
+
+def _with_edges(dtype: DataType):
+    """Values of ``dtype``, with its edge values drawn often."""
+    if dtype not in _EDGES:
+        return VALUES[dtype]
+    return st.one_of(VALUES[dtype], st.sampled_from(_EDGES[dtype]))
+
+
+@st.composite
+def mask_sources(draw):
+    """A flat column, or a dictionary column whose dictionary may be empty
+    and whose codes may be any negative number (a NULL) — with nulls, the
+    edge values above and repeats."""
+    dtype = draw(st.sampled_from([*_EDGES, DataType.DATE, DataType.BOOL]))
+    value = _with_edges(dtype)
+    if draw(st.booleans()):
+        items = draw(st.lists(st.one_of(st.none(), value), max_size=16))
+        return Column.from_pylist(dtype, items)
+    dictionary = Column.from_pylist(dtype, draw(st.lists(value, max_size=6)))
+    codes = draw(st.lists(st.integers(-3, len(dictionary) - 1), max_size=16))
+    return DictionaryColumn(dtype, np.asarray(codes, dtype=np.int32), dictionary)
+
+
+def _position_sets(n: int):
+    """No rows, every row, or any positions in any order, repeats allowed."""
+    some = st.lists(st.integers(0, n - 1), max_size=2 * n) if n else st.just([])
+    return st.one_of(st.just([]), st.just(list(range(n))), some)
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_memoised_masks_are_the_loop_at_every_position_set(data):
+    """One column object masked again and again, by both text masks, at
+    drawn position sets: every call is the reference loop over the column
+    gathered at those positions, whatever the memo already holds."""
+    column = data.draw(mask_sources())
+    steps = st.tuples(
+        st.sampled_from([MaskingKind.HASH, MaskingKind.LAST_FOUR]), _position_sets(len(column)))
+    for kind, positions in data.draw(st.lists(steps, min_size=1, max_size=6)):
+        positions = np.asarray(positions, dtype=np.int64)
+        gathered = column.take(positions)
+        if isinstance(gathered, DictionaryColumn):
+            gathered = gathered.decode()
+        assert_same_column(
+            mask_column(column, kind, positions), reference.mask_column(gathered, kind))
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_column_texts_run_once_per_position_asked(data):
+    """``Column.texts`` calls its function once per non-null position some
+    call asked for — never for one nobody asked for, never twice — and
+    once for the null's text; position -1 reads as a null."""
+    column = data.draw(columns())
+    calls = []
+
+    def text(value):
+        calls.append(value)
+        return repr(value)
+
+    values = reference.to_pylist(column)
+    asked: set[int] = set()
+    position_sets = st.lists(st.one_of(_position_sets(len(column)), st.just([-1])), max_size=5)
+    for positions in data.draw(position_sets):
+        got = column.texts(text, np.asarray(positions, dtype=np.int64))
+        assert got.tolist() == [repr(None if i < 0 else values[i]) for i in positions]
+        asked.update(i for i in positions if i >= 0 and values[i] is not None)
+        assert sorted(repr(v) for v in calls if v is not None) == sorted(
+            repr(values[i]) for i in asked)
+        assert calls.count(None) == 1
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_rows_crc_is_the_reference_with_each_position_plain_or_encoded(data):
+    """A column position dictionary-encoded in some batches and plain in
+    others — the drain's shape when files encode a column differently —
+    with nulls, ±0.0, NaN payloads, ±inf and empty and one-column batches,
+    and batches of two widths in one call."""
+    batches = []
+    for _ in range(data.draw(st.integers(0, 2))):
+        dtypes = data.draw(st.lists(DTYPES, min_size=1, max_size=4))
+        schema = Schema(tuple(Field(f"c{j}", t) for j, t in enumerate(dtypes)))
+        for _ in range(data.draw(st.integers(1, 4))):
+            n = data.draw(st.integers(0, 8))
+            cols = []
+            for dtype in dtypes:
+                value = st.one_of(st.none(), _with_edges(dtype))
+                items = data.draw(st.lists(value, min_size=n, max_size=n))
+                column = Column.from_pylist(dtype, items)
+                if data.draw(st.booleans()):
+                    column = reference.dictionary_encode(column)
+                cols.append(column)
+            batches.append(RecordBatch(schema, cols))
+    want = reference.rows_crc(batches)
+    assert streams.rows_crc(batches) == want
+    assert streams.rows_crc(batches[::-1]) == want
+    # Warm memos: the same column objects digest the same again.
+    assert streams.rows_crc(batches) == want
 
 
 _MAPPED = [
