@@ -70,12 +70,9 @@ class QueryCacheConfig:
     """Capacity knobs for the plan and result tiers."""
 
     # Plan tier: entry-counted LRU (a plan's footprint is a few nodes).
-    plan_enabled: bool = True
     plan_capacity: int = 256
     # Result tier: byte-bounded by materialized batch size. Statements opt
-    # in per submit/execute with ``use_query_cache=True``; this flag is the
-    # platform-wide master switch.
-    result_enabled: bool = True
+    # in per submit/execute with ``use_query_cache=True``.
     result_capacity_bytes: int = 64 * 1024 * 1024
     result_admission_fraction: float = 0.25
 
@@ -281,8 +278,6 @@ class QueryCache:
         """The cached plan for ``sql_text`` — the one object every hit
         shares; execution never writes to a plan — or None. Pass the job's
         :meth:`resolve` result to reuse its digests."""
-        if not self.config.plan_enabled:
-            return None
         if resolution is None:
             resolution = self.resolve(sql_text, engine, principal)
         if resolution is None:
@@ -300,8 +295,6 @@ class QueryCache:
         self, sql_text: str, engine: Any, principal: "Principal", plan: PlanNode
     ) -> bool:
         """Admit an optimized plan. Returns True on admission."""
-        if not self.config.plan_enabled:
-            return False
         refs = _plan_refs(plan)
         if refs is None:
             return False
@@ -323,8 +316,8 @@ class QueryCache:
     ) -> ResultKey | None:
         """The result-cache key built from the SQL text alone (its
         remembered refs, resolved by :meth:`resolve`), or None when the
-        text is not result-cacheable or the master switch is off."""
-        if not self.config.result_enabled or not resolution.result_cacheable:
+        text is not result-cacheable."""
+        if not resolution.result_cacheable:
             return None
         return ResultKey(
             resolution.plan_key + (str(principal), snapshot_ms), resolution.tables
@@ -340,9 +333,7 @@ class QueryCache:
     ) -> ResultKey | None:
         """The result-cache key for an about-to-run SELECT, from the tables
         its plan scans, or None when it is not result-cacheable (TVFs,
-        INFORMATION_SCHEMA, master switch off, or an unresolvable table)."""
-        if not self.config.result_enabled:
-            return None
+        INFORMATION_SCHEMA, or an unresolvable table)."""
         refs = _plan_refs(plan)
         if refs is None:
             return None

@@ -373,7 +373,7 @@ class TableManager:
             table.version += 1
             return affected
         if table.kind is TableKind.BLMT:
-            return self.blmt.rewrite_rows(table, extract_constraints(where), transform)
+            return self.blmt.rewrite_rows(table, extract_constraints(where, table.schema), transform)
         raise QueryError(f"cannot mutate {table.kind.value} table")
 
     # -- MERGE ----------------------------------------------------------------------

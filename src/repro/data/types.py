@@ -50,6 +50,24 @@ class DataType(enum.Enum):
         return np.dtype(object)
 
 
+# How two types meet wherever SQL mixes them — comparisons, arithmetic,
+# BETWEEN, IN, CASE, COALESCE / IFNULL / IF / GREATEST / LEAST, UNION ALL,
+# join keys and pruning: the pairs of differing types that have a common
+# type, and that type. A value of the other type is cast to it; no cast on
+# this table can fail.
+_SUPERTYPES = {
+    frozenset((DataType.INT64, DataType.FLOAT64)): DataType.FLOAT64,
+    frozenset((DataType.DATE, DataType.TIMESTAMP)): DataType.TIMESTAMP,  # DATE -> midnight
+    frozenset((DataType.INT64, DataType.DATE)): DataType.DATE,  # the int is a day number
+    frozenset((DataType.INT64, DataType.TIMESTAMP)): DataType.TIMESTAMP,  # ... micros
+}
+
+
+def common_type(a: DataType, b: DataType) -> DataType | None:
+    """The type values of ``a`` and ``b`` meet in; None when they do not."""
+    return a if a is b else _SUPERTYPES.get(frozenset((a, b)))
+
+
 @dataclass(frozen=True)
 class Field:
     """A named, typed, possibly nullable column slot in a schema."""

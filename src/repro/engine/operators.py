@@ -789,8 +789,10 @@ def _apply_dynamic_partition_pruning(
         # A NaN key matches nothing, so it is dropped from the IN-set. An
         # infinite or a BYTES one matches but has no SQL literal — the form
         # the restriction takes in a connector's session handle — so it is
-        # not pruned on.
-        if build_col.dtype is DataType.BYTES:
+        # not pruned on. Nor is a key whose type differs from the probe
+        # column's (the planner casts the one of two keys whose type
+        # differs), as its values are not in the column's unit.
+        if build_col.dtype is DataType.BYTES or build_col.dtype is not scan.table.schema.field(column).dtype:
             continue
         values = {v for v in build_col.to_pylist() if v is not None and v == v}
         if (

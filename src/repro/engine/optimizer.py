@@ -360,10 +360,16 @@ def _connected(
 ) -> bool:
     rel_names = {f.name.lower() for f in relation.schema}
     for left, right in conditions:
-        l, r = str(left).lower(), str(right).lower()
+        l, r = _key_name(left), _key_name(right)
         if (l in rel_names and r in joined_names) or (r in rel_names and l in joined_names):
             return True
     return False
+
+
+def _key_name(key: ast.Expr) -> str:
+    """The column an equi-join key reads, through the cast that meets the
+    other key's type."""
+    return str(key.operand if isinstance(key, ast.Cast) else key).lower()
 
 
 def _rebuild_left_deep(
@@ -378,7 +384,7 @@ def _rebuild_left_deep(
         for i, (left, right) in enumerate(conditions):
             if used[i]:
                 continue
-            l, r = str(left).lower(), str(right).lower()
+            l, r = _key_name(left), _key_name(right)
             if l in available and r in incoming:
                 keys.append((left, right))
                 used[i] = True

@@ -9,7 +9,9 @@ from repro.data.types import DataType, Field, Schema
 from repro.errors import AnalysisError
 from repro.metastore.catalog import Catalog, TableInfo, TableKind
 from repro.sql import ast_nodes as ast
-from repro.sql.expressions import AGGREGATE_FUNCTIONS, Binder, FunctionRegistry
+from repro.sql.expressions import (
+    AGGREGATE_FUNCTIONS, Binder, BoundColumn, BoundExpr, BoundLiteral, FunctionRegistry,
+)
 from repro.storageapi.read_api import OBJECT_TABLE_SCHEMA
 
 from repro.engine.plan import (
@@ -63,8 +65,18 @@ class Planner:
             other = self.plan_select(select.union_all)
             if len(other.schema) != len(plan.schema):
                 raise AnalysisError("UNION ALL arms have different column counts")
-            plan = UnionAllNode(inputs=[plan, other], schema=plan.schema)
+            plan = self._plan_union(plan, other)
         return plan
+
+    def _plan_union(self, first: PlanNode, second: PlanNode) -> UnionAllNode:
+        """Both arms, each column cast to the type the two meet in there."""
+        arms = (first, second)
+        dtypes = [
+            Binder.coerce([_output_column(arm, i) for arm in arms], "UNION ALL")[1]
+            for i in range(len(first.schema))
+        ]
+        inputs = [_cast_columns(arm, dtypes) for arm in arms]
+        return UnionAllNode(inputs=inputs, schema=inputs[0].schema)
 
     def _plan_query_block(self, select: ast.Select) -> PlanNode:
         join_context = isinstance(select.from_item, ast.Join)
@@ -172,12 +184,14 @@ class Planner:
                 "IN (SELECT ...) subquery must produce exactly one column"
             )
         sub_column = ast.ColumnRef((sub_plan.schema.fields[0].name,))
+        keys = (node.operand, sub_column)
+        bound = [Binder(outer.schema, self.functions).bind(node.operand), _output_column(sub_plan, 0)]
         return JoinNode(
             kind="ANTI" if node.negated else "SEMI",
             left=outer,
             right=sub_plan,
             schema=outer.schema,
-            equi_keys=[(node.operand, sub_column)],
+            equi_keys=[_meet_keys(keys, bound, "IN (SELECT ...)")],
         )
 
     # -- FROM ------------------------------------------------------------
@@ -501,28 +515,62 @@ def _orient_equi_keys(
     functions: FunctionRegistry,
 ) -> tuple[list[tuple[ast.Expr, ast.Expr]], list[ast.Expr]]:
     """Orient each ``a = b`` pair so the first expr binds against the left
-    child and the second against the right; pairs that cannot be oriented
-    (e.g. both sides reference the same child) fall back to residuals."""
-    left_binder = Binder(left_schema, functions)
-    right_binder = Binder(right_schema, functions)
+    child and the second against the right, then meet their types (see
+    _meet_keys); pairs that cannot be oriented (e.g. both sides reference
+    the same child) fall back to residuals."""
+    binders = (Binder(left_schema, functions), Binder(right_schema, functions))
 
-    def binds(binder: Binder, expr: ast.Expr) -> bool:
+    def bind(binder: Binder, expr: ast.Expr) -> BoundExpr | None:
         try:
-            binder.bind(expr)
-            return True
+            return binder.bind(expr)
         except AnalysisError:
-            return False
+            return None
 
     oriented: list[tuple[ast.Expr, ast.Expr]] = []
     residuals: list[ast.Expr] = []
     for a, b in equi:
-        if binds(left_binder, a) and binds(right_binder, b):
-            oriented.append((a, b))
-        elif binds(left_binder, b) and binds(right_binder, a):
-            oriented.append((b, a))
+        for keys in ((a, b), (b, a)):
+            bound = [bind(binder, key) for binder, key in zip(binders, keys)]
+            if None not in bound:
+                oriented.append(_meet_keys(keys, bound, "join keys"))
+                break
         else:
             residuals.append(ast.BinaryOp("=", a, b))
     return oriented, residuals
+
+
+def _meet_keys(keys: tuple[ast.Expr, ast.Expr], bound: list[BoundExpr], construct: str):
+    """An equality's two keys — ``bound`` each against its own side — with
+    the one whose type differs cast to the type the two meet in."""
+    _, dtype = Binder.coerce(bound, construct)
+    return tuple(k if b.dtype is dtype else ast.Cast(k, dtype.value) for k, b in zip(keys, bound))
+
+
+def _output_column(plan: PlanNode, i: int) -> BoundExpr:
+    """Column ``i`` of ``plan`` as its type meets another's: a bare NULL
+    where the plan (each arm of a union) selects NULL."""
+    f = plan.schema.fields[i]
+    while isinstance(plan, (DistinctNode, LimitNode, SortNode)):
+        plan = plan.child
+    if isinstance(plan, UnionAllNode):
+        null = all(isinstance(_output_column(arm, i), BoundLiteral) for arm in plan.inputs)
+    else:
+        item = plan.items[i][0] if isinstance(plan, ProjectNode) else None
+        null = isinstance(item, ast.Literal) and item.value is None and item.type_hint is None
+    return BoundLiteral(None, f.dtype) if null else BoundColumn(i, f.name, f.dtype)
+
+
+def _cast_columns(plan: PlanNode, dtypes: list[DataType]) -> PlanNode:
+    """``plan`` with each column not of its type in ``dtypes`` cast to it."""
+    if all(dtype is f.dtype for dtype, f in zip(dtypes, plan.schema)):
+        return plan
+    items = [
+        (ast.ColumnRef((f.name,)) if dtype is f.dtype
+         else ast.Cast(ast.ColumnRef((f.name,)), dtype.value), f.name)
+        for f, dtype in zip(plan.schema, dtypes)
+    ]
+    schema = Schema(tuple(Field(f.name, dtype, f.nullable) for f, dtype in zip(plan.schema, dtypes)))
+    return ProjectNode(child=plan, items=items, schema=schema)
 
 
 def _derive_name(expr: ast.Expr, index: int) -> str:

@@ -27,9 +27,8 @@ package is how the reproduction measures its own:
 * :mod:`repro.obs.monitor` — the :class:`FleetMonitor` that wires the
   scraper, reservation timelines, and alert engine onto one platform's
   serving layer as a pure reader.
-* :mod:`repro.obs.export` — Chrome-trace and OTLP-style JSON exporters
-  for any retained span tree, plus whole-serve-run exports with
-  per-principal lanes.
+* :mod:`repro.obs.export` — the Chrome-trace exporter for any retained
+  span tree, plus whole-serve-run exports with per-principal lanes.
 
 Tracing is always-on but cheap to disable: ``ctx.tracer.enabled = False``
 turns every ``span()`` call into a shared no-op context manager.
@@ -39,12 +38,8 @@ from repro.obs.alerts import AlertEngine, AlertEvent, AlertRule
 from repro.obs.export import (
     chrome_trace,
     chrome_trace_json,
-    otlp_spans,
-    otlp_spans_json,
     serve_chrome_trace,
     serve_chrome_trace_json,
-    serve_otlp_spans,
-    serve_otlp_spans_json,
 )
 from repro.obs.history import JobHistory, JobRecord, job_summary, timeline_rows
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -85,13 +80,9 @@ __all__ = [
     "job_summary",
     "layer_breakdown",
     "layer_time_ms",
-    "otlp_spans",
-    "otlp_spans_json",
     "render_trace",
     "serve_chrome_trace",
     "serve_chrome_trace_json",
-    "serve_otlp_spans",
-    "serve_otlp_spans_json",
     "summarize_trace",
     "timeline_rows",
 ]

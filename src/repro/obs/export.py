@@ -1,24 +1,20 @@
-"""Trace exporters: Chrome-trace JSON and OTLP-style span JSON.
+"""Trace exporter: Chrome-trace JSON.
 
-Both operate on the :class:`~repro.obs.trace.Span` tree a job retains in
+It works from the :class:`~repro.obs.trace.Span` tree a job retains in
 history, so any job still in the ring buffer can be exported after the
-fact — load the Chrome format in ``chrome://tracing`` / Perfetto, or feed
-the OTLP shape to anything speaking the OpenTelemetry JSON encoding.
-Timestamps are simulated milliseconds converted to the target unit
-(microseconds for Chrome, nanoseconds for OTLP), so exports are
+fact and loaded in ``chrome://tracing`` / Perfetto. Timestamps are
+simulated milliseconds converted to microseconds, so exports are
 deterministic across runs like everything else in the simulation.
 
-Beyond single jobs, :func:`serve_chrome_trace` / :func:`serve_otlp_spans`
-export a whole *serve run* — every job still in history — onto one
-timeline with per-principal lanes (Chrome: one pid per principal, one tid
-per job; OTLP: one trace, one root span per job), so a multi-principal
+Beyond single jobs, :func:`serve_chrome_trace` exports a whole *serve
+run* — every job still in history — onto one timeline with per-principal
+lanes (one pid per principal, one tid per job), so a multi-principal
 workload's queueing, overlap, and per-task slot occupancy are visible in
 a single Perfetto load.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any
 
@@ -79,79 +75,6 @@ def chrome_trace(root: Span, *, process_name: str = "repro") -> dict[str, Any]:
 
 def chrome_trace_json(root: Span, *, process_name: str = "repro") -> str:
     return json.dumps(chrome_trace(root, process_name=process_name), indent=2)
-
-
-# --------------------------------------------------------------------------
-# OTLP-style span JSON
-# --------------------------------------------------------------------------
-
-
-def _trace_id(seed: str) -> str:
-    """A deterministic 128-bit trace id derived from the job id."""
-    return hashlib.sha256(seed.encode()).hexdigest()[:32]
-
-
-def _span_id(span_id: int) -> str:
-    return f"{span_id:016x}"
-
-
-def _otlp_value(value: Any) -> dict[str, Any]:
-    if isinstance(value, bool):
-        return {"boolValue": value}
-    if isinstance(value, int):
-        return {"intValue": str(value)}
-    if isinstance(value, float):
-        return {"doubleValue": value}
-    return {"stringValue": str(value)}
-
-
-def otlp_spans(root: Span, *, trace_name: str = "query") -> dict[str, Any]:
-    """The span tree in the OpenTelemetry OTLP/JSON shape.
-
-    ``resourceSpans -> scopeSpans -> spans``, with hex trace/span ids and
-    nanosecond epoch times. The trace id is a stable hash of ``trace_name``
-    (pass the job id), so exporting the same job twice yields byte-equal
-    documents.
-    """
-    trace_id = _trace_id(trace_name)
-    spans: list[dict[str, Any]] = []
-    for span in root.walk():
-        attributes = [
-            {"key": "layer", "value": {"stringValue": span.layer or "other"}}
-        ] + [
-            {"key": key, "value": _otlp_value(value)}
-            for key, value in sorted(span.tags.items())
-        ]
-        spans.append(
-            {
-                "traceId": trace_id,
-                "spanId": _span_id(span.span_id),
-                "parentSpanId": _span_id(span.parent_id) if span.parent_id else "",
-                "name": span.name,
-                "kind": "SPAN_KIND_INTERNAL",
-                "startTimeUnixNano": str(int(span.start_ms * 1_000_000)),
-                "endTimeUnixNano": str(int(span.end_ms * 1_000_000)),
-                "attributes": attributes,
-            }
-        )
-    return {
-        "resourceSpans": [
-            {
-                "resource": {
-                    "attributes": [
-                        {"key": "service.name", "value": {"stringValue": "repro"}}
-                    ]
-                },
-                "scopeSpans": [
-                    {"scope": {"name": "repro.obs", "version": "1"}, "spans": spans}
-                ],
-            }
-        ]
-    }
-
-
-def otlp_spans_json(root: Span, *, trace_name: str = "query") -> str:
-    return json.dumps(otlp_spans(root, trace_name=trace_name), indent=2)
 
 
 # --------------------------------------------------------------------------
@@ -262,81 +185,3 @@ def serve_chrome_trace_json(
     return json.dumps(
         serve_chrome_trace(records, process_prefix=process_prefix), indent=2
     )
-
-
-def serve_otlp_spans(
-    records: list[Any], *, trace_name: str = "serve"
-) -> dict[str, Any]:
-    """A whole serve run as one OTLP trace: one root span per job (the
-    principal lane lives in the ``principal`` attribute), one child span
-    per scheduler task attempt. Span ids are assigned sequentially in
-    history order, so same history ⇒ byte-equal document."""
-    trace_id = _trace_id(trace_name)
-    spans: list[dict[str, Any]] = []
-    next_span = 1
-    for record in [r for r in records if r.done]:
-        root_id = next_span
-        next_span += 1
-        spans.append(
-            {
-                "traceId": trace_id,
-                "spanId": _span_id(root_id),
-                "parentSpanId": "",
-                "name": record.job_id,
-                "kind": "SPAN_KIND_SERVER",
-                "startTimeUnixNano": str(int(record.creation_ms * 1_000_000)),
-                "endTimeUnixNano": str(int(record.end_ms * 1_000_000)),
-                "attributes": [
-                    {"key": "principal", "value": {"stringValue": record.principal}},
-                    {"key": "state", "value": {"stringValue": record.state}},
-                    {"key": "kind", "value": {"stringValue": record.kind}},
-                    {
-                        "key": "queue_wait_ms",
-                        "value": _otlp_value(round(record.queue_wait_ms, 6)),
-                    },
-                ],
-            }
-        )
-        for run in record.task_timeline:
-            spans.append(
-                {
-                    "traceId": trace_id,
-                    "spanId": _span_id(next_span),
-                    "parentSpanId": _span_id(root_id),
-                    "name": f"{run.stage}[{run.task}]",
-                    "kind": "SPAN_KIND_INTERNAL",
-                    "startTimeUnixNano": str(
-                        int((record.start_ms + run.start_ms) * 1_000_000)
-                    ),
-                    "endTimeUnixNano": str(
-                        int((record.start_ms + run.end_ms) * 1_000_000)
-                    ),
-                    "attributes": [
-                        {"key": "slot", "value": _otlp_value(run.slot)},
-                        {"key": "winner", "value": _otlp_value(run.winner)},
-                        {
-                            "key": "speculative",
-                            "value": _otlp_value(run.speculative),
-                        },
-                    ],
-                }
-            )
-            next_span += 1
-    return {
-        "resourceSpans": [
-            {
-                "resource": {
-                    "attributes": [
-                        {"key": "service.name", "value": {"stringValue": "repro"}}
-                    ]
-                },
-                "scopeSpans": [
-                    {"scope": {"name": "repro.obs", "version": "1"}, "spans": spans}
-                ],
-            }
-        ]
-    }
-
-
-def serve_otlp_spans_json(records: list[Any], *, trace_name: str = "serve") -> str:
-    return json.dumps(serve_otlp_spans(records, trace_name=trace_name), indent=2)

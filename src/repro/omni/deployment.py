@@ -104,7 +104,7 @@ class OmniDeployment:
         for service in DATA_PLANE_SERVICES:
             self.binaries.register(service, _binary_for(service))
 
-    def deploy_region(self, region: Region, engine_slots: int | None = None) -> OmniRegion:
+    def deploy_region(self, region: Region) -> OmniRegion:
         """Bring up a foreign-cloud Omni region (§5.1).
 
         Deploys object storage, the Kubernetes cluster with the verified
@@ -133,8 +133,6 @@ class OmniDeployment:
         proxy = UntrustedProxy(channel, realm)
 
         engine = platform.add_engine(region, name=f"omni-{region.location.replace('/', '-')}")
-        if engine_slots:
-            engine.slots = engine_slots
         omni_region = OmniRegion(
             region=region, engine=engine, cluster=cluster,
             channel=channel, proxy=proxy, realm=realm,

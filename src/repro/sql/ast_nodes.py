@@ -148,6 +148,9 @@ class Cast(Expr):
     target_type: str  # DataType value name
     child_fields = ("operand",)
 
+    def __str__(self) -> str:
+        return f"CAST({self.operand} AS {self.target_type})"
+
 
 @dataclass(frozen=True)
 class FunctionCall(Expr):

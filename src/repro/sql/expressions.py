@@ -11,6 +11,7 @@ boundary, and the query engine uses it for filters and projections.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -19,10 +20,10 @@ import numpy as np
 
 from repro.data.batch import RecordBatch
 from repro.data.column import Column, DictionaryColumn
-from repro.data.types import DataType, Schema
+from repro.data.types import DataType, Schema, common_type
 from repro.errors import AnalysisError, ExecutionError
 from repro.sql import ast_nodes as ast
-from repro.sql.dates import parse_date_to_days, parse_timestamp_to_micros
+from repro.sql.dates import MICROS_PER_DAY, parse_date_to_days, parse_timestamp_to_micros
 
 AGGREGATE_FUNCTIONS = {"COUNT", "SUM", "MIN", "MAX", "AVG"}
 
@@ -44,16 +45,10 @@ class BoundExpr:
 
 _COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
 
-# The casts the binder inserts to compare mixed types. None of them can
-# raise, so a predicate reading a column through one may still be answered
-# per dictionary entry (see _over_dictionary).
-_SAFE_CASTS = {
-    (DataType.INT64, DataType.FLOAT64),
-    (DataType.DATE, DataType.TIMESTAMP),
-    (DataType.TIMESTAMP, DataType.DATE),
-    (DataType.INT64, DataType.DATE),
-    (DataType.INT64, DataType.TIMESTAMP),
-}
+# The casts the binder inserts where two types meet (see common_type). None
+# of them can raise, so a predicate reading a column through one may still be
+# answered per dictionary entry (see _over_dictionary).
+_SAFE_CASTS = {(a, b) for a in DataType for b in DataType if a is not b and common_type(a, b) is b}
 
 
 def _column_read(expr: "BoundExpr") -> int | None:
@@ -208,9 +203,12 @@ class ScalarFunction:
 
     name: str
     impl: Callable  # (args: list[Column]) -> Column
-    result_type: Callable  # (arg_dtypes: list[DataType]) -> DataType
+    result_type: Callable | None = None  # (arg_dtypes: list[DataType]) -> DataType
     min_args: int = 1
     max_args: int | None = None
+    # Without a result_type: the arguments from this position on are cast
+    # to the type they meet in, which types the call.
+    meet_from: int = 0
 
 
 class FunctionRegistry:
@@ -324,8 +322,8 @@ def _register_builtins(reg: FunctionRegistry) -> None:
             valid |= avail
         return Column(out_dtype, values, None if bool(valid.all()) else valid)
 
-    reg.register(ScalarFunction("COALESCE", _coalesce, _same, min_args=2, max_args=None))
-    reg.register(ScalarFunction("IFNULL", _coalesce, _same, min_args=2, max_args=2))
+    reg.register(ScalarFunction("COALESCE", _coalesce, min_args=2, max_args=None))
+    reg.register(ScalarFunction("IFNULL", _coalesce, min_args=2, max_args=2))
 
     def _if(args: list[Column]) -> Column:
         cond = args[0]
@@ -335,10 +333,7 @@ def _register_builtins(reg: FunctionRegistry) -> None:
         valid = np.where(truthy, args[1].is_valid(), args[2].is_valid())
         return Column(out_dtype, values, None if bool(valid.all()) else valid)
 
-    def _if_type(dtypes: list[DataType]) -> DataType:
-        return dtypes[1]
-
-    reg.register(ScalarFunction("IF", _if, _if_type, min_args=3, max_args=3))
+    reg.register(ScalarFunction("IF", _if, min_args=3, max_args=3, meet_from=1))
 
     def _safe_divide(args: list[Column]) -> Column:
         num = args[0].values.astype(np.float64)
@@ -377,43 +372,23 @@ def _register_builtins(reg: FunctionRegistry) -> None:
 
     reg.register(ScalarFunction("REGEXP_CONTAINS", _regexp_contains, _fixed(DataType.BOOL), min_args=2, max_args=2))
 
-    def _greatest(args: list[Column]) -> Column:
-        values = args[0].values
-        valid = args[0].is_valid()
-        for a in args[1:]:
-            values = np.maximum(values, a.values)
-            valid = valid & a.is_valid()
-        return Column(args[0].dtype, values, None if bool(valid.all()) else valid)
+    def _extreme(pick: Callable) -> Callable:
+        def impl(args: list[Column]) -> Column:
+            # NULL where any argument is; a null's placeholder may not order.
+            valid = _and_validity(*args)
+            rows = slice(None) if valid is None else valid
+            values = args[0].values.copy()
+            values[rows] = functools.reduce(pick, [a.values[rows] for a in args])
+            return Column(args[0].dtype, values, valid)
 
-    def _least(args: list[Column]) -> Column:
-        values = args[0].values
-        valid = args[0].is_valid()
-        for a in args[1:]:
-            values = np.minimum(values, a.values)
-            valid = valid & a.is_valid()
-        return Column(args[0].dtype, values, None if bool(valid.all()) else valid)
+        return impl
 
-    reg.register(ScalarFunction("GREATEST", _greatest, _same, min_args=2, max_args=None))
-    reg.register(ScalarFunction("LEAST", _least, _same, min_args=2, max_args=None))
+    reg.register(ScalarFunction("GREATEST", _extreme(np.maximum), min_args=2, max_args=None))
+    reg.register(ScalarFunction("LEAST", _extreme(np.minimum), min_args=2, max_args=None))
 
-    def _timestamp(args: list[Column]) -> Column:
-        col = args[0]
-        if col.dtype is DataType.TIMESTAMP:
-            return col
-        if col.dtype is DataType.DATE:
-            return Column(DataType.TIMESTAMP, col.values * dates.MICROS_PER_DAY, col.validity)
-        return _map_values(col, dates.parse_timestamp_to_micros, DataType.TIMESTAMP)
-
-    def _date(args: list[Column]) -> Column:
-        col = args[0]
-        if col.dtype is DataType.DATE:
-            return col
-        if col.dtype is DataType.TIMESTAMP:
-            return Column(DataType.DATE, col.values // dates.MICROS_PER_DAY, col.validity)
-        return _map_values(col, dates.parse_date_to_days, DataType.DATE)
-
-    reg.register(ScalarFunction("TIMESTAMP", _timestamp, _fixed(DataType.TIMESTAMP)))
-    reg.register(ScalarFunction("DATE", _date, _fixed(DataType.DATE)))
+    for temporal in (DataType.TIMESTAMP, DataType.DATE):
+        reg.register(ScalarFunction(
+            temporal.value, lambda args, to=temporal: _eval_cast(args[0], to), _fixed(temporal)))
 
 
 DEFAULT_FUNCTIONS = FunctionRegistry()
@@ -423,12 +398,27 @@ DEFAULT_FUNCTIONS = FunctionRegistry()
 # Binder
 # --------------------------------------------------------------------------
 
-_NUMERIC_RESULT = {
-    ("+",): None, ("-",): None, ("*",): None,
+# The type a plain literal's python value binds to, as _bind_literal types
+# it; a NULL has none.
+PLAIN_LITERAL_TYPES = {
+    bool: DataType.BOOL, int: DataType.INT64, float: DataType.FLOAT64,
+    str: DataType.STRING, bytes: DataType.BYTES, type(None): None,
 }
 
-# The python types _bind_literal accepts for a literal with no type hint.
-_PLAIN_LITERAL_TYPES = (bool, int, float, str, bytes, type(None))
+
+def in_unit(value: Any, dtype: DataType | None, unit: DataType) -> tuple[bool, Any]:
+    """(exact, value): a literal ``value`` of ``dtype`` in the storage unit of
+    ``unit``, where the two types meet (see common_type) — a DATE as its
+    midnight's micros for a TIMESTAMP, a TIMESTAMP that is a midnight as its
+    day for a DATE, anything else as it is. Not exact for a TIMESTAMP that is
+    no midnight, which equals no DATE, or for types that do not meet."""
+    if value is None or dtype is None or dtype is unit:
+        return True, value
+    if dtype is DataType.DATE and unit is DataType.TIMESTAMP:
+        return True, value * MICROS_PER_DAY
+    if dtype is DataType.TIMESTAMP and unit is DataType.DATE:
+        return value % MICROS_PER_DAY == 0, value // MICROS_PER_DAY
+    return common_type(dtype, unit) is not None, value
 
 
 class Binder:
@@ -450,28 +440,11 @@ class Binder:
         if isinstance(expr, ast.IsNull):
             return BoundIsNull(self.bind(expr.operand), expr.negated)
         if isinstance(expr, ast.InList):
-            operand = self.bind(expr.operand)
-            values = []
-            for item in expr.items:
-                # A pushed-down pruning list is thousands of plain literals,
-                # whose value is what binding them would return.
-                if (
-                    isinstance(item, ast.Literal) and item.type_hint is None
-                    and isinstance(item.value, _PLAIN_LITERAL_TYPES)
-                ):
-                    values.append(item.value)
-                    continue
-                bound = self.bind(item)
-                if not isinstance(bound, BoundLiteral):
-                    raise AnalysisError("IN list items must be literals")
-                values.append(bound.value)
-            return BoundInList(operand, tuple(values), expr.negated)
+            return self._bind_in_list(expr)
         if isinstance(expr, ast.Between):
             operand = self.bind(expr.operand)
-            low = self.bind(expr.low)
-            high = self.bind(expr.high)
-            ge = BoundBinary(">=", operand, low, DataType.BOOL)
-            le = BoundBinary("<=", operand, high, DataType.BOOL)
+            ge = self._compare(">=", operand, self.bind(expr.low))
+            le = self._compare("<=", operand, self.bind(expr.high))
             both = BoundBinary("AND", ge, le, DataType.BOOL)
             if expr.negated:
                 return BoundUnary("NOT", both, DataType.BOOL)
@@ -479,12 +452,13 @@ class Binder:
         if isinstance(expr, ast.Like):
             return BoundLike(self.bind(expr.operand), expr.pattern, expr.negated)
         if isinstance(expr, ast.Case):
-            whens = tuple((self.bind(c), self.bind(v)) for c, v in expr.whens)
-            default = self.bind(expr.default) if expr.default is not None else None
-            # A bare NULL branch is untyped: the first typed branch decides.
-            branches = [value for _, value in whens] + [default]
-            typed = [b for b in branches if b is not None and not _is_null(b)]
-            return BoundCase(whens, default, (typed or branches)[0].dtype)
+            conditions = [self.bind(c) for c, _ in expr.whens]
+            branches = [self.bind(v) for _, v in expr.whens]
+            if expr.default is not None:
+                branches.append(self.bind(expr.default))
+            branches, dtype = self.coerce(branches, "CASE")
+            default = branches.pop() if expr.default is not None else None
+            return BoundCase(tuple(zip(conditions, branches)), default, dtype)
         if isinstance(expr, ast.Cast):
             try:
                 target = DataType(expr.target_type)
@@ -499,6 +473,27 @@ class Binder:
                 "conjunct (it lowers to a semi/anti join)"
             )
         raise AnalysisError(f"cannot bind expression {expr!r}")
+
+    @staticmethod
+    def coerce(exprs: list[BoundExpr], construct: str) -> tuple[list[BoundExpr], DataType]:
+        """``exprs`` cast to the type they meet in (see :func:`common_type`),
+        and that type; a bare NULL takes it, and bare NULLs alone stay as
+        they are. Raises :class:`AnalysisError` where two types do not meet."""
+        dtype = None
+        for expr in exprs:
+            if not _is_null(expr):
+                meet = expr.dtype if dtype is None else common_type(dtype, expr.dtype)
+                if meet is None:
+                    raise AnalysisError(
+                        f"incompatible types {dtype.value} and {expr.dtype.value} in {construct}"
+                    )
+                dtype = meet
+        if dtype is None:
+            return exprs, exprs[0].dtype
+        return [
+            e if e.dtype is dtype else BoundLiteral(None, dtype) if _is_null(e) else BoundCast(e, dtype)
+            for e in exprs
+        ], dtype
 
     def bind_column(self, name: str) -> BoundColumn:
         """Resolve a possibly-qualified column name against the schema.
@@ -536,44 +531,14 @@ class Binder:
             return BoundLiteral(parse_date_to_days(v), DataType.DATE)
         if v is None:
             return BoundLiteral(None, DataType.STRING)
-        if isinstance(v, bool):
-            return BoundLiteral(v, DataType.BOOL)
-        if isinstance(v, int):
-            return BoundLiteral(v, DataType.INT64)
-        if isinstance(v, float):
-            return BoundLiteral(v, DataType.FLOAT64)
-        if isinstance(v, str):
-            return BoundLiteral(v, DataType.STRING)
-        if isinstance(v, bytes):
-            return BoundLiteral(v, DataType.BYTES)
+        for kind, dtype in PLAIN_LITERAL_TYPES.items():
+            if isinstance(v, kind):
+                return BoundLiteral(v, dtype)
         raise AnalysisError(f"unsupported literal {v!r}")
 
-    def _coerce_pair(self, left: BoundExpr, right: BoundExpr) -> tuple[BoundExpr, BoundExpr]:
-        """Insert implicit casts so both sides share a comparable type."""
-        lt, rt = left.dtype, right.dtype
-        if lt == rt:
-            return left, right
-        numeric = {DataType.INT64, DataType.FLOAT64}
-        if lt in numeric and rt in numeric:
-            if lt is DataType.INT64:
-                return BoundCast(left, DataType.FLOAT64), right
-            return left, BoundCast(right, DataType.FLOAT64)
-        temporal = {DataType.TIMESTAMP, DataType.DATE}
-        if lt in temporal and rt in temporal:
-            # Compare as timestamps (DATE -> midnight).
-            if lt is DataType.DATE:
-                return BoundCast(left, DataType.TIMESTAMP), right
-            return left, BoundCast(right, DataType.TIMESTAMP)
-        if lt in temporal and rt is DataType.INT64:
-            return left, BoundCast(right, lt)
-        if rt in temporal and lt is DataType.INT64:
-            return BoundCast(left, rt), right
-        # Comparing a typed value with an untyped NULL literal.
-        if isinstance(right, BoundLiteral) and right.value is None:
-            return left, BoundLiteral(None, lt)
-        if isinstance(left, BoundLiteral) and left.value is None:
-            return BoundLiteral(None, rt), right
-        raise AnalysisError(f"incompatible types {lt.value} and {rt.value}")
+    def _compare(self, op: str, left: BoundExpr, right: BoundExpr) -> BoundBinary:
+        (left, right), _ = self.coerce([left, right], "comparison")
+        return BoundBinary(op, left, right, DataType.BOOL)
 
     def _bind_binary(self, expr: ast.BinaryOp) -> BoundExpr:
         left = self.bind(expr.left)
@@ -581,21 +546,44 @@ class Binder:
         op = expr.op
         if op in ("AND", "OR"):
             return BoundBinary(op, left, right, DataType.BOOL)
-        if op in ("=", "!=", "<", "<=", ">", ">="):
-            left, right = self._coerce_pair(left, right)
-            return BoundBinary(op, left, right, DataType.BOOL)
+        if op in _COMPARISONS:
+            return self._compare(op, left, right)
         if op == "||":
             return BoundBinary(op, left, right, DataType.STRING)
         if op in ("+", "-", "*", "/", "%"):
-            left, right = self._coerce_pair(left, right)
-            if op == "/":
-                dtype = DataType.FLOAT64
-            elif left.dtype is DataType.FLOAT64:
-                dtype = DataType.FLOAT64
-            else:
-                dtype = left.dtype
-            return BoundBinary(op, left, right, dtype)
+            (left, right), dtype = self.coerce([left, right], f"'{op}'")
+            return BoundBinary(op, left, right, DataType.FLOAT64 if op == "/" else dtype)
         raise AnalysisError(f"unknown binary operator {op}")
+
+    def _bind_in_list(self, expr: ast.InList) -> BoundInList:
+        """Each item meets the operand as ``operand = item`` would: an item
+        whose type does not meet the operand's is an error, and the others
+        are put in the operand's unit (see in_unit)."""
+        operand = self.bind(expr.operand)
+        dtype = operand.dtype
+        values, kinds = [], set()
+        for item in expr.items:
+            # A pushed-down pruning list is thousands of plain literals,
+            # whose value and type are what binding them would return.
+            if (
+                isinstance(item, ast.Literal) and item.type_hint is None
+                and type(item.value) in PLAIN_LITERAL_TYPES
+            ):
+                values.append(item.value)
+                kinds.add(PLAIN_LITERAL_TYPES[type(item.value)])
+                continue
+            bound = self.bind(item)
+            if not isinstance(bound, BoundLiteral):
+                raise AnalysisError("IN list items must be literals")
+            kinds.add(None if bound.value is None else bound.dtype)
+            exact, value = in_unit(bound.value, bound.dtype, dtype)
+            if exact:
+                values.append(value)
+        if not _is_null(operand):
+            for kind in kinds - {None, dtype}:
+                if common_type(dtype, kind) is None:
+                    raise AnalysisError(f"incompatible types {dtype.value} and {kind.value} in IN list")
+        return BoundInList(operand, tuple(values), expr.negated)
 
     def _bind_unary(self, expr: ast.UnaryOp) -> BoundExpr:
         operand = self.bind(expr.operand)
@@ -616,9 +604,12 @@ class Binder:
             fn.max_args is not None and len(expr.args) > fn.max_args
         ):
             raise AnalysisError(f"{fn.name}() arity mismatch: got {len(expr.args)} args")
-        args = tuple(self.bind(a) for a in expr.args)
-        dtype = fn.result_type([a.dtype for a in args])
-        return BoundCall(expr.name.upper(), args, dtype, fn.impl)
+        args = [self.bind(a) for a in expr.args]
+        if fn.result_type is not None:
+            dtype = fn.result_type([a.dtype for a in args])
+        else:
+            args[fn.meet_from:], dtype = self.coerce(args[fn.meet_from:], f"{fn.name}()")
+        return BoundCall(expr.name.upper(), tuple(args), dtype, fn.impl)
 
 
 # --------------------------------------------------------------------------
@@ -871,18 +862,21 @@ def _eval_case(expr: BoundCase, batch: RecordBatch) -> Column:
     return Column(out_dtype, values, None if bool(valid.all()) else valid)
 
 
+_FROM_STRING = {
+    DataType.INT64: int, DataType.FLOAT64: float, DataType.BYTES: str.encode,
+    DataType.BOOL: lambda v: {"true": True, "false": False}[v.lower()],
+    DataType.DATE: parse_date_to_days, DataType.TIMESTAMP: parse_timestamp_to_micros,
+}
+
+
 def _eval_cast(operand: Column, target: DataType) -> Column:
     if operand.dtype == target:
         return operand
     src = operand.dtype
     validity = operand.validity
     if src is DataType.DATE and target is DataType.TIMESTAMP:
-        from repro.sql.dates import MICROS_PER_DAY
-
         return Column(target, operand.values * MICROS_PER_DAY, validity)
     if src is DataType.TIMESTAMP and target is DataType.DATE:
-        from repro.sql.dates import MICROS_PER_DAY
-
         return Column(target, operand.values // MICROS_PER_DAY, validity)
     if src.is_numeric and target.is_numeric:
         return Column(target, operand.values.astype(target.numpy_dtype()), validity)
@@ -891,10 +885,8 @@ def _eval_cast(operand: Column, target: DataType) -> Column:
     if target is DataType.STRING:
         out = [None if v is None else str(v) for v in operand.to_pylist()]
         return Column(target, out, validity)
-    if src is DataType.STRING and target is DataType.INT64:
-        return _map_values(operand, int, DataType.INT64)
-    if src is DataType.STRING and target is DataType.FLOAT64:
-        return _map_values(operand, float, DataType.FLOAT64)
+    if src is DataType.STRING and target in _FROM_STRING:
+        return _map_values(operand, _FROM_STRING[target], target)
     if src is DataType.BOOL and target is DataType.INT64:
         return Column(target, operand.values.astype(np.int64), validity)
     if src.is_numeric and target is DataType.BOOL:

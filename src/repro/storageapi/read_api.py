@@ -388,7 +388,7 @@ class ReadApi:
 
         constraints = ConstraintSet()
         if restriction is not None:
-            constraints = extract_constraints(restriction)
+            constraints = extract_constraints(restriction, table_schema)
 
         stats = SessionStats()
         streams: list[ReadStream]

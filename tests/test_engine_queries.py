@@ -291,12 +291,14 @@ class TestAggregateIdentity:
 
 def _twin_tables(tables: dict[str, tuple[Schema, dict]]):
     """The same literal rows as managed tables in dataset ``lj`` and as
-    stdlib sqlite3 tables (DATE stored as its day number)."""
+    stdlib sqlite3 tables (DATE stored as its day number, TIMESTAMP as its
+    micros)."""
     platform, admin = make_platform()
     platform.catalog.create_dataset("lj")
     db = sqlite3.connect(":memory:")
     sqlite_types = {DataType.INT64: "INTEGER", DataType.DATE: "INTEGER",
-                    DataType.FLOAT64: "REAL", DataType.STRING: "TEXT"}
+                    DataType.TIMESTAMP: "INTEGER", DataType.FLOAT64: "REAL",
+                    DataType.STRING: "TEXT"}
     for name, (schema, data) in tables.items():
         table = platform.tables.create_managed_table("lj", name, schema)
         platform.managed.append(table.table_id, batch_from_pydict(schema, data))
@@ -392,3 +394,80 @@ class TestCaseWithNullBranches:
         assert result.schema.field("v").dtype is dtype
         want = [v for (v,) in db.execute(sql.replace("lj.", "")).fetchall()]
         assert result.column("v") == want == expected
+
+
+DAY = 86_400_000_000  # micros
+
+
+class TestMixedTypesMeetInTheirCommonType:
+    """Every construct that mixes INT64 with FLOAT64, or DATE with TIMESTAMP,
+    meets them in their common type (``common_type``), as a plain comparison
+    does: CASE, COALESCE, IF and GREATEST no longer take the type of their
+    first typed branch, and BETWEEN, IN, join keys and UNION ALL no longer
+    compare or mix values in two units. Literal answers; the numeric ones
+    also from sqlite3."""
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        platform, admin, db = _twin_tables({
+            "t1": (Schema.of(("id", DataType.INT64), ("k", DataType.INT64),
+                             ("f", DataType.FLOAT64), ("d", DataType.DATE),
+                             ("t", DataType.TIMESTAMP)),
+                   {"id": [1, 2, 3], "k": [1, None, 2], "f": [0.5, 1.5, 2.5],
+                    "d": [19000, 20000, 19500],
+                    "t": [19000 * DAY, 20000 * DAY, 19500 * DAY]}),
+            "t2": (Schema.of(("t2", DataType.TIMESTAMP), ("f2", DataType.FLOAT64)),
+                   {"t2": [19000 * DAY, 5 * DAY], "f2": [1.0, 2.5]}),
+        })
+        yield platform, admin, db
+        db.close()
+
+    @pytest.mark.parametrize("expr, sqlite_expr, expected", [
+        ("CASE WHEN k > 0 THEN k ELSE f END", None, [1.0, 1.5, 2.0]),
+        ("COALESCE(k, f)", None, [1.0, 1.5, 2.0]),
+        ("IF(k > 1, k, f)", "iif(k > 1, k, f)", [0.5, 1.5, 2.0]),
+        ("GREATEST(k, f)", "MAX(k, f)", [1.0, None, 2.5]),
+    ])
+    def test_numeric_branches_meet_in_float64(self, engines, expr, sqlite_expr, expected):
+        platform, admin, db = engines
+        result = platform.home_engine.execute(f"SELECT {expr} AS v FROM lj.t1 ORDER BY id", admin)
+        assert result.schema.field("v").dtype is DataType.FLOAT64
+        assert result.column("v") == expected
+        sql = f"SELECT {sqlite_expr or expr} AS v FROM t1 ORDER BY id"
+        assert [v for (v,) in db.execute(sql).fetchall()] == expected
+
+    def test_date_and_timestamp_branches_meet_in_timestamp(self, engines):
+        platform, admin, _ = engines
+        sql = "SELECT CASE WHEN k > 0 THEN d ELSE t END AS v FROM lj.t1 ORDER BY id"
+        result = platform.home_engine.execute(sql, admin)
+        assert result.schema.field("v").dtype is DataType.TIMESTAMP
+        assert result.column("v") == [19000 * DAY, 20000 * DAY, 19500 * DAY]
+
+    @pytest.mark.parametrize("query, expected", [
+        ("SELECT COUNT(*) FROM lj.t1 WHERE d BETWEEN TIMESTAMP '2021-01-01 00:00:00'"
+         " AND TIMESTAMP '2030-01-01 00:00:00'", 3),
+        ("SELECT COUNT(*) FROM lj.t1 WHERE t BETWEEN DATE '2022-01-01' AND DATE '2022-12-31'", 1),
+        ("SELECT COUNT(*) FROM lj.t1 WHERE t IN (DATE '2022-01-08')", 1),
+        ("SELECT COUNT(*) FROM lj.t1 WHERE d IN (TIMESTAMP '2022-01-08 00:00:00')", 1),
+        ("SELECT COUNT(*) FROM lj.t1 JOIN lj.t2 ON d = t2", 1),
+        ("SELECT COUNT(*) FROM lj.t1 WHERE d IN (SELECT t2 FROM lj.t2)", 1),
+        ("SELECT COUNT(*) FROM lj.t1 WHERE d NOT IN (SELECT t2 FROM lj.t2)", 2),
+    ])
+    def test_dates_meet_timestamps(self, engines, query, expected):
+        platform, admin, _ = engines
+        assert platform.home_engine.execute(query, admin).rows() == [(expected,)]
+
+    def test_union_all_arms_meet(self, engines):
+        platform, admin, db = engines
+        sql = "SELECT SUM(v) AS s FROM (SELECT k AS v FROM lj.t1 UNION ALL SELECT f AS v FROM lj.t1)"
+        assert platform.home_engine.execute(sql, admin).rows() == [(7.5,)]
+        assert db.execute(sql.replace("lj.", "")).fetchall() == [(7.5,)]
+        union = platform.home_engine.execute(
+            "SELECT NULL AS v FROM lj.t1 UNION ALL SELECT d AS v FROM lj.t1", admin)
+        assert union.schema.field("v").dtype is DataType.DATE
+        assert sorted(union.column("v"), key=str) == [19000, 19500, 20000, None, None, None]
+
+    def test_arms_that_do_not_meet_are_an_error(self, engines):
+        platform, admin, _ = engines
+        with pytest.raises(AnalysisError, match="incompatible types INT64 and STRING"):
+            platform.home_engine.execute("SELECT k FROM lj.t1 UNION ALL SELECT 'x' FROM lj.t1", admin)

@@ -1,9 +1,9 @@
-"""Job-history ring buffer + trace exporters (Chrome trace / OTLP JSON).
+"""Job-history ring buffer + the Chrome-trace exporter.
 
 Covers the bounded :class:`JobHistory` (eviction, id monotonicity, failed
-jobs burning ids), the platform accessors, and both exporters: the Chrome
+jobs burning ids), the platform accessors, and the exporter: the Chrome
 document must load as valid JSON whose event nesting matches the span
-tree, and the OTLP document must link spans by hex ids deterministically.
+tree.
 """
 
 import json
@@ -11,12 +11,7 @@ import json
 import pytest
 
 from repro.errors import NotFoundError
-from repro.obs.export import (
-    chrome_trace,
-    chrome_trace_json,
-    otlp_spans,
-    otlp_spans_json,
-)
+from repro.obs.export import chrome_trace, chrome_trace_json
 from repro.obs.history import FAILED, SUCCEEDED, JobHistory, JobRecord, timeline_rows
 
 from tests.helpers import make_platform, setup_sales_lake
@@ -152,47 +147,6 @@ class TestChromeTrace:
         )
         assert scan["args"]["table"].endswith("ds.sales")
         assert scan["args"]["bytes_scanned"] > 0
-
-
-class TestOtlpSpans:
-    def test_span_links_and_hex_ids(self):
-        _, record, result = traced_platform()
-        document = json.loads(otlp_spans_json(record.trace, trace_name=record.job_id))
-        spans = document["resourceSpans"][0]["scopeSpans"][0]["spans"]
-        tree = {s.span_id: s for s in result.trace.walk()}
-        assert len(spans) == len(tree)
-        trace_ids = {s["traceId"] for s in spans}
-        assert len(trace_ids) == 1
-        assert len(trace_ids.pop()) == 32  # 128-bit hex
-        by_id = {s["spanId"]: s for s in spans}
-        for exported in spans:
-            assert len(exported["spanId"]) == 16  # 64-bit hex
-            span = tree[int(exported["spanId"], 16)]
-            if span.parent_id is None:
-                assert exported["parentSpanId"] == ""
-            else:
-                assert exported["parentSpanId"] in by_id
-            assert int(exported["endTimeUnixNano"]) - int(
-                exported["startTimeUnixNano"]
-            ) == pytest.approx(span.duration_ms * 1_000_000, abs=2)
-            layers = [
-                a["value"]["stringValue"]
-                for a in exported["attributes"]
-                if a["key"] == "layer"
-            ]
-            assert layers == [span.layer or "other"]
-
-    def test_deterministic_export(self):
-        _, record, _ = traced_platform()
-        a = otlp_spans_json(record.trace, trace_name=record.job_id)
-        b = otlp_spans_json(record.trace, trace_name=record.job_id)
-        assert a == b
-        other = otlp_spans(record.trace, trace_name="another-job")
-        same = otlp_spans(record.trace, trace_name=record.job_id)
-        assert (
-            other["resourceSpans"][0]["scopeSpans"][0]["spans"][0]["traceId"]
-            != same["resourceSpans"][0]["scopeSpans"][0]["spans"][0]["traceId"]
-        )
 
 
 class TestJobsCli:

@@ -25,7 +25,7 @@ import json
 import pytest
 
 from repro.errors import AccessDeniedError
-from repro.obs.export import serve_chrome_trace_json, serve_otlp_spans_json
+from repro.obs.export import serve_chrome_trace_json
 from repro.serving.workload import run_monitor, run_serve
 
 SMOKE = dict(jobs=6, scale=0.05, analysts=2, mean_gap_ms=30.0)
@@ -249,17 +249,6 @@ class TestServeExports:
         assert any(e["name"] == "queued" for e in events)
         assert any(e.get("cat") == "scheduler" for e in events)
 
-    def test_otlp_loads_and_nests_tasks_under_jobs(self, monitored):
-        _, keep = monitored
-        records = keep["platform"].jobs()
-        doc = json.loads(serve_otlp_spans_json(records))
-        spans = doc["resourceSpans"][0]["scopeSpans"][0]["spans"]
-        roots = [s for s in spans if s["parentSpanId"] == ""]
-        children = [s for s in spans if s["parentSpanId"] != ""]
-        assert len(roots) == sum(1 for r in records if r.done)
-        root_ids = {s["spanId"] for s in roots}
-        assert children and all(s["parentSpanId"] in root_ids for s in children)
-
     def test_exports_are_deterministic(self):
         keeps = []
         for _ in range(2):
@@ -267,7 +256,6 @@ class TestServeExports:
             run_serve(seed=9, monitor=True, keep=keep, **SMOKE)
             keeps.append(keep["platform"].jobs())
         assert serve_chrome_trace_json(keeps[0]) == serve_chrome_trace_json(keeps[1])
-        assert serve_otlp_spans_json(keeps[0]) == serve_otlp_spans_json(keeps[1])
 
 
 class TestVarianceAttribution:

@@ -7,11 +7,16 @@ written out, and a metamorphic probe.
 * ints above 2**53: the engine compares an INT64 with a FLOAT64 as two
   float64s, so ``i = 9007199254740992.0`` holds for ``i = 2**53 + 1``;
   pruning once compared them exactly and dropped that file.
+* DATE against TIMESTAMP: the engine compares the two as TIMESTAMPs (their
+  common type), while pruning once compared a day number with micros and
+  dropped both files holding ``d > TIMESTAMP '2020-01-01 00:00:00'`` and
+  ``t < DATE '2030-01-01'``.
 
 The probe: ``WHERE p`` returns what ``WHERE (p) OR (c IS NULL AND c IS NOT
 NULL)`` returns — the same predicate, which no pruner reads — over drawn
-1–5-file BigLake and BLMT tables holding NULLs, ±inf, −0.0, NaN and ints
-above 2**53, the BLMT one before and after ``compact_baseline``.
+1–5-file BigLake and BLMT tables holding NULLs, ±inf, −0.0, NaN, ints
+above 2**53, and dates and timestamps compared with literals of either
+type, the BLMT one before and after ``compact_baseline``.
 """
 
 from __future__ import annotations
@@ -26,13 +31,17 @@ from repro.external import SparkSim
 
 from tests.helpers import make_platform, setup_lake_table
 
-SCHEMA = Schema.of(("f", DataType.FLOAT64), ("i", DataType.INT64), ("s", DataType.STRING))
+SCHEMA = Schema.of(
+    ("f", DataType.FLOAT64), ("i", DataType.INT64), ("s", DataType.STRING),
+    ("d", DataType.DATE), ("t", DataType.TIMESTAMP),
+)
 NAN = math.nan
 BIG = 2**53
+DAY = 86_400_000_000  # micros
 FILES = [
-    {"f": [1.0, NAN], "i": [1, 2], "s": ["a", "b"]},
-    {"f": [5.0], "i": [BIG + 1], "s": ["c"]},
-    {"f": [7.0], "i": [3], "s": ["d"]},
+    {"f": [1.0, NAN], "i": [1, 2], "s": ["a", "b"], "d": [19000, None], "t": [19000 * DAY, None]},
+    {"f": [5.0], "i": [BIG + 1], "s": ["c"], "d": [20000], "t": [20000 * DAY]},
+    {"f": [7.0], "i": [3], "s": ["d"], "d": [None], "t": [None]},
 ]
 
 #: predicate -> rows, by the engine's NaN rule: every comparison with NaN is
@@ -48,6 +57,13 @@ EXPECTED = {
     "i = 9007199254740992.0": 1,
     "i <= 9007199254740992.0": 4,
     "i IN (9007199254740992.0)": 1,
+    # Days 19000 and 20000 are 2022-01-08 and 2024-10-04.
+    "d > TIMESTAMP '2020-01-01 00:00:00'": 2,
+    "t < DATE '2030-01-01'": 2,
+    "d IN (TIMESTAMP '2022-01-08 00:00:00')": 1,
+    "t IN (DATE '2024-10-04')": 1,
+    "t BETWEEN DATE '2022-01-01' AND DATE '2022-12-31'": 1,
+    "d BETWEEN TIMESTAMP '2022-01-08 00:00:01' AND TIMESTAMP '2030-01-01 00:00:00'": 1,
 }
 
 KINDS = ["biglake_cached", "biglake_uncached", "blmt_tail", "blmt_compacted", "managed"]
@@ -122,11 +138,21 @@ VALUES = {
     "f": st.sampled_from([0.0, -0.0, 1.0, 1.5, -2.5, float(BIG), math.inf, -math.inf, NAN]),
     "i": st.sampled_from([-1, 0, 1, 2, BIG, BIG + 1, -BIG - 1]),
     "s": st.sampled_from(["", "a", "ab", "b"]),
+    "d": st.sampled_from([-1, 0, 1, 19000, 19001, 20000]),
+    "t": st.sampled_from([-1, 0, 1, DAY, DAY + 1, 19000 * DAY, 19000 * DAY + 1, 20000 * DAY]),
 }
 LITERALS = {
     "f": st.sampled_from(["0", "1", "-0.0", "1.5", "-2.5", "9007199254740993", "9007199254740992.0"]),
     "i": st.sampled_from(["0", "1", "2", "1.5", "9007199254740993", "9007199254740992.0", "-9007199254740993"]),
     "s": st.sampled_from(["''", "'a'", "'ab'", "'b'"]),
+    "d": st.sampled_from([
+        "0", "1", "DATE '1970-01-02'", "DATE '2022-01-08'", "TIMESTAMP '1970-01-02 00:00:00'",
+        "TIMESTAMP '2022-01-08 00:00:00'", "TIMESTAMP '2022-01-08 00:00:01'",
+    ]),
+    "t": st.sampled_from([
+        "0", "86400000001", "DATE '1970-01-02'", "DATE '2022-01-08'",
+        "TIMESTAMP '1970-01-02 00:00:00'", "TIMESTAMP '2022-01-08 00:00:01'",
+    ]),
 }
 
 
@@ -166,7 +192,7 @@ def test_where_p_equals_its_unprunable_twin(files, atoms):
     twin = f"({where}) OR ({column} IS NULL AND {column} IS NOT NULL)"
 
     def answers(table: str, predicate: str) -> list[str]:
-        sql = f"SELECT f, i, s FROM ds.{table} WHERE {predicate}"
+        sql = f"SELECT f, i, s, d, t FROM ds.{table} WHERE {predicate}"
         return sorted(map(repr, platform.home_engine.execute(sql, admin).rows()))
 
     _create(platform, admin, "biglake_cached", "biglake", files)

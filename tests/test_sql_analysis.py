@@ -1,12 +1,19 @@
 """Tests for pruning-constraint extraction from SQL predicates."""
 
+from repro.data.types import DataType, Schema
 from repro.sql.analysis import extract_constraints
-from repro.sql.dates import parse_date_to_days, parse_timestamp_to_micros
+from repro.sql.dates import MICROS_PER_DAY, parse_date_to_days, parse_timestamp_to_micros
 from repro.sql.parser import parse_expression
+
+SCHEMA = Schema.of(
+    *((name, DataType.INT64) for name in ("x", "y", "a", "b")),
+    ("amount", DataType.FLOAT64), ("region", DataType.STRING), ("name", DataType.STRING),
+    ("ts", DataType.TIMESTAMP), ("create_time", DataType.TIMESTAMP), ("d", DataType.DATE),
+)
 
 
 def extract(sql):
-    return extract_constraints(parse_expression(sql))
+    return extract_constraints(parse_expression(sql), SCHEMA)
 
 
 class TestComparisons:
@@ -87,6 +94,36 @@ class TestTemporalLiterals:
 
     def test_null_comparison_ignored(self):
         assert extract("x = NULL").is_empty
+
+
+class TestColumnUnits:
+    """Each literal reaches the pruner in its column's unit, or not at all."""
+
+    def test_date_literal_against_timestamp_column_becomes_micros(self):
+        day = parse_date_to_days("2030-01-01")
+        assert extract("ts < DATE '2030-01-01'").get("ts").hi == day * MICROS_PER_DAY
+        assert extract("ts IN (DATE '2030-01-01')").get("ts").in_set == {day * MICROS_PER_DAY}
+
+    def test_timestamp_literal_against_date_column_prunes_only_at_midnight(self):
+        day = parse_date_to_days("2020-01-01")
+        assert extract("d > TIMESTAMP '2020-01-01 00:00:00'").get("d").lo == day
+        assert extract("d IN (DATE '2020-01-01', TIMESTAMP '2020-01-02')").get("d").in_set == {
+            day, day + 1,
+        }
+        assert extract("d > TIMESTAMP '2020-01-01 00:00:01'").is_empty
+        assert extract("d IN (DATE '2020-01-01', TIMESTAMP '2020-01-02 12:00:00')").is_empty
+        assert extract("d BETWEEN DATE '2020-01-01' AND TIMESTAMP '2021-01-01 00:00:01'").is_empty
+
+    def test_ints_meet_dates_and_floats_as_they_are(self):
+        assert extract("d >= 19000").get("d").lo == 19000
+        assert extract("ts <= 5").get("ts").hi == 5
+        assert extract("amount = 3").get("amount").in_set == {3}
+        assert extract("x < 2.5").get("x").hi == 2.5
+
+    def test_types_that_do_not_meet_and_unknown_columns_prune_nothing(self):
+        assert extract("x = 'a'").is_empty
+        assert extract("d > 1.5").is_empty
+        assert extract("missing = 1").is_empty
 
 
 class TestSoundness:

@@ -54,6 +54,9 @@ def run(sql, batch):
         ("REGEXP_CONTAINS(s, 'o.l')", [False, True, None]),
         ("CONCAT(s, '!')", ["  Hello  !", "world!", None]),
         ("CONCAT('a', 'b', 'c')", ["abc", "abc", "abc"]),
+        ("GREATEST(s, 'v')", ["v", "world", None]),
+        ("LEAST(s, 'v', s)", ["  Hello  ", "v", None]),
+        ("GREATEST(x, f)", [5.0, -1.5, None]),
     ],
 )
 def test_scalar_functions(batch, sql, expected):

@@ -3,7 +3,9 @@
 ``evaluate`` tests a ``BoundInList`` with one membership pass over a probe
 prepared at bind; ``tests/reference_expressions.py`` is the per-literal
 ``==`` loop it replaced, kept verbatim. For every operand type and any mix
-of literal items the two must return the same column.
+of literal items whose types meet the operand's (``common_type``) the two
+must return the same column; any other mix is an ``AnalysisError``, as
+``x = item`` is.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ from hypothesis import strategies as st
 
 from repro.data.batch import RecordBatch
 from repro.data.column import Column
-from repro.data.types import DataType, Schema
+from repro.data.types import DataType, Schema, common_type
+from repro.errors import AnalysisError
 from repro.sql import ast_nodes as ast
-from repro.sql.expressions import Binder, BoundInList, evaluate, evaluate_predicate
+from repro.sql.expressions import (
+    PLAIN_LITERAL_TYPES, Binder, BoundInList, evaluate, evaluate_predicate,
+)
 from repro.sql.parser import parse_expression
 
 from tests.reference_expressions import reference_in_list
@@ -35,9 +40,24 @@ texts = st.sampled_from(_TEXTS)
 blobs = texts.map(lambda s: s.encode("utf-8"))
 
 # Any literal the parser or an in-process caller can put in an IN list.
-items = st.lists(
-    st.one_of(ints, floats, st.booleans(), texts, blobs, st.none()), max_size=8
-)
+_ITEMS = {
+    DataType.INT64: ints, DataType.FLOAT64: floats, DataType.BOOL: st.booleans(),
+    DataType.STRING: texts, DataType.BYTES: blobs,
+}
+items = st.lists(st.one_of(st.none(), *_ITEMS.values()), max_size=8)
+
+
+def items_meeting(dtype: DataType):
+    """Lists of the literals whose types meet an operand of ``dtype``."""
+    kinds = [_ITEMS[kind] for kind in _ITEMS if common_type(dtype, kind) is not None]
+    return st.lists(st.one_of(st.none(), *kinds), max_size=8)
+
+
+def meets(dtype: DataType, literals) -> bool:
+    return all(
+        v is None or common_type(dtype, PLAIN_LITERAL_TYPES[type(v)]) is not None
+        for v in literals
+    )
 
 _OPERAND_VALUES = {
     DataType.INT64: int64s,
@@ -70,18 +90,16 @@ def assert_same_column(got: Column, want: Column) -> None:
 
 
 @settings(deadline=None)
-@given(operands(), items, st.booleans())
-def test_same_column_as_the_reference(column, literals, negated):
+@given(operands(), st.data(), st.booleans())
+def test_same_column_as_the_reference(column, data, negated):
+    literals = data.draw(st.one_of(items_meeting(column.dtype), items))
+    if not meets(column.dtype, literals):
+        with pytest.raises(AnalysisError, match="incompatible types"):
+            bound_in_list(column, literals, negated)
+        return
     bound, batch = bound_in_list(column, literals, negated)
-    values = bound.values
-    if column.dtype is DataType.BOOL:
-        # The one place the loop had no answer: a bool array compared with an
-        # int no int64 holds raised OverflowError. Such an item equals no
-        # operand value, which is what the loop computes for every other type.
-        values = tuple(
-            v for v in values if not isinstance(v, int) or -(2**63) <= v < 2**63
-        )
-    assert_same_column(evaluate(bound, batch), reference_in_list(column, values, negated))
+    assert bound.values == tuple(literals)
+    assert_same_column(evaluate(bound, batch), reference_in_list(column, bound.values, negated))
 
 
 @pytest.mark.parametrize("dtype", sorted(_OPERAND_VALUES, key=lambda d: d.value))
@@ -116,19 +134,25 @@ class TestWhatEqualsWhat:
         assert evaluate_predicate(bound, batch).tolist() == [False, True]
 
     def test_one_is_one_point_zero_is_true(self):
-        assert self.mask(DataType.INT64, [1, 0, 2], "x IN (TRUE)") == [True, False, False]
+        """1 = 1.0, and TRUE = TRUE; a BOOL meets no number, as in ``x = 1``."""
         assert self.mask(DataType.INT64, [1, 0, 2], "x IN (1.0, 0.0)") == [True, True, False]
-        assert self.mask(DataType.FLOAT64, [1.0, 2.5], "x IN (1, TRUE)") == [True, False]
-        assert self.mask(DataType.BOOL, [True, False], "x IN (1)") == [True, False]
-        assert self.mask(DataType.BOOL, [True, False], "x IN (0.0, 2)") == [False, True]
+        assert self.mask(DataType.FLOAT64, [1.0, 2.5], "x IN (1, 3)") == [True, False]
+        assert self.mask(DataType.BOOL, [True, False], "x IN (TRUE)") == [True, False]
+        for dtype, sql in [(DataType.INT64, "x IN (TRUE)"), (DataType.BOOL, "x IN (0.0, 2)")]:
+            with pytest.raises(AnalysisError, match="incompatible types"):
+                self.mask(dtype, [], sql)
 
     def test_text_equals_only_text(self):
-        assert self.mask(DataType.INT64, [1], "x IN ('1')") == [False]
-        assert self.mask(DataType.STRING, ["1", "a"], "x IN (1, 'a')") == [False, True]
+        """Text meets only text of its own kind, as in ``x = '1'``."""
         assert self.mask(DataType.STRING, ["it's"], "x IN ('it''s')") == [True]
+        for dtype, sql in [(DataType.INT64, "x IN ('1')"), (DataType.STRING, "x IN (1, 'a')")]:
+            with pytest.raises(AnalysisError, match="incompatible types"):
+                self.mask(dtype, [], sql)
         column = Column.from_pylist(DataType.BYTES, [b"a", b"b"])
-        bound, batch = bound_in_list(column, ["a", b"b"])
+        bound, batch = bound_in_list(column, [b"b"])
         assert evaluate_predicate(bound, batch).tolist() == [False, True]
+        with pytest.raises(AnalysisError, match="incompatible types"):
+            bound_in_list(column, ["a", b"b"])
 
     def test_int_items_compare_exactly_float_items_as_float64(self):
         big = 2**53 + 1
@@ -141,3 +165,15 @@ class TestWhatEqualsWhat:
         assert self.mask(DataType.DATE, [0, 1, 2], "x IN (DATE '1970-01-02', 2)") == [
             False, True, True,
         ]
+
+    def test_dates_and_timestamps_meet_in_the_operands_unit(self):
+        """``t IN (DATE …)`` is ``t = DATE …``: the day's midnight; ``d IN
+        (TIMESTAMP …)`` holds only for a midnight."""
+        day = 86_400_000_000
+        assert self.mask(DataType.TIMESTAMP, [day, day + 1], "x IN (DATE '1970-01-02')") == [
+            True, False,
+        ]
+        sql = "x IN (TIMESTAMP '1970-01-02 00:00:00', TIMESTAMP '1970-01-03 00:00:01')"
+        assert self.mask(DataType.DATE, [1, 2], sql) == [True, False]
+        with pytest.raises(AnalysisError, match="incompatible types"):
+            self.mask(DataType.DATE, [1], "x IN (1.5)")
