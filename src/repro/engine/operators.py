@@ -14,7 +14,7 @@ from repro.data.types import DataType, Schema
 from repro.errors import ExecutionError
 from repro.metastore.constraints import ColumnConstraint, ConstraintSet
 from repro.sql import ast_nodes as ast
-from repro.sql.expressions import Binder, evaluate, evaluate_predicate
+from repro.sql.expressions import Binder, evaluate, evaluate_predicate, membership
 from repro.sql.printer import strip_qualifiers
 
 from repro.engine.plan import (
@@ -683,17 +683,14 @@ def _execute_join(node: JoinNode, ctx: ExecContext) -> list[RecordBatch]:
 
     build, build_key_cols = _execute_join_side(build_node, build_keys, ctx)
     if node.kind == "ANTI" and any(c.null_count() > 0 for c in build_key_cols):
-        # NOT IN over a set containing NULL matches nothing — decided before
-        # the probe side runs, so its scan is never charged.
+        # NOT IN over a set holding a NULL is never TRUE (see membership):
+        # decided before the probe side runs, so its scan is never charged.
         return []
     if ctx.dpp_enabled and node.kind in ("INNER", "SEMI"):
         # Pruning the probe scan to the build keys is unsound where
         # non-matching probe rows are output: LEFT and ANTI.
         _apply_dynamic_partition_pruning(probe_node, probe_keys, build_key_cols, ctx)
     probe, probe_key_cols = _execute_join_side(probe_node, probe_keys, ctx)
-    if node.kind == "ANTI" and not build.num_rows:
-        # NOT IN over the empty set is TRUE for every operand, NULL included.
-        return [probe] if probe.num_rows else []
 
     # Factorize the keys to shared int codes; NULL keys match nothing.
     build_valid = _keys_valid(build_key_cols, build.num_rows)
@@ -702,9 +699,10 @@ def _execute_join(node: JoinNode, ctx: ExecContext) -> list[RecordBatch]:
         build_key_cols, probe_key_cols, build.num_rows
     )
     if node.kind in ("SEMI", "ANTI"):
-        result = probe.filter(
-            _semi_join_keep(build_codes, probe_codes, build_valid, probe_valid, node.kind)
-        )
+        hits = np.isin(probe_codes, build_codes[build_valid])
+        has_null, empty = not build_valid.all(), not build.num_rows
+        keep = membership(hits, probe_valid, has_null, empty, negated=node.kind == "ANTI")
+        result = probe.filter(keep.values & keep.is_valid())
         return [result] if result.num_rows else []
     probe_idx_array, build_idx_array = _hash_join_indices(
         build_codes, probe_codes, build_valid, probe_valid
@@ -751,20 +749,6 @@ def _execute_join_side(
     return rows, key_cols
 
 
-def _semi_join_keep(
-    build_codes: np.ndarray,
-    probe_codes: np.ndarray,
-    build_valid: np.ndarray,
-    probe_valid: np.ndarray,
-    kind: str,
-) -> np.ndarray:
-    """Probe rows an IN (SEMI) / NOT IN (ANTI) subquery keeps. Probe rows
-    with NULL keys never qualify in either mode; the caller has already
-    handled NOT IN over a build side holding a NULL, or over none."""
-    in_set = np.isin(probe_codes, build_codes[build_valid])
-    return probe_valid & (in_set if kind == "SEMI" else ~in_set)
-
-
 def _apply_dynamic_partition_pruning(
     probe_node: PlanNode,
     probe_keys: list[ast.Expr],
@@ -786,12 +770,13 @@ def _apply_dynamic_partition_pruning(
         scan = _find_scan_for_column(probe_node, column)
         if scan is None:
             continue
-        # A NaN key matches nothing, so it is dropped from the IN-set. An
-        # infinite or a BYTES one matches but has no SQL literal — the form
-        # the restriction takes in a connector's session handle — so it is
-        # not pruned on. Nor is a key whose type differs from the probe
-        # column's (the planner casts the one of two keys whose type
-        # differs), as its values are not in the column's unit.
+        # The IN-set holds the keys that can make IN TRUE (see membership):
+        # a NULL or NaN key matches nothing, so it is dropped. An infinite
+        # or a BYTES one matches but has no SQL literal — the form the
+        # restriction takes in a connector's session handle — so it is not
+        # pruned on. Nor is a key whose type differs from the probe column's
+        # (the planner casts the one of two keys whose type differs), as its
+        # values are not in the column's unit.
         if build_col.dtype is DataType.BYTES or build_col.dtype is not scan.table.schema.field(column).dtype:
             continue
         values = {v for v in build_col.to_pylist() if v is not None and v == v}

@@ -148,6 +148,7 @@ class BoundInList(BoundExpr):
     operand: BoundExpr
     values: tuple
     negated: bool
+    has_null: bool  # an item is NULL (see membership)
     dtype: DataType = DataType.BOOL
     # What evaluate() probes, prepared once from ``values`` for the
     # operand's type (see _membership_probe).
@@ -583,7 +584,7 @@ class Binder:
             for kind in kinds - {None, dtype}:
                 if common_type(dtype, kind) is None:
                     raise AnalysisError(f"incompatible types {dtype.value} and {kind.value} in IN list")
-        return BoundInList(operand, tuple(values), expr.negated)
+        return BoundInList(operand, tuple(values), expr.negated, None in kinds)
 
     def _bind_unary(self, expr: ast.UnaryOp) -> BoundExpr:
         operand = self.bind(expr.operand)
@@ -646,10 +647,7 @@ def evaluate(expr: BoundExpr, batch: RecordBatch) -> Column:
     if isinstance(expr, BoundInList):
         operand = evaluate(expr.operand, batch)
         hits = _member_of(operand.values, expr.probe)
-        hits &= operand.is_valid()
-        if expr.negated:
-            hits = ~hits & operand.is_valid()
-        return Column(DataType.BOOL, hits, operand.validity)
+        return membership(hits, operand.validity, expr.has_null, empty=False, negated=expr.negated)
     if isinstance(expr, BoundLike):
         operand = evaluate(expr.operand, batch)
         regex = _like_to_regex(expr.pattern)
@@ -715,6 +713,22 @@ def _over_dictionary(expr: BoundExpr, column: DictionaryColumn) -> Column:
         domain = Column(column.dtype, np.concatenate((entries[:1], entries)), present)
         at = np.maximum(codes, -1) + 1
     return evaluate(expr, _Entries(expr.codes_column, domain)).take(at)
+
+
+def membership(
+    hits: np.ndarray, validity: np.ndarray | None, has_null: bool, empty: bool, negated: bool
+) -> Column:
+    """SQL's ``x IN (list)``, one rule for literal lists and IN subqueries
+    (the SEMI / ANTI join), from the rows a non-NULL item equals (``hits``)
+    and the operand's ``validity``: TRUE on a hit; FALSE where the list as
+    written is ``empty`` (only a subquery can be), or where a present operand
+    misses a list with no NULL; NULL otherwise. NOT IN is its negation."""
+    hits = hits if validity is None else hits & validity
+    known = None if empty else hits if has_null else validity
+    values = ~hits if negated else hits
+    if negated and known is not None:
+        values &= known
+    return Column(DataType.BOOL, values, known)
 
 
 def _membership_probe(dtype: DataType, values: tuple) -> "frozenset | tuple[np.ndarray, ...]":
@@ -862,11 +876,27 @@ def _eval_case(expr: BoundCase, batch: RecordBatch) -> Column:
     return Column(out_dtype, values, None if bool(valid.all()) else valid)
 
 
+def _int64_from_text(text: str) -> int:
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} is out of INT64 range")
+    return value
+
+
+# Each parser raises ValueError, KeyError or AnalysisError on a text that
+# is no value of its type; _eval_cast turns that into one ExecutionError.
 _FROM_STRING = {
-    DataType.INT64: int, DataType.FLOAT64: float, DataType.BYTES: str.encode,
+    DataType.INT64: _int64_from_text, DataType.FLOAT64: float, DataType.BYTES: str.encode,
     DataType.BOOL: lambda v: {"true": True, "false": False}[v.lower()],
     DataType.DATE: parse_date_to_days, DataType.TIMESTAMP: parse_timestamp_to_micros,
 }
+
+
+def _parse_text(text: str, target: DataType) -> Any:
+    try:
+        return _FROM_STRING[target](text)
+    except (ValueError, KeyError, AnalysisError):
+        raise ExecutionError(f"cannot CAST {text!r} to {target.value}") from None
 
 
 def _eval_cast(operand: Column, target: DataType) -> Column:
@@ -886,7 +916,7 @@ def _eval_cast(operand: Column, target: DataType) -> Column:
         out = [None if v is None else str(v) for v in operand.to_pylist()]
         return Column(target, out, validity)
     if src is DataType.STRING and target in _FROM_STRING:
-        return _map_values(operand, _FROM_STRING[target], target)
+        return _map_values(operand, functools.partial(_parse_text, target=target), target)
     if src is DataType.BOOL and target is DataType.INT64:
         return Column(target, operand.values.astype(np.int64), validity)
     if src.is_numeric and target is DataType.BOOL:

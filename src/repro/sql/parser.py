@@ -440,10 +440,7 @@ class _Parser:
                 op = "!="
             return ast.BinaryOp(op, left, self._parse_additive())
         if tok.is_keyword("IS"):
-            self.advance()
-            negated = bool(self.accept_keyword("NOT"))
-            self.expect_keyword("NULL")
-            return ast.IsNull(left, negated=negated)
+            return self._parse_is_null(left)
         negated = False
         if tok.is_keyword("NOT"):
             nxt = self.peek(1)
@@ -457,25 +454,35 @@ class _Parser:
             if self.peek().is_keyword("SELECT"):
                 query = self.parse_select()
                 self.expect_symbol(")")
-                return ast.InSubquery(left, query, negated=negated)
+                return self._parse_is_null(ast.InSubquery(left, query, negated=negated))
             items = [self._parse_in_item()]
             while self.accept_symbol(","):
                 items.append(self._parse_in_item())
             self.expect_symbol(")")
-            return ast.InList(left, tuple(items), negated=negated)
+            return self._parse_is_null(ast.InList(left, tuple(items), negated=negated))
         if tok.is_keyword("BETWEEN"):
             self.advance()
             low = self._parse_additive()
             self.expect_keyword("AND")
             high = self._parse_additive()
-            return ast.Between(left, low, high, negated=negated)
+            return self._parse_is_null(ast.Between(left, low, high, negated=negated))
         if tok.is_keyword("LIKE"):
             self.advance()
             pattern = self.advance()
             if pattern.kind is not TokenKind.STRING:
                 raise SqlSyntaxError("LIKE expects a string pattern literal")
-            return ast.Like(left, pattern.text, negated=negated)
+            return self._parse_is_null(ast.Like(left, pattern.text, negated=negated))
         return left
+
+    def _parse_is_null(self, operand: ast.Expr) -> ast.Expr:
+        """``operand IS [NOT] NULL`` if that follows, else ``operand``: after
+        an IN, BETWEEN or LIKE too, which sqlite3 parses as the operand of
+        IS (``x IN (1) IS NULL`` is ``(x IN (1)) IS NULL``)."""
+        if not self.accept_keyword("IS"):
+            return operand
+        negated = bool(self.accept_keyword("NOT"))
+        self.expect_keyword("NULL")
+        return ast.IsNull(operand, negated=negated)
 
     def _parse_in_item(self) -> ast.Expr:
         """One IN-list element. A bare literal followed by ``,`` or ``)`` —

@@ -6,15 +6,17 @@ oracle of the kernels that replaced it:
   IN-list loop the membership kernel replaced. It defines what membership
   means item by item: NULL items never match, NaN matches nothing,
   ``1 == 1.0 == True``, ``'1' != 1``, and a negated list keeps
-  ``~hits & valid``. The oracle of tests/test_sql_in_list.py.
+  ``~hits & valid``. The oracle of tests/test_sql_in_list.py for lists
+  without a NULL item; one that holds a NULL is never FALSE, so there it
+  is checked against sqlite3 instead.
 * :func:`reference_evaluate` / :func:`reference_evaluate_predicate` —
   decode first: a column reference is ``batch.column_at`` (a dictionary
   column decoded once per reference), a literal operand is
   ``Column.repeat`` to the batch's length, and every comparison, BETWEEN,
   IN, IS NULL and LIKE runs over the decoded rows. ``_eval_case`` comes
-  along so CASE recurses into the reference too; the helpers that did not
-  change (``_member_of``, ``_like_to_regex``, ``_eval_cast``,
-  ``_and_validity``) are imported. The oracle of
+  along so CASE recurses into the reference too; the helpers it does not
+  test (``_member_of`` and the IN rule ``membership``, ``_like_to_regex``,
+  ``_eval_cast``, ``_and_validity``) are imported. The oracle of
   tests/test_encoded_predicates.py.
 
 Not collected by pytest (no ``test_`` prefix).
@@ -44,6 +46,7 @@ from repro.sql.expressions import (
     _eval_cast,
     _like_to_regex,
     _member_of,
+    membership,
 )
 
 
@@ -83,10 +86,7 @@ def reference_evaluate(expr: BoundExpr, batch: RecordBatch) -> Column:
     if isinstance(expr, BoundInList):
         operand = reference_evaluate(expr.operand, batch)
         hits = _member_of(operand.values, expr.probe)
-        hits &= operand.is_valid()
-        if expr.negated:
-            hits = ~hits & operand.is_valid()
-        return Column(DataType.BOOL, hits, operand.validity)
+        return membership(hits, operand.validity, expr.has_null, empty=False, negated=expr.negated)
     if isinstance(expr, BoundLike):
         operand = reference_evaluate(expr.operand, batch)
         regex = _like_to_regex(expr.pattern)

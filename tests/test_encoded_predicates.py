@@ -33,7 +33,7 @@ from repro import LakehousePlatform, Role
 from repro.data.batch import RecordBatch, batch_from_pydict
 from repro.data.column import Column, DictionaryColumn
 from repro.data.types import DataType, Field, Schema
-from repro.errors import StorageApiError
+from repro.errors import ExecutionError, StorageApiError
 from repro.formats import pqs
 from repro.security.policies import EffectiveAccess, MaskingKind, RowAccessPolicy
 from repro.sql import ast_nodes as ast
@@ -336,7 +336,7 @@ def test_a_restriction_never_sees_a_row_the_policy_hides():
     assert drain_session(read_api, drained.serialize()).rows == len(want)
     # The admin's policy hides nothing: the restriction meets the text.
     exposed = read_api.create_read_session(admin, table, row_restriction=restriction)
-    with pytest.raises(ValueError):
+    with pytest.raises(ExecutionError, match="cannot CAST 'oops' to INT64"):
         for stream in range(len(exposed.streams)):
             list(read_api.read_rows(exposed, stream))
 

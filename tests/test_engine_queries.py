@@ -6,8 +6,10 @@ import pytest
 
 from repro import DataType, Schema, batch_from_pydict
 from repro.errors import AnalysisError, QueryError
+from repro.sql import expressions
+from repro.storageapi.streams import drain_session
 
-from tests.helpers import make_platform
+from tests.helpers import make_platform, setup_lake_table
 
 
 @pytest.fixture(scope="module")
@@ -289,10 +291,11 @@ class TestAggregateIdentity:
         assert db.execute(sql.replace("agg.dup", "dup")).fetchall() == expected
 
 
-def _twin_tables(tables: dict[str, tuple[Schema, dict]]):
-    """The same literal rows as managed tables in dataset ``lj`` and as
-    stdlib sqlite3 tables (DATE stored as its day number, TIMESTAMP as its
-    micros)."""
+def _twin_tables(tables: dict[str, tuple[Schema, dict]], lake: tuple[str, ...] = ()):
+    """The same literal rows as tables in dataset ``lj`` — managed ones, and
+    for the names in ``lake`` BigLake ones over one pqs file, whose
+    low-cardinality columns are dictionary-encoded — and as stdlib sqlite3
+    tables (DATE stored as its day number, TIMESTAMP as its micros)."""
     platform, admin = make_platform()
     platform.catalog.create_dataset("lj")
     db = sqlite3.connect(":memory:")
@@ -300,8 +303,11 @@ def _twin_tables(tables: dict[str, tuple[Schema, dict]]):
                     DataType.TIMESTAMP: "INTEGER", DataType.FLOAT64: "REAL",
                     DataType.STRING: "TEXT"}
     for name, (schema, data) in tables.items():
-        table = platform.tables.create_managed_table("lj", name, schema)
-        platform.managed.append(table.table_id, batch_from_pydict(schema, data))
+        if name in lake:
+            setup_lake_table(platform, admin, schema, [data], dataset="lj", table=name)
+        else:
+            table = platform.tables.create_managed_table("lj", name, schema)
+            platform.managed.append(table.table_id, batch_from_pydict(schema, data))
         columns = ", ".join(f"{f.name} {sqlite_types[f.dtype]}" for f in schema)
         db.execute(f"CREATE TABLE {name} ({columns})")
         db.executemany(
@@ -310,11 +316,40 @@ def _twin_tables(tables: dict[str, tuple[Schema, dict]]):
     return platform, admin, db
 
 
+# The IN matrix's axes. A list is a subquery over lj.r's k = {NULL, 2, 5}
+# and the literal items it returns (None for the empty one, which only a
+# subquery can write); a STRING operand reads 2 as 'a' and 5 as 'e'.
+_LISTS = {
+    "hit": ("k > 0", (2, 5)),
+    "miss": ("k > 2", (5,)),
+    "hit and NULL": ("k > 0 OR k IS NULL", (2, 5, None)),
+    "miss and NULL": ("k > 2 OR k IS NULL", (5, None)),
+    "only NULL": ("k IS NULL", (None,)),
+    "empty": ("k < 0", None),
+}
+_FORMS = {"IN": "{} IN ({})", "NOT IN": "{} NOT IN ({})", "NOT (IN)": "NOT ({} IN ({}))"}
+# lj.m's row whose x is 2 and s 'a', and its row whose x and s are NULL.
+_OPERANDS = {"value": 1, "NULL": 2}
+_SOURCES = ("literal list", "subquery", "dictionary STRING", "row_restriction drain")
+_MATRIX = [
+    pytest.param(operand, items, form, source, id=f"{source}-{items}-{form}-{operand}")
+    for source in _SOURCES for items in _LISTS for form in _FORMS for operand in _OPERANDS
+    if source == "subquery" or _LISTS[items][1] is not None
+]
+
+
 class TestNotInOverEachBuildSide:
     """``x NOT IN (subquery)`` is TRUE for every ``x`` — NULL included — when
     the subquery is empty, NULL for every row when it holds a NULL, and the
     usual three-valued answer otherwise; ``NOT (x IN …)`` is the same
-    predicate. Literal answers, and the same answers from sqlite3."""
+    predicate. Literal answers, and the same answers from sqlite3.
+
+    The matrix runs every operand (a value, NULL), list (hit, miss, either
+    with a NULL item, only NULL, empty) and form (IN, NOT IN, NOT (… IN …))
+    through each site that decides membership — a literal list, a subquery
+    (the SEMI / ANTI join), a dictionary-encoded STRING column (answered per
+    dictionary entry) and a read session's ``row_restriction`` drained over
+    its serialized handle — and requires sqlite3's answer from every one."""
 
     @pytest.fixture(scope="class")
     def engines(self):
@@ -322,9 +357,39 @@ class TestNotInOverEachBuildSide:
             "l": (Schema.of(("k", DataType.INT64), ("lv", DataType.STRING)),
                   {"k": [1, None, 2], "lv": ["a", "b", "c"]}),
             "r": (Schema.of(("k", DataType.INT64),), {"k": [None, 2, 5]}),
-        })
+            "m": (Schema.of(("id", DataType.INT64), ("x", DataType.INT64), ("s", DataType.STRING)),
+                  {"id": [1, 2, 3, 4], "x": [2, None, 7, 8], "s": ["a", None, "z", "a"]}),
+        }, lake=("m",))
         yield platform, admin, db
         db.close()
+
+    @pytest.mark.parametrize("operand, items, form, source", _MATRIX)
+    def test_matrix_matches_sqlite(self, engines, monkeypatch, operand, items, form, source):
+        platform, admin, db = engines
+        where, values = _LISTS[items]
+        column = "s" if source == "dictionary STRING" else "x"
+        if source == "subquery":
+            listed = f"SELECT k FROM lj.r WHERE {where}"
+        else:
+            if column == "s":
+                values = [{2: "a", 5: "e"}.get(v) for v in values]
+            listed = ", ".join("NULL" if v is None else repr(v) for v in values)
+        predicate = f"id = {_OPERANDS[operand]} AND {_FORMS[form].format(column, listed)}"
+        sql = f"SELECT id FROM lj.m WHERE {predicate}"
+        want = db.execute(sql.replace("lj.", "")).fetchall()
+        if source == "row_restriction drain":
+            session = platform.read_api.create_read_session(
+                admin, platform.catalog.get_table("lj", "m"), row_restriction=predicate)
+            assert drain_session(platform.read_api, session.serialize()).rows == len(want)
+            return
+        per_entry = []
+        answer = expressions._over_dictionary
+        monkeypatch.setattr(expressions, "_over_dictionary",
+                            lambda *args: per_entry.append(args) or answer(*args))
+        result = platform.home_engine.execute(sql, admin)
+        assert result.rows() == want
+        # s is dictionary-encoded and x is not; a file pruned is not read.
+        assert bool(per_entry) == (source == "dictionary STRING" and result.stats.files_read > 0)
 
     BUILD_SIDES = {
         "empty": "SELECT k FROM lj.r WHERE k < 0",

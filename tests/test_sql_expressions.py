@@ -1,12 +1,16 @@
 """Tests for binding and vectorized evaluation (Superluminal semantics)."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.data import DataType, Schema, batch_from_pydict
-from repro.errors import AnalysisError
+from repro.data import DataType, RecordBatch, Schema, batch_from_pydict
+from repro.data.column import Column, DictionaryColumn
+from repro.errors import AnalysisError, ExecutionError
 from repro.sql import Binder, evaluate, evaluate_predicate, parse_expression
 from repro.sql.dates import parse_date_to_days, parse_timestamp_to_micros
+from repro.sql.expressions import _FROM_STRING
 
 SCHEMA = Schema.of(
     ("x", DataType.INT64),
@@ -162,6 +166,34 @@ class TestTemporal:
     def test_date_parsing(self):
         assert parse_date_to_days("1970-01-02") == 1
         assert parse_timestamp_to_micros("1970-01-01 00:00:01") == 1_000_000
+
+
+# Texts that are no value of each type CAST reads a STRING as.
+_NOT_A_VALUE = {
+    DataType.INT64: ["abc", "1.5", "99999999999999999999"],
+    DataType.FLOAT64: ["abc", "1,5"],
+    DataType.BOOL: ["maybe", "1"],
+    DataType.DATE: ["abc", "2024-02-30"],
+    DataType.TIMESTAMP: ["abc", "2024-01-01 noon"],
+    DataType.BYTES: ["\ud800"],
+}
+
+
+@pytest.mark.parametrize("target", list(_FROM_STRING), ids=lambda d: d.value)
+def test_cast_from_a_text_that_is_no_value_raises_one_typed_error(target):
+    """``CAST(s AS T)`` over a text that is no T raises one
+    ``ExecutionError`` naming the text and T, from a plain column and from
+    a dictionary-encoded one; a predicate over the cast is never answered
+    per dictionary entry (an unused entry would raise)."""
+    schema = Schema.of(("s", DataType.STRING))
+    bound = Binder(schema).bind(parse_expression(f"CAST(s AS {target.value}) IS NULL"))
+    assert bound.codes_column is None
+    for text in _NOT_A_VALUE[target]:
+        column = Column.from_pylist(DataType.STRING, [text, None, text])
+        error = re.escape(f"cannot CAST {text!r} to {target.value}")
+        for encoded in (column, DictionaryColumn.encode(column)):
+            with pytest.raises(ExecutionError, match=error):
+                evaluate(bound, RecordBatch(schema, [encoded]))
 
 
 class TestBinding:

@@ -5,12 +5,16 @@ prepared at bind; ``tests/reference_expressions.py`` is the per-literal
 ``==`` loop it replaced, kept verbatim. For every operand type and any mix
 of literal items whose types meet the operand's (``common_type``) the two
 must return the same column; any other mix is an ``AnalysisError``, as
-``x = item`` is.
+``x = item`` is. A list that holds a NULL is never FALSE, where the loop
+answers FALSE: there stdlib sqlite3 decides each row's three-valued answer
+from whether a non-NULL item equals it.
 """
 
 from __future__ import annotations
 
 import math
+import sqlite3
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -89,6 +93,22 @@ def assert_same_column(got: Column, want: Column) -> None:
     np.testing.assert_array_equal(got.is_valid(), want.is_valid())
 
 
+def sqlite_in_list(column: Column, literals, negated: bool) -> list:
+    """``x [NOT] IN (literals)`` per row of ``column``, a list that holds a
+    NULL, as sqlite3 answers it: each row becomes 1 where a non-NULL item
+    equals it (the reference loop decides that), 0 where none does and NULL
+    for a NULL operand, and the non-NULL items become one item ``1``."""
+    present = tuple(v for v in literals if v is not None)
+    hit = reference_in_list(column, present, False).to_pylist()
+    items = ["1"] * bool(present) + ["NULL"] * (len(literals) - len(present))
+    negation = "NOT " if negated else ""
+    sql = f"SELECT h {negation}IN ({', '.join(items)}) FROM hits ORDER BY rowid"
+    with closing(sqlite3.connect(":memory:")) as db:
+        db.execute("CREATE TABLE hits (h INTEGER)")
+        db.executemany("INSERT INTO hits VALUES (?)", [(h,) for h in hit])
+        return [None if v is None else bool(v) for (v,) in db.execute(sql)]
+
+
 @settings(deadline=None)
 @given(operands(), st.data(), st.booleans())
 def test_same_column_as_the_reference(column, data, negated):
@@ -99,7 +119,10 @@ def test_same_column_as_the_reference(column, data, negated):
         return
     bound, batch = bound_in_list(column, literals, negated)
     assert bound.values == tuple(literals)
-    assert_same_column(evaluate(bound, batch), reference_in_list(column, bound.values, negated))
+    if None in literals:
+        assert evaluate(bound, batch).to_pylist() == sqlite_in_list(column, literals, negated)
+    else:
+        assert_same_column(evaluate(bound, batch), reference_in_list(column, bound.values, negated))
 
 
 @pytest.mark.parametrize("dtype", sorted(_OPERAND_VALUES, key=lambda d: d.value))
@@ -110,6 +133,10 @@ def test_a_list_with_no_value_matches_nothing(dtype, literals):
     for negated in (False, True):
         bound, batch = bound_in_list(column, literals, negated)
         got = evaluate(bound, batch)
+        if literals:
+            # x IN (NULL) and x NOT IN (NULL) are NULL, a present x included.
+            assert got.to_pylist() == sqlite_in_list(column, literals, negated) == [None, None]
+            continue
         assert_same_column(got, reference_in_list(column, bound.values, negated))
         # x IN () is false, x NOT IN () true, for a present x; NULL stays NULL.
         assert got.to_pylist() == [negated, None]
@@ -124,8 +151,10 @@ class TestWhatEqualsWhat:
         return evaluate_predicate(Binder(schema).bind(parse_expression(sql)), batch).tolist()
 
     def test_null_items_never_match_and_null_operands_never_qualify(self):
+        """A NULL item matches nothing, but a miss against it is NULL, not
+        FALSE: ``x NOT IN (1, NULL)`` keeps no row, as in sqlite3."""
         assert self.mask(DataType.INT64, [1, None, 2], "x IN (1, NULL)") == [True, False, False]
-        assert self.mask(DataType.INT64, [1, None, 2], "x NOT IN (1, NULL)") == [False, False, True]
+        assert self.mask(DataType.INT64, [1, None, 2], "x NOT IN (1, NULL)") == [False, False, False]
         assert self.mask(DataType.STRING, ["a", None], "x IN ('a', NULL)") == [True, False]
 
     def test_nan_matches_nothing(self):

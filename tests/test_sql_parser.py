@@ -1,10 +1,16 @@
 """Tests for the SQL lexer and parser."""
 
+import sqlite3
+from contextlib import closing
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import DataType, Schema, batch_from_pydict
 from repro.errors import SqlSyntaxError
 from repro.sql import ast, parse_expression, parse_statement
+from repro.sql.expressions import Binder, evaluate
+from repro.sql.printer import to_sql
 from repro.sql.tokens import TokenKind, tokenize
 
 
@@ -329,3 +335,41 @@ class TestInListLiteralFastPath:
     def test_subquery_form_is_untouched(self):
         stmt = parse_statement("SELECT a FROM t WHERE a IN (SELECT b FROM u)")
         assert isinstance(stmt.where, ast.InSubquery)
+
+
+class TestIsNullAfterAPredicate:
+    """``IS [NOT] NULL`` after an IN, BETWEEN or LIKE applies to that
+    predicate, as sqlite3 parses it — the way to see an IN list's NULL."""
+
+    DATA = {"x": [1, None, 2, 5], "s": ["a", None, "b", "ab"]}
+
+    @pytest.mark.parametrize("sql", [
+        "x IN (1) IS NULL",
+        "x IN (1, NULL) IS NULL",
+        "x NOT IN (1, NULL) IS NOT NULL",
+        "x BETWEEN 1 AND 2 IS NULL",
+        "x NOT BETWEEN 0 AND 1 IS NOT NULL",
+        "s LIKE 'a%' IS NULL",
+        "s NOT LIKE 'a%' IS NOT NULL",
+    ])
+    def test_round_trips_and_answers_as_sqlite(self, sql):
+        parsed = parse_expression(sql)
+        assert isinstance(parsed, ast.IsNull)
+        predicate, suffix = sql.split(" IS ")
+        assert parsed == parse_expression(f"({predicate}) IS {suffix}")
+        printed = to_sql(parsed)
+        assert parse_expression(printed) == parsed
+        schema = Schema.of(("x", DataType.INT64), ("s", DataType.STRING))
+        batch = batch_from_pydict(schema, self.DATA)
+        got = evaluate(Binder(schema).bind(parsed), batch).to_pylist()
+        with closing(sqlite3.connect(":memory:")) as db:
+            db.execute("CREATE TABLE t (x INTEGER, s TEXT)")
+            db.executemany("INSERT INTO t VALUES (?, ?)", zip(self.DATA["x"], self.DATA["s"]))
+            for text in (sql, printed):
+                want = [bool(v) for (v,) in db.execute(f"SELECT {text} FROM t ORDER BY rowid")]
+                assert got == want
+
+    def test_after_an_in_subquery(self):
+        expr = parse_statement("SELECT a FROM t WHERE a NOT IN (SELECT b FROM u) IS NULL").where
+        assert isinstance(expr, ast.IsNull) and not expr.negated
+        assert isinstance(expr.operand, ast.InSubquery) and expr.operand.negated
